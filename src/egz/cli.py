@@ -31,12 +31,19 @@ _EXIT_ERROR = 1
 _EXIT_UNRESOLVED = 2
 
 
-def _threads_default() -> int:
-    raw = os.environ.get("EGZ_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+def _threads(args) -> int:
+    """Worker count from --threads, else EGZ_THREADS, else 1; must be >= 1."""
+    if args.threads is not None:
+        value, source = args.threads, "--threads"
+    else:
+        raw = os.environ.get("EGZ_THREADS", "1")
+        try:
+            value, source = int(raw), "EGZ_THREADS"
+        except ValueError:
+            raise ValueError(f"EGZ_THREADS must be an integer >= 1, got {raw!r}") from None
+    if value < 1:
+        raise ValueError(f"{source} must be an integer >= 1, got {value}")
+    return value
 
 
 def _progress_printer(enabled: bool):
@@ -88,7 +95,7 @@ def _cmd_compute(args) -> int:
     ring = make_ring(parse_moduli(args.ring))
     out = search.egz_constant(
         ring, args.m, args.t, cap=args.cap,
-        workers=args.threads, progress=_progress_printer(args.progress),
+        workers=_threads(args), progress=_progress_printer(args.progress),
     )
     if args.json or args.cert:
         _emit_certificate(args, search.KIND_EGZ, ring, args.m, args.t, out)
@@ -108,7 +115,7 @@ def _cmd_davenport(args) -> int:
     ring = make_ring(parse_moduli(args.ring))
     out = search.davenport_m(
         ring, args.m, args.cap,
-        workers=args.threads, progress=_progress_printer(args.progress),
+        workers=_threads(args), progress=_progress_printer(args.progress),
     )
     if args.json or args.cert:
         _emit_certificate(args, search.KIND_DAV, ring, args.m, None, out)
@@ -248,8 +255,8 @@ def _build_parser() -> argparse.ArgumentParser:
             + ("" if with_t else " (required)"),
         )
         p.add_argument(
-            "--threads", type=int, default=_threads_default(),
-            help="parallel frontier workers (default: EGZ_THREADS or 1)",
+            "--threads", type=int, default=None,
+            help="parallel frontier workers, >= 1 (default: EGZ_THREADS or 1)",
         )
         p.add_argument(
             "--progress", action="store_true",

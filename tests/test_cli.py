@@ -180,3 +180,34 @@ def test_bad_ring_argument(capsys) -> None:
     code, _, err = run(capsys, "compute", "--ring", "abc", "--m", "2", "--t", "3")
     assert code == 1
     assert "error" in err
+
+
+def test_davenport_missing_cap_errors(capsys) -> None:
+    code, out, err = run(capsys, "davenport", "--ring", "3", "--m", "2")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "cap" in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "threads, env",
+    [("0", None), ("-2", None), (None, "abc"), (None, "0"), (None, "")],
+)
+def test_bad_threads_rejected(capsys, monkeypatch, threads, env) -> None:
+    if env is not None:
+        monkeypatch.setenv("EGZ_THREADS", env)
+    argv = ["compute", "--ring", "3", "--m", "2", "--t", "3"]
+    if threads is not None:
+        argv += ["--threads", threads]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_threads_from_environment(capsys, monkeypatch) -> None:
+    monkeypatch.setenv("EGZ_THREADS", "2")
+    code, out, _ = run(capsys, "compute", "--ring", "3", "--m", "2", "--t", "3")
+    assert code == 0
+    assert out.splitlines()[0] == "Exact 6"

@@ -1,0 +1,33 @@
+"""The README's examples, executed so that they stay true."""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import re
+import shlex
+from pathlib import Path
+
+from egz.cli import main
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+
+
+def test_library_snippet_prints_its_comment() -> None:
+    code = re.search(r"```python\n(.*?)```", README, re.S).group(1)
+    printed = [ln for ln in code.splitlines() if ln.startswith("print(")]
+    assert len(printed) == 1
+    expected = printed[0].split("#", 1)[1].strip()
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        exec(compile(code, "README.md", "exec"), {})
+    assert buf.getvalue().splitlines() == [expected]
+
+
+def test_cli_transcripts(capsys) -> None:
+    # every "$ egz ..." line in the README, with the output lines after it
+    runs = re.findall(r"^\$ egz (.*)\n((?:[^$`].*\n)*)", README, re.M)
+    assert len(runs) >= 4
+    for argv, expected in runs:
+        main(shlex.split(argv))
+        assert capsys.readouterr().out == expected, argv

@@ -261,3 +261,85 @@ def test_witness_is_lex_least_canonical() -> None:
     assert out.witness.is_canonical()
     assert out.witness.mult == (14, 0, 0, 0, 0, 0, 0, 15)
     assert out.witness.mult == canonical_mult(ring, (14, 15, 0, 0, 0, 0, 0, 0))
+
+
+def test_davenport_without_cap_raises() -> None:
+    with pytest.raises(MissingCapError):
+        davenport_m(make_ring((3,)), 2)
+
+
+# --- array level step against the tuple level step --------------------------
+
+
+@pytest.mark.parametrize(
+    "kind, moduli, m, t, cap",
+    [
+        (KIND_EGZ, (8,), 2, 8, 12),  # Infinite by the all-ones family: capped
+        (KIND_EGZ, (9,), 2, 9, 72),
+        (KIND_DAV, (3, 3), 1, None, 6),
+        (KIND_EGZ, (2, 2, 2), 2, 8, 14),
+        (KIND_DAV, (5, 5), 1, None, 6),
+    ],
+)
+def test_array_step_matches_tuple_step(kind, moduli, m, t, cap) -> None:
+    # every level of the search, seed levels included, built both ways
+    engine = search._engine(make_ring(moduli))
+    kit = engine.rows(cap)
+    seed = t if kind == KIND_EGZ else m - 1
+    frontier = {(0,) * engine.card}
+    for level in range(1, cap + 1):
+        closed = level > seed
+        em_m = m if (kind == KIND_DAV and closed) or level == t else None
+        expect = search._step_tuples(
+            engine, frontier, frontier if closed else None, em_m
+        )
+        rows = kit.from_tuples(frontier)
+        got = kit.step(rows, kit.orbit_keys(rows) if closed else None, em_m)
+        listed = [tuple(r) for r in got[:, : engine.card].tolist()]
+        assert listed == sorted(expect), (level, len(expect), len(listed))
+        if not expect:
+            break
+        frontier = expect
+
+
+@pytest.mark.parametrize(
+    "moduli, cap", [((8,), 30), ((3, 3), 255), ((2, 4), 400), ((5, 5), 400), ((2, 3), 70000)]
+)
+def test_row_keys_follow_tuple_order(moduli, cap) -> None:
+    import numpy as np
+
+    engine = search._engine(make_ring(moduli))
+    kit = engine.rows(cap)
+    top = np.iinfo(kit.dtype).max
+    rng = np.random.default_rng(cap)
+    vals = rng.integers(0, 4, size=(400, engine.card))
+    vals[::7, -1] = rng.integers(0, min(cap, top) + 1, size=len(vals[::7]))
+    if cap > 0xFF:
+        vals[3, 0] = 300
+    tuples = [tuple(v) for v in vals.tolist()]
+    rows = kit.from_tuples(tuples)
+    order = np.argsort(kit.keys(rows), kind="stable")
+    assert [tuples[i] for i in order] == sorted(tuples)
+    uniq = kit.unique(rows)
+    assert [tuple(r) for r in uniq[:, : engine.card].tolist()] == sorted(set(tuples))
+    canon = kit.canonical(rows)
+    assert [tuple(r) for r in canon[:, : engine.card].tolist()] == [
+        engine.canonical(tp) for tp in tuples
+    ]
+
+
+@pytest.mark.parametrize(
+    "moduli, m, cap",
+    [((9,), 2, 40), ((2, 2, 2), 3, 12), ((5, 5), 1, 20), ((5, 5), 2, 300), ((2, 4), 4, 30)],
+)
+def test_array_em_matches_engine(moduli, m, cap) -> None:
+    import numpy as np
+
+    engine = search._engine(make_ring(moduli))
+    kit = engine.rows(cap)
+    rng = np.random.default_rng(m * cap)
+    vals = rng.integers(0, cap + 1, size=(300, engine.card))
+    vals[rng.random(vals.shape) < 0.5] = 0  # sparse rows, multiplicities above the exponent
+    tuples = [tuple(v) for v in vals.tolist()]
+    got = kit.em(kit.from_tuples(tuples), m).tolist()
+    assert got == [engine.em_of_mult(tp, m) for tp in tuples]
