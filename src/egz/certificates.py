@@ -4,8 +4,7 @@ A certificate records the query (kind, ring moduli, m, t), the outcome
 (exact / at_least / infinite plus the value), the witness multiplicities
 (element index -> count, nonzero entries only), the search method, the cap
 the search ran under, and the tool version. Field order and formatting are
-fixed so identical inputs yield byte-identical documents regardless of
-thread count or run.
+fixed so identical inputs yield byte-identical documents on every run.
 
 verify_certificate independently re-checks what a certificate claims:
 witness shape and length arithmetic always; the witness's counterexample

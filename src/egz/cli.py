@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 from . import brink, certificates, numtheory, search, symfun, theorems
@@ -29,21 +28,6 @@ from .rings import make_ring, parse_moduli
 _EXIT_OK = 0
 _EXIT_ERROR = 1
 _EXIT_UNRESOLVED = 2
-
-
-def _threads(args) -> int:
-    """Worker count from --threads, else EGZ_THREADS, else 1; must be >= 1."""
-    if args.threads is not None:
-        value, source = args.threads, "--threads"
-    else:
-        raw = os.environ.get("EGZ_THREADS", "1")
-        try:
-            value, source = int(raw), "EGZ_THREADS"
-        except ValueError:
-            raise ValueError(f"EGZ_THREADS must be an integer >= 1, got {raw!r}") from None
-    if value < 1:
-        raise ValueError(f"{source} must be an integer >= 1, got {value}")
-    return value
 
 
 def _progress_printer(enabled: bool):
@@ -56,19 +40,6 @@ def _progress_printer(enabled: bool):
     return report
 
 
-def _print_outcome(out, cap_note: bool) -> int:
-    if out.kind == search.OUTCOME_INFINITE:
-        print("Infinite")
-        return _EXIT_OK
-    label = "Exact" if out.kind == search.OUTCOME_EXACT else "AtLeast"
-    print(f"{label} {out.value}")
-    print(f"witness length {out.witness.length}: {out.witness}")
-    if out.kind == search.OUTCOME_AT_LEAST and cap_note:
-        print(f"search reached cap {out.cap_used} without closing")
-        return _EXIT_UNRESOLVED
-    return _EXIT_OK
-
-
 def _obstruction_line(ring, m: int, t: int) -> str:
     residue = numtheory.binom_mod(t, m, ring.exponent)
     if t <= 2000:
@@ -79,53 +50,46 @@ def _obstruction_line(ring, m: int, t: int) -> str:
     return f"obstruction: C({t}, {m}) mod {ring.exponent} = {residue}, not 0"
 
 
-def _emit_certificate(args, kind: str, ring, m: int, t, out) -> None:
-    cert = certificates.build_certificate(kind, ring, m, t, out)
-    text = certificates.dumps(cert)
-    if getattr(args, "json", False):
-        sys.stdout.write(text)
-    path = getattr(args, "cert", None)
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"certificate written to {path}", file=sys.stderr)
+def _report(args, kind: str, ring, t, out) -> int:
+    """Certificate (--json, --cert) and prose for one computed outcome."""
+    code = _EXIT_UNRESOLVED if out.kind == search.OUTCOME_AT_LEAST else _EXIT_OK
+    if args.json or args.cert:
+        text = certificates.dumps(
+            certificates.build_certificate(kind, ring, args.m, t, out)
+        )
+        if args.json:
+            sys.stdout.write(text)
+        if args.cert:
+            with open(args.cert, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            print(f"certificate written to {args.cert}", file=sys.stderr)
+    if args.json:
+        return code
+    print(theorems.describe(out))
+    if out.kind == search.OUTCOME_INFINITE:
+        print(_obstruction_line(ring, args.m, t))
+        return code
+    print(f"witness length {out.witness.length}: {out.witness}")
+    if out.kind == search.OUTCOME_AT_LEAST:
+        print(f"search reached cap {out.cap_used} without closing")
+    return code
 
 
 def _cmd_compute(args) -> int:
     ring = make_ring(parse_moduli(args.ring))
     out = search.egz_constant(
         ring, args.m, args.t, cap=args.cap,
-        workers=_threads(args), progress=_progress_printer(args.progress),
+        progress=_progress_printer(args.progress),
     )
-    if args.json or args.cert:
-        _emit_certificate(args, search.KIND_EGZ, ring, args.m, args.t, out)
-        if args.json:
-            return (
-                _EXIT_UNRESOLVED
-                if out.kind == search.OUTCOME_AT_LEAST
-                else _EXIT_OK
-            )
-    code = _print_outcome(out, cap_note=True)
-    if out.kind == search.OUTCOME_INFINITE:
-        print(_obstruction_line(ring, args.m, args.t))
-    return code
+    return _report(args, search.KIND_EGZ, ring, args.t, out)
 
 
 def _cmd_davenport(args) -> int:
     ring = make_ring(parse_moduli(args.ring))
     out = search.davenport_m(
-        ring, args.m, args.cap,
-        workers=_threads(args), progress=_progress_printer(args.progress),
+        ring, args.m, args.cap, progress=_progress_printer(args.progress)
     )
-    if args.json or args.cert:
-        _emit_certificate(args, search.KIND_DAV, ring, args.m, None, out)
-        if args.json:
-            return (
-                _EXIT_UNRESOLVED
-                if out.kind == search.OUTCOME_AT_LEAST
-                else _EXIT_OK
-            )
-    return _print_outcome(out, cap_note=True)
+    return _report(args, search.KIND_DAV, ring, None, out)
 
 
 def _cmd_lconst(args) -> int:
@@ -226,8 +190,20 @@ def _cmd_verify_cert(args) -> int:
     return _EXIT_OK if ok else _EXIT_ERROR
 
 
+class _UsageError(Exception):
+    """A command line argparse rejected."""
+
+
+class _Parser(argparse.ArgumentParser):
+    # argparse prints its usage block and exits 2; exit 2 here means AtLeast,
+    # so a usage error becomes one error line and exit 1 in main. Subparsers
+    # are built from this class too.
+    def error(self, message: str):
+        raise _UsageError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="egz",
         description=(
             "Exact zero-e_m EGZ and higher-degree Davenport constants over "
@@ -253,10 +229,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "--cap", type=int, default=None,
             help="search this far before reporting AtLeast"
             + ("" if with_t else " (required)"),
-        )
-        p.add_argument(
-            "--threads", type=int, default=None,
-            help="parallel frontier workers, >= 1 (default: EGZ_THREADS or 1)",
         )
         p.add_argument(
             "--progress", action="store_true",
@@ -332,15 +304,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return _EXIT_ERROR
     if not hasattr(args, "func"):
         parser.print_help()
         return _EXIT_ERROR
     try:
         return args.func(args)
-    except search.MissingCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_ERROR
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_ERROR

@@ -12,17 +12,33 @@ suffices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
 
 from . import rings
 from .rings import Elem, RingSpec
 
 
-def canonical_mult(ring: RingSpec, mult: tuple[int, ...]) -> tuple[int, ...]:
-    """Lexicographically least multiplicity vector over the unit orbit."""
+@lru_cache(maxsize=None)
+def orbit_perms(ring: RingSpec) -> tuple[tuple[int, ...], ...]:
+    """Index permutations of the units other than the identity."""
+    ident = tuple(range(ring.cardinality))
+    return tuple(p for p in rings.unit_index_perms(ring) if p != ident)
+
+
+def canonical_mult(
+    mult: tuple[int, ...], perms: tuple[tuple[int, ...], ...]
+) -> tuple[int, ...]:
+    """Lexicographically least of mult and its images under perms.
+
+    With perms = orbit_perms(ring) this is the least multiplicity vector over
+    the unit orbit. The permutations are an argument, not looked up from the
+    ring, because the search calls this once per candidate.
+    """
     best = mult
-    for p in rings.unit_index_perms(ring):
-        cand = tuple(mult[i] for i in p)
+    get = mult.__getitem__
+    for p in perms:
+        cand = tuple(map(get, p))
         if cand < best:
             best = cand
     return best
@@ -86,10 +102,11 @@ class MultisetSeq:
         return out
 
     def canonical(self) -> "MultisetSeq":
-        return MultisetSeq(self.ring, canonical_mult(self.ring, self.mult))
+        canon = canonical_mult(self.mult, orbit_perms(self.ring))
+        return MultisetSeq(self.ring, canon)
 
     def is_canonical(self) -> bool:
-        return self.mult == canonical_mult(self.ring, self.mult)
+        return self.mult == canonical_mult(self.mult, orbit_perms(self.ring))
 
     def __str__(self) -> str:
         parts = [

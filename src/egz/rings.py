@@ -131,8 +131,8 @@ def units(ring: RingSpec) -> tuple[Elem, ...]:
     return tuple(e for e in elements(ring) if is_unit(ring, e))
 
 
-# Index-space tables used by the search engine. Cardinalities stay at desk
-# scale (<= a few hundred) so full tables are cheap.
+# Index-space tables used by the search engine. The search refuses rings
+# above search.MAX_CARDINALITY elements, so full tables stay cheap.
 
 @lru_cache(maxsize=None)
 def add_index_table(ring: RingSpec) -> tuple[tuple[int, ...], ...]:

@@ -52,9 +52,7 @@ form), and evaluates e_m (Davenport kind) only on survivors through index
 tables. A row key is the row's bytes, compared by memcmp; that equals tuple
 order because entries are stored most significant byte first (uint8 up to
 a cap of 255, big-endian uint16 or uint32 above), so each array level is
-sorted and its row 0 is the lex-least class. With workers > 1 the array
-step runs on chunks of the frontier in a fork pool, against the same
-previous-level keys.
+sorted and its row 0 is the lex-least class.
 
 The independent full testers (is_counterexample_*) re-enumerate sub-multiset
 multiplicity vectors with a truncated generating product per vector. They
@@ -65,7 +63,6 @@ and the tests that pin the frontier to unpruned search.
 from __future__ import annotations
 
 import math
-import multiprocessing
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
@@ -73,7 +70,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import numtheory, rings
-from .multiset import MultisetSeq, canonical_mult
+from .multiset import MultisetSeq, canonical_mult, orbit_perms
 from .rings import RingSpec
 
 KIND_EGZ = "egz"
@@ -113,7 +110,7 @@ class EgzOutcome:
 
 
 class _Engine:
-    """Per-ring index-space arithmetic: tables, truncated polys, canonical."""
+    """Per-ring index-space arithmetic: tables and truncated polys."""
 
     __slots__ = (
         "ring", "card", "add_t", "mul_t", "scal_t", "perms", "one_idx",
@@ -128,20 +125,10 @@ class _Engine:
         self.scal_t = rings.scalar_index_table(ring)
         self.exponent = ring.exponent
         self.one_idx = rings.element_index(ring, ring.one)
-        ident = tuple(range(self.card))
-        self.perms = tuple(p for p in rings.unit_index_perms(ring) if p != ident)
+        self.perms = orbit_perms(ring)
         self._factor_cache: dict[tuple[int, int, int], tuple[int, ...]] = {}
         self._ident_cache: dict[int, tuple[int, ...]] = {}
         self._rows: dict[str, _Rows] = {}
-
-    def canonical(self, mult: tuple[int, ...]) -> tuple[int, ...]:
-        best = mult
-        get = mult.__getitem__
-        for p in self.perms:
-            cand = tuple(map(get, p))
-            if cand < best:
-                best = cand
-        return best
 
     def identity_poly(self, m: int) -> tuple[int, ...]:
         poly = self._ident_cache.get(m)
@@ -363,8 +350,18 @@ class _Rows:
         return np.concatenate(out)
 
 
+# Largest ring the search builds tables for: _Engine holds card**2 and
+# exponent * card Python ints, and every array level card columns per row.
+MAX_CARDINALITY = 256
+
+
 @lru_cache(maxsize=None)
 def _engine(ring: RingSpec) -> _Engine:
+    if ring.cardinality > MAX_CARDINALITY:
+        raise ValueError(
+            f"{ring} has {ring.cardinality} elements; the search handles at most "
+            f"{MAX_CARDINALITY}"
+        )
     return _Engine(ring)
 
 
@@ -472,14 +469,14 @@ def _vacuous_witness(ring: RingSpec, length: int) -> MultisetSeq:
 
 def _all_canonical(engine: _Engine, length: int) -> set[tuple[int, ...]]:
     card = engine.card
+    perms = engine.perms
     out: set[tuple[int, ...]] = set()
     mult = [0] * card
-    canonical = engine.canonical
 
     def rec(pos: int, rem: int) -> None:
         if pos == card - 1:
             mult[pos] = rem
-            out.add(canonical(tuple(mult)))
+            out.add(canonical_mult(tuple(mult), perms))
             mult[pos] = 0
             return
         for c in range(rem + 1):
@@ -499,7 +496,7 @@ def _step_tuples(engine: _Engine, members, prev: set | None, em_m: int | None):
     is nonzero.
     """
     card = engine.card
-    canonical = engine.canonical
+    perms = engine.perms
     em = engine.em_of_mult
     seen: set[tuple[int, ...]] = set()
     out: set[tuple[int, ...]] = set()
@@ -509,7 +506,7 @@ def _step_tuples(engine: _Engine, members, prev: set | None, em_m: int | None):
             base[g] += 1
             cand = tuple(base)
             base[g] -= 1
-            canon = canonical(cand)
+            canon = canonical_mult(cand, perms)
             if canon in seen:
                 continue
             seen.add(canon)
@@ -521,7 +518,7 @@ def _step_tuples(engine: _Engine, members, prev: set | None, em_m: int | None):
                     if c == 0 or i == g:
                         continue
                     lst[i] = c - 1
-                    if canonical(tuple(lst)) not in prev:
+                    if canonical_mult(tuple(lst), perms) not in prev:
                         ok = False
                         break
                     lst[i] = c
@@ -532,21 +529,12 @@ def _step_tuples(engine: _Engine, members, prev: set | None, em_m: int | None):
     return out
 
 
-_PAR_STATE: dict = {}
-
-
-def _par_worker(bounds: tuple[int, int]):
-    lo, hi = bounds
-    st = _PAR_STATE
-    return st["kit"].step(st["rows"][lo:hi], st["prev"], st["em_m"])
-
-
-def _advance(engine: _Engine, frontier, closed: bool, em_m, workers: int, cap: int):
+def _advance(engine: _Engine, frontier, closed: bool, em_m, cap: int):
     """The next level from frontier, a set of tuples or a sorted row array.
 
     closed asks for the closure test against frontier itself; em_m for the
     e_m != 0 test. Small levels take the tuple step and return a set; the
-    others take the array step, split over a process pool when workers > 1.
+    others take the array step.
     """
     if len(frontier) * engine.card < _SMALL_LEVEL:
         if isinstance(frontier, np.ndarray):
@@ -554,20 +542,7 @@ def _advance(engine: _Engine, frontier, closed: bool, em_m, workers: int, cap: i
         return _step_tuples(engine, frontier, frontier if closed else None, em_m)
     kit = engine.rows(cap)
     rows = frontier if isinstance(frontier, np.ndarray) else kit.from_tuples(frontier)
-    prev = kit.orbit_keys(rows) if closed else None
-    if workers <= 1:
-        return kit.step(rows, prev, em_m)
-    nchunks = min(len(rows), workers * 4)
-    step = -(-len(rows) // nchunks)
-    bounds = [(i, min(i + step, len(rows))) for i in range(0, len(rows), step)]
-    _PAR_STATE.update(kit=kit, rows=rows, prev=prev, em_m=em_m)
-    try:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(processes=workers) as pool:
-            results = pool.map(_par_worker, bounds)
-    finally:
-        _PAR_STATE.clear()
-    return kit.unique(np.concatenate(results))
+    return kit.step(rows, kit.orbit_keys(rows) if closed else None, em_m)
 
 
 def _least(frontier, card: int) -> tuple[int, ...]:
@@ -583,7 +558,6 @@ def max_counterexample_length(
     cap: int,
     t: int | None = None,
     method: str = "frontier",
-    workers: int = 1,
     progress: Progress = None,
 ) -> tuple[int, MultisetSeq]:
     """Longest counterexample length up to cap, with a lex-least canonical
@@ -615,7 +589,7 @@ def max_counterexample_length(
     frontier = {(0,) * engine.card}
     for level in range(1, seed + 1):
         seed_em = m if level == t else None
-        frontier = _advance(engine, frontier, False, seed_em, workers, cap)
+        frontier = _advance(engine, frontier, False, seed_em, cap)
     level = seed
     em_m = m if kind == KIND_DAV else None
     if not len(frontier):
@@ -623,7 +597,7 @@ def max_counterexample_length(
     if progress:
         progress(level, len(frontier))
     while level < cap:
-        nxt = _advance(engine, frontier, True, em_m, workers, cap)
+        nxt = _advance(engine, frontier, True, em_m, cap)
         if not len(nxt):
             break
         frontier = nxt
@@ -671,11 +645,12 @@ def default_egz_cap(ring: RingSpec, m: int, t: int) -> int | None:
     Checked bounds: k(t-1) - m + 2 for cyclic Z_k with t in S(k, m);
     p^r + m p^s - m for Z_{p^s} with t = p^r, r >= s, p^r > m(p^s - 1);
     p^h + m * sum(p^a_j - 1) for a p-group with t = p^(sum a_j) and
-    p^h > m * sum(p^a_j - 1).
+    p^h > m * sum(p^a_j - 1). Pairwise coprime moduli make the ring Z_k
+    with k their product (CRT), so the cyclic bounds apply to them too.
     """
     caps: list[int] = []
-    if ring.rank == 1:
-        k = ring.moduli[0]
+    if ring.exponent == ring.cardinality:  # lcm == product: pairwise coprime
+        k = ring.cardinality
         if numtheory.is_feasible_length(k, m, t):
             caps.append(k * (t - 1) - m + 2)
         kp = numtheory.prime_power(k)
@@ -710,7 +685,8 @@ def egz_constant(
     Infinite is decided by the all-ones precheck; otherwise the search runs
     to min(cap, checked upper bound) and reports Exact only when a level
     emptied, AtLeast otherwise. Raises MissingCapError when neither a cap
-    nor a checked bound is available.
+    nor a checked bound is available. workers is accepted for compatibility
+    and ignored: the search is serial.
     """
     if m < 1 or t < m:
         raise ValueError("need t >= m >= 1")
@@ -727,7 +703,7 @@ def egz_constant(
     if eff < m:
         raise ValueError("cap must be >= m")
     length, witness = max_counterexample_length(
-        KIND_EGZ, ring, m, eff, t=t, method=method, workers=workers, progress=progress
+        KIND_EGZ, ring, m, eff, t=t, method=method, progress=progress
     )
     mname = METHOD_DIRECT if method == "direct" else METHOD_FRONTIER
     if length < eff:
@@ -746,7 +722,8 @@ def davenport_m(
     """The generalized Davenport constant for (ring, m), by certified search.
 
     No checked upper bound is applied here, so the caller must give a cap;
-    raises MissingCapError without one.
+    raises MissingCapError without one. workers is accepted for
+    compatibility and ignored: the search is serial.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -755,7 +732,7 @@ def davenport_m(
     if cap < m:
         raise ValueError("cap must be >= m")
     length, witness = max_counterexample_length(
-        KIND_DAV, ring, m, cap, method=method, workers=workers, progress=progress
+        KIND_DAV, ring, m, cap, method=method, progress=progress
     )
     mname = METHOD_DIRECT if method == "direct" else METHOD_FRONTIER
     if length < cap:

@@ -411,16 +411,14 @@ def calculator_ids() -> tuple[str, ...]:
 
 @lru_cache(maxsize=None)
 def computed_egz(
-    moduli: tuple[int, ...], m: int, t: int, cap: int | None = None, workers: int = 1
+    moduli: tuple[int, ...], m: int, t: int, cap: int | None = None
 ) -> EgzOutcome:
-    return search.egz_constant(make_ring(moduli), m, t, cap=cap, workers=workers)
+    return search.egz_constant(make_ring(moduli), m, t, cap=cap)
 
 
 @lru_cache(maxsize=None)
-def computed_dav(
-    moduli: tuple[int, ...], m: int, cap: int, workers: int = 1
-) -> EgzOutcome:
-    return search.davenport_m(make_ring(moduli), m, cap, workers=workers)
+def computed_dav(moduli: tuple[int, ...], m: int, cap: int) -> EgzOutcome:
+    return search.davenport_m(make_ring(moduli), m, cap)
 
 
 def describe(outcome: EgzOutcome) -> str:

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from egz import brink, certificates
+from egz import brink, certificates, rings
 from egz.cli import main
 
 
@@ -41,7 +41,7 @@ def test_compute_capped_is_unresolved(capsys) -> None:
 
 
 def test_compute_missing_cap_errors(capsys) -> None:
-    code, _, err = run(capsys, "compute", "--ring", "2x3", "--m", "1", "--t", "6")
+    code, _, err = run(capsys, "compute", "--ring", "2x4", "--m", "1", "--t", "4")
     assert code == 1
     assert "cap" in err
 
@@ -191,23 +191,31 @@ def test_davenport_missing_cap_errors(capsys) -> None:
 
 
 @pytest.mark.parametrize(
-    "threads, env",
-    [("0", None), ("-2", None), (None, "abc"), (None, "0"), (None, "")],
+    "argv",
+    [
+        ["compute", "--ring", "3", "--m", "2", "--t", "3", "--threads", "2"],
+        ["compute", "--ring", "3", "--m", "2"],
+        ["davenport", "--ring", "3", "--m", "x", "--cap", "5"],
+        ["check-theorems", "--tier", "huge"],
+        ["frobnicate"],
+    ],
 )
-def test_bad_threads_rejected(capsys, monkeypatch, threads, env) -> None:
-    if env is not None:
-        monkeypatch.setenv("EGZ_THREADS", env)
-    argv = ["compute", "--ring", "3", "--m", "2", "--t", "3"]
-    if threads is not None:
-        argv += ["--threads", threads]
+def test_usage_errors_are_one_line_exit_1(capsys, argv) -> None:
+    # exit 2 means AtLeast, so argparse's usage errors must not use it
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
-def test_threads_from_environment(capsys, monkeypatch) -> None:
-    monkeypatch.setenv("EGZ_THREADS", "2")
-    code, out, _ = run(capsys, "compute", "--ring", "3", "--m", "2", "--t", "3")
-    assert code == 0
-    assert out.splitlines()[0] == "Exact 6"
+def test_ring_too_large_fails_before_tables(capsys, monkeypatch) -> None:
+    def no_tables(ring):
+        raise AssertionError(f"built a table for {ring}")
+
+    for name in ("add_index_table", "mul_index_table", "scalar_index_table"):
+        monkeypatch.setattr(rings, name, no_tables)
+    code, out, err = run(capsys, "davenport", "--ring", "17x17", "--m", "1", "--cap", "2")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "289 elements" in err
+    assert len(err.splitlines()) == 1

@@ -1,13 +1,14 @@
-"""Search engine: finders, frontier closure, caps, parallel determinism."""
+"""Search engine: finders, frontier closure, caps, determinism."""
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import pytest
 
 from egz import search
-from egz.multiset import MultisetSeq, canonical_mult
+from egz.multiset import MultisetSeq, canonical_mult, orbit_perms
 from egz.rings import make_ring, unit_index_perms
 from egz.search import (
     KIND_DAV,
@@ -81,7 +82,7 @@ def _all_canonical_multisets(ring, length):
     def rec(pos, remaining, acc):
         if pos == card - 1:
             mult = tuple(acc + [remaining])
-            if canonical_mult(ring, mult) == mult:
+            if canonical_mult(mult, orbit_perms(ring)) == mult:
                 out.append(mult)
             return
         for c in range(remaining + 1):
@@ -210,17 +211,50 @@ def test_default_egz_cap_values() -> None:
     assert default_egz_cap(make_ring((9,)), 2, 9) == 72
     assert default_egz_cap(make_ring((7, 7)), 2, 49) == 73
     assert default_egz_cap(make_ring((10,)), 2, 8) is None
-    assert default_egz_cap(make_ring((2, 3)), 1, 6) is None
+    assert default_egz_cap(make_ring((2, 3)), 1, 6) == 31  # Z_6 in disguise
+    assert default_egz_cap(make_ring((2, 4)), 1, 4) is None
+
+
+@pytest.mark.parametrize("moduli", [(2, 3), (3, 4), (2, 3, 5)])
+def test_coprime_moduli_take_the_cyclic_caps(moduli) -> None:
+    ring, cyclic = make_ring(moduli), make_ring((math.prod(moduli),))
+    for m in range(1, 5):
+        for t in range(m, 2 * cyclic.cardinality):
+            assert default_egz_cap(ring, m, t) == default_egz_cap(cyclic, m, t), (m, t)
+
+
+@pytest.mark.parametrize(
+    "moduli, m, t",
+    [((2, 3), 1, 6), ((2, 3), 1, 12), ((2, 3), 2, 4), ((2, 3), 2, 9), ((2, 3), 3, 10),
+     ((2, 5), 2, 5), ((2, 5), 3, 6), ((3, 4), 7, 9)],
+)
+def test_coprime_moduli_match_the_cyclic_ring(moduli, m, t) -> None:
+    # Z_n1 x Z_n2 with coprime moduli is Z_(n1 n2): same values, searched
+    # through the auto cap (the witnesses differ with the element order)
+    out = egz_constant(make_ring(moduli), m, t)
+    ref = egz_constant(make_ring((math.prod(moduli),)), m, t)
+    assert out.kind == ref.kind == search.OUTCOME_EXACT
+    assert out.value == ref.value
 
 
 def test_missing_cap_raises() -> None:
-    ring = make_ring((2, 3))
+    ring = make_ring((2, 4))
     with pytest.raises(MissingCapError):
-        egz_constant(ring, 1, 6)
+        egz_constant(ring, 1, 4)
     # an explicit cap unblocks the same query
-    out = egz_constant(ring, 1, 6, cap=12)
+    out = egz_constant(ring, 1, 4, cap=12)
     assert out.kind == search.OUTCOME_EXACT
-    assert out.value == 11  # 2*2 + 2*6 - 3, the rank-2 constant
+    assert out.value == 9  # 2*2 + 2*4 - 3, the rank-2 constant
+
+
+def test_ring_too_large_to_search() -> None:
+    big = make_ring((17, 17))
+    assert big.cardinality > search.MAX_CARDINALITY
+    with pytest.raises(ValueError, match="at most"):
+        davenport_m(big, 1, 2)
+    # the precheck and the bounds need no tables
+    assert egz_constant(big, 2, 3).kind == search.OUTCOME_INFINITE
+    assert default_egz_cap(big, 1, 289) == 321
 
 
 def test_explicit_cap_tightens_auto() -> None:
@@ -232,6 +266,7 @@ def test_explicit_cap_tightens_auto() -> None:
 
 
 def test_workers_deterministic() -> None:
+    # workers= is still accepted, and ignored
     ring = make_ring((9,))
     serial = egz_constant(ring, 2, 9, workers=1)
     parallel = egz_constant(ring, 2, 9, workers=2)
@@ -260,7 +295,8 @@ def test_witness_is_lex_least_canonical() -> None:
     out = egz_constant(ring, 2, 16)
     assert out.witness.is_canonical()
     assert out.witness.mult == (14, 0, 0, 0, 0, 0, 0, 15)
-    assert out.witness.mult == canonical_mult(ring, (14, 15, 0, 0, 0, 0, 0, 0))
+    want = canonical_mult((14, 15, 0, 0, 0, 0, 0, 0), orbit_perms(ring))
+    assert out.witness.mult == want
 
 
 def test_davenport_without_cap_raises() -> None:
@@ -324,7 +360,7 @@ def test_row_keys_follow_tuple_order(moduli, cap) -> None:
     assert [tuple(r) for r in uniq[:, : engine.card].tolist()] == sorted(set(tuples))
     canon = kit.canonical(rows)
     assert [tuple(r) for r in canon[:, : engine.card].tolist()] == [
-        engine.canonical(tp) for tp in tuples
+        canonical_mult(tp, engine.perms) for tp in tuples
     ]
 
 
