@@ -20,7 +20,7 @@ from typing import Any
 
 from . import numtheory, search
 from .multiset import MultisetSeq
-from .rings import RingSpec, make_ring
+from .rings import RingSpec, element_index, make_ring
 
 TOOL_VERSION = "0.1.0"
 
@@ -69,16 +69,18 @@ def loads(text: str) -> dict[str, Any]:
     return cert
 
 
-def _witness_multiset(ring: RingSpec, cert: dict[str, Any]) -> MultisetSeq:
-    mult = [0] * ring.cardinality
+def _witness_counts(ring: RingSpec, cert: dict[str, Any]) -> dict[int, int]:
+    """The witness as {element index: count}, validated entry by entry
+    without building a vector of the ring's size."""
+    counts = {}
     for key, count in cert["witness"]["multiplicities"].items():
         idx = int(key)
         if not 0 <= idx < ring.cardinality:
             raise ValueError(f"witness index {idx} out of range for {ring}")
         if not isinstance(count, int) or count <= 0:
             raise ValueError(f"witness count for index {idx} must be a positive int")
-        mult[idx] = count
-    return MultisetSeq(ring, tuple(mult))
+        counts[idx] = count
+    return counts
 
 
 def verify_certificate(
@@ -117,11 +119,10 @@ def verify_certificate(
             f"obstruction holds: C({t},{m}) = {residue} mod {ring.exponent} != 0"
         )
         try:
-            witness = _witness_multiset(ring, cert)
+            counts = _witness_counts(ring, cert)
         except (KeyError, TypeError, ValueError) as exc:
             return False, messages + [f"bad witness: {exc}"]
-        gen = MultisetSeq.from_counts(ring, {ring.one: 1})
-        if witness != gen:
+        if counts != {element_index(ring, ring.one): 1}:
             return False, messages + [
                 "infinite witness must be one copy of the multiplicative identity"
             ]
@@ -132,8 +133,13 @@ def verify_certificate(
         return False, [f"unknown outcome kind {outcome_kind!r}"]
     if not isinstance(value, int) or value < 1:
         return False, [f"outcome value must be a positive integer, got {value!r}"]
+    if ring.cardinality > search.MAX_CARDINALITY:
+        return False, [
+            f"{ring} has {ring.cardinality} elements; the testers handle at most "
+            f"{search.MAX_CARDINALITY}"
+        ]
     try:
-        witness = _witness_multiset(ring, cert)
+        witness = MultisetSeq.from_index_counts(ring, _witness_counts(ring, cert))
     except (KeyError, TypeError, ValueError) as exc:
         return False, [f"bad witness: {exc}"]
     if witness.length != value - 1:

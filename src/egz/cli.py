@@ -213,7 +213,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--version", action="version", version=f"egz {TOOL_VERSION}"
     )
-    sub = parser.add_subparsers(dest="command", metavar="COMMAND")
+    sub = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
 
     def add_ring_opts(p, with_t: bool) -> None:
         p.add_argument(
@@ -308,9 +308,6 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_ERROR
-    if not hasattr(args, "func"):
-        parser.print_help()
         return _EXIT_ERROR
     try:
         return args.func(args)

@@ -109,11 +109,15 @@ def _index_map(ring: RingSpec) -> dict[Elem, int]:
 
 
 def element_index(ring: RingSpec, a: Elem) -> int:
+    """Position of a in the lexicographic order, read as a mixed-radix number;
+    enumerates nothing, so it is cheap on rings of any size."""
     _check_arity(ring, a)
-    try:
-        return _index_map(ring)[a]
-    except KeyError:
-        raise ValueError(f"{a} is not a reduced element of {ring}") from None
+    index = 0
+    for x, n in zip(a, ring.moduli):
+        if not isinstance(x, int) or not 0 <= x < n:
+            raise ValueError(f"{a} is not a reduced element of {ring}")
+        index = index * n + x
+    return index
 
 
 def element_at(ring: RingSpec, i: int) -> Elem:

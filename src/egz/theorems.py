@@ -11,8 +11,13 @@ The fixture suite re-derives every desk-scale value by certified search and
 checks each inequality on grids of exactly computed constants. Fixtures are
 pure functions split into a fast tier (default, aggregate runtime about a
 minute) and a slow tier (exhaustive closures that take seconds to minutes
-each). Informational fixtures (asserting=False) report comparisons, e.g.
-against the open t + q^2 - q prediction, and cannot fail the suite.
+each). Most fixtures are rows of a table with one runner per table: value
+grids (_VALUE_GRIDS), single closures with an optional extra check
+(_CLOSURES), strictness pairs (_STRICT_PAIRS) and calculator spot values
+(_SPOT_VALUES). The rest are hand-written because their computed, expected
+or detail strings have a shape of their own. Informational fixtures
+(asserting=False) report comparisons, e.g. against the open t + q^2 - q
+prediction, and cannot fail the suite.
 
 Computed constants are memoized process-wide (computed_egz/computed_dav),
 so fixtures and acceptance checks that share parameters share the work.
@@ -22,15 +27,16 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import operator
 import random
 import time
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Iterable, Optional
 
 from . import brink, numtheory, search, symfun
 from .multiset import MultisetSeq
-from .rings import RingSpec, make_ring
+from .rings import make_ring
 from .search import EgzOutcome
 
 # --- group-structure helpers ------------------------------------------------
@@ -468,40 +474,18 @@ def _grid_result(bad: list[str], total: int, expected: str) -> FixtureResult:
     return FixtureResult(True, f"all {total} match", expected)
 
 
-@_fixture(
-    "dav-z2-degree-grid", "ExactValue", "fast",
-    "D_m(Z_2) = m + 2^nu2(m) for 1 <= m <= 16, each closed by exhaustive search.",
-    "milliseconds",
-)
-def _run_dav_z2_grid() -> FixtureResult:
-    bad = []
-    for m in range(1, 17):
-        expected = m + (m & -m)
-        out = computed_dav((2,), m, expected)
-        if out.kind != search.OUTCOME_EXACT or out.value != expected:
-            bad.append(f"m={m}: {describe(out)} != {expected}")
-    return _grid_result(bad, 16, "m + 2^nu2(m)")
+def _register_rows(claim: str, runner: Callable[..., FixtureResult], rows) -> None:
+    """One fixture per table row (id, *args, tier, runtime hint, statement),
+    running runner(*args)."""
+    for fid, *args, tier, hint, statement in rows:
+        _fixture(fid, claim, tier, statement, hint)(partial(runner, *args))
 
 
-@_fixture(
-    "egz-z2-grid", "ExactValue", "fast",
-    "Over Z_2 with m <= 12, t <= 40: E(t, Z_2, m) = t + 2^nu2(m) when "
-    "2 | C(t, m), and Infinite otherwise; every finite case closed by search.",
-)
-def _run_egz_z2_grid() -> FixtureResult:
-    bad = []
-    total = 0
-    for m in range(1, 13):
-        nu = m & -m
-        for t in range(m, 41):
-            total += 1
-            out = computed_egz((2,), m, t)
-            if numtheory.is_feasible_length(2, m, t):
-                if out.kind != search.OUTCOME_EXACT or out.value != t + nu:
-                    bad.append(f"(t={t},m={m}): {describe(out)} != {t + nu}")
-            elif out.kind != search.OUTCOME_INFINITE:
-                bad.append(f"(t={t},m={m}): {describe(out)} != Infinite")
-    return _grid_result(bad, total, "t + 2^nu2(m) or Infinite")
+def _closed(kind: str, moduli, m: int, t: int | None, cap: int | None) -> EgzOutcome:
+    """E(t, G, m) for kind "E", D_m(G) for kind "D" (t is None), memoized."""
+    if kind == "D":
+        return computed_dav(moduli, m, cap)
+    return computed_egz(moduli, m, t, cap=cap)
 
 
 @_fixture(
@@ -530,57 +514,6 @@ def _run_egz_16_8_2_witness() -> FixtureResult:
     mseq = MultisetSeq.from_counts(ring, {(0,): 14, (1,): 15})
     ok = search.is_counterexample_egz(mseq, 16, 2)
     return FixtureResult(ok, f"counterexample={ok}", "counterexample=True")
-
-
-@_fixture(
-    "egz-k-k-1-classic", "ExactValue", "fast",
-    "E(k, Z_k, 1) = 2k - 1 for 2 <= k <= 8, each closed by search.",
-)
-def _run_egz_classic() -> FixtureResult:
-    bad = []
-    for k in range(2, 9):
-        out = computed_egz((k,), 1, k, cap=2 * k - 1)
-        if out.kind != search.OUTCOME_EXACT or out.value != 2 * k - 1:
-            bad.append(f"k={k}: {describe(out)} != {2 * k - 1}")
-    return _grid_result(bad, 7, "2k - 1")
-
-
-_OLSON_SMALL = (
-    (2,), (3,), (4,), (5,), (6,), (7,), (8,), (9,), (10,), (11,), (12,),
-    (13,), (14,), (15,), (16,),
-    (2, 2), (2, 4), (2, 8), (4, 4), (3, 3), (2, 6), (2, 2, 3),
-    (2, 2, 2), (2, 2, 4), (2, 2, 2, 2),
-)
-
-_OLSON_LARGE = ((17,), (19,), (23,), (25,), (27,), (3, 9), (5, 5))
-
-
-def _run_olson(grids) -> FixtureResult:
-    bad = []
-    for moduli in grids:
-        expected = 1 + d_star(moduli)
-        out = computed_dav(moduli, 1, expected)
-        if out.kind != search.OUTCOME_EXACT or out.value != expected:
-            bad.append(f"{moduli}: {describe(out)} != {expected}")
-    return _grid_result(bad, len(grids), "1 + sum(n_i - 1)")
-
-
-@_fixture(
-    "dav-olson-small", "ExactValue", "fast",
-    "D_1(G) = 1 + sum(n_i - 1) over invariant factors, for p-groups and "
-    "rank <= 2 groups of cardinality <= 16, closed by search.",
-)
-def _run_olson_small() -> FixtureResult:
-    return _run_olson(_OLSON_SMALL)
-
-
-@_fixture(
-    "dav-olson-large", "ExactValue", "slow",
-    "D_1(G) = 1 + sum(n_i - 1) for p-groups and rank <= 2 groups of "
-    "cardinality 17..27, closed by search.",
-)
-def _run_olson_large() -> FixtureResult:
-    return _run_olson(_OLSON_LARGE)
 
 
 @_fixture(
@@ -711,6 +644,83 @@ def _run_lconst_grid() -> FixtureResult:
                 if got != p ** (s + u):
                     bad.append(f"L({p}^{s},{p}^{u}) = {got}")
     return _grid_result(bad, total, "p^(s+u)")
+
+
+# --- value grids ------------------------------------------------------------
+
+# A grid query is (name, kind, moduli, m, t, cap, expected), with expected
+# None for Infinite. Grids build their queries when they run, not at import.
+
+
+def _run_value_grid(queries: Callable[[], list], expected_text: str) -> FixtureResult:
+    bad = []
+    rows = queries()
+    for name, kind, moduli, m, t, cap, expected in rows:
+        out = _closed(kind, moduli, m, t, cap)
+        if expected is None:
+            if out.kind != search.OUTCOME_INFINITE:
+                bad.append(f"{name}: {describe(out)} != Infinite")
+        elif out.kind != search.OUTCOME_EXACT or out.value != expected:
+            bad.append(f"{name}: {describe(out)} != {expected}")
+    return _grid_result(bad, len(rows), expected_text)
+
+
+def _egz_z2_queries() -> list:
+    queries = []
+    for m in range(1, 13):
+        for t in range(m, 41):
+            expected = t + (m & -m) if numtheory.is_feasible_length(2, m, t) else None
+            queries.append((f"(t={t},m={m})", "E", (2,), m, t, None, expected))
+    return queries
+
+
+def _olson_queries(groups) -> list:
+    return [(f"{g}", "D", g, 1, None, 1 + d_star(g), 1 + d_star(g)) for g in groups]
+
+
+def _rank2_queries() -> list:
+    queries = []
+    for n1, n2 in ((2, 2), (2, 4), (3, 3)):
+        want = 2 * n1 + 2 * n2 - 3
+        queries.append((f"({n1},{n2})", "E", (n1, n2), 1, n2, want, want))
+    return queries
+
+
+# (id, queries, expected text, tier, runtime hint, statement)
+_VALUE_GRIDS = (
+    ("dav-z2-degree-grid",
+     lambda: [(f"m={m}", "D", (2,), m, None, m + (m & -m), m + (m & -m))
+              for m in range(1, 17)],
+     "m + 2^nu2(m)", "fast", "milliseconds",
+     "D_m(Z_2) = m + 2^nu2(m) for 1 <= m <= 16, each closed by exhaustive search."),
+    ("egz-z2-grid", _egz_z2_queries, "t + 2^nu2(m) or Infinite", "fast", "seconds",
+     "Over Z_2 with m <= 12, t <= 40: E(t, Z_2, m) = t + 2^nu2(m) when "
+     "2 | C(t, m), and Infinite otherwise; every finite case closed by search."),
+    ("egz-k-k-1-classic",
+     lambda: [(f"k={k}", "E", (k,), 1, k, 2 * k - 1, 2 * k - 1) for k in range(2, 9)],
+     "2k - 1", "fast", "seconds",
+     "E(k, Z_k, 1) = 2k - 1 for 2 <= k <= 8, each closed by search."),
+    ("dav-olson-small",
+     partial(_olson_queries, (
+         (2,), (3,), (4,), (5,), (6,), (7,), (8,), (9,), (10,), (11,), (12,),
+         (13,), (14,), (15,), (16,),
+         (2, 2), (2, 4), (2, 8), (4, 4), (3, 3), (2, 6), (2, 2, 3),
+         (2, 2, 2), (2, 2, 4), (2, 2, 2, 2),
+     )),
+     "1 + sum(n_i - 1)", "fast", "seconds",
+     "D_1(G) = 1 + sum(n_i - 1) over invariant factors, for p-groups and "
+     "rank <= 2 groups of cardinality <= 16, closed by search."),
+    ("dav-olson-large",
+     partial(_olson_queries, ((17,), (19,), (23,), (25,), (27,), (3, 9), (5, 5))),
+     "1 + sum(n_i - 1)", "slow", "seconds",
+     "D_1(G) = 1 + sum(n_i - 1) for p-groups and rank <= 2 groups of "
+     "cardinality 17..27, closed by search."),
+    ("rank2-reiher-search", _rank2_queries, "2 n1 + 2 n2 - 3", "fast", "seconds",
+     "E(n2, Z_n1 x Z_n2, 1) = 2 n1 + 2 n2 - 3 re-derived by search for "
+     "(n1, n2) in {(2,2), (2,4), (3,3)}."),
+)
+
+_register_rows("ExactValue", _run_value_grid, _VALUE_GRIDS)
 
 
 # --- the inequality sweep ---------------------------------------------------
@@ -865,28 +875,27 @@ def _run_gao_q3() -> FixtureResult:
 # --- calculator spot values -------------------------------------------------
 
 
-@_fixture(
-    "bound-egz-odd-square-9", "UpperBound", "fast",
-    "The odd-k degree-2 upper bound at k = 9, r = 3, ell = 1 evaluates to "
-    "21 with hypotheses (9 odd, 3 | 9 | 9) holding.",
-    "milliseconds",
-)
-def _run_bound_odd_square() -> FixtureResult:
-    res = bound_calculator("egz-odd-square-upper", k=9, r=3, ell=1)
-    ok = res.value == 21 and res.hypotheses_ok
-    return FixtureResult(ok, f"{res.value}, ok={res.hypotheses_ok}", "21, ok=True")
+def _run_spot_value(theorem_id: str, params: dict, expected: int) -> FixtureResult:
+    res = bound_calculator(theorem_id, **params)
+    ok = res.value == expected and res.hypotheses_ok
+    return FixtureResult(
+        ok, f"{res.value}, ok={res.hypotheses_ok}", f"{expected}, ok=True"
+    )
 
 
-@_fixture(
-    "bound-m3-upper-5", "UpperBound", "fast",
-    "The degree-3 upper bound at k = 5 evaluates to 4k - 3 = 17 with "
-    "gcd(5, 3) = 1 holding.",
-    "milliseconds",
+# (id, calculator id, parameters, expected value with every hypothesis
+# holding, tier, runtime hint, statement)
+_SPOT_VALUES = (
+    ("bound-egz-odd-square-9", "egz-odd-square-upper", {"k": 9, "r": 3, "ell": 1}, 21,
+     "fast", "milliseconds",
+     "The odd-k degree-2 upper bound at k = 9, r = 3, ell = 1 evaluates to "
+     "21 with hypotheses (9 odd, 3 | 9 | 9) holding."),
+    ("bound-m3-upper-5", "egz-m3-upper", {"k": 5}, 17, "fast", "milliseconds",
+     "The degree-3 upper bound at k = 5 evaluates to 4k - 3 = 17 with "
+     "gcd(5, 3) = 1 holding."),
 )
-def _run_bound_m3() -> FixtureResult:
-    res = bound_calculator("egz-m3-upper", k=5)
-    ok = res.value == 17 and res.hypotheses_ok
-    return FixtureResult(ok, f"{res.value}, ok={res.hypotheses_ok}", "17, ok=True")
+
+_register_rows("UpperBound", _run_spot_value, _SPOT_VALUES)
 
 
 @_fixture(
@@ -946,21 +955,6 @@ def _run_bound_olson() -> FixtureResult:
     if not ok_rank:
         bad.append("invariant_factors((2,2,3)) != (2, 6)")
     return _grid_result(bad, 7, "1 + d*(G)")
-
-
-@_fixture(
-    "rank2-reiher-search", "ExactValue", "fast",
-    "E(n2, Z_n1 x Z_n2, 1) = 2 n1 + 2 n2 - 3 re-derived by search for "
-    "(n1, n2) in {(2,2), (2,4), (3,3)}.",
-)
-def _run_rank2() -> FixtureResult:
-    bad = []
-    for n1, n2 in ((2, 2), (2, 4), (3, 3)):
-        want = 2 * n1 + 2 * n2 - 3
-        out = computed_egz((n1, n2), 1, n2, cap=want)
-        if out.kind != search.OUTCOME_EXACT or out.value != want:
-            bad.append(f"({n1},{n2}): {describe(out)} != {want}")
-    return _grid_result(bad, 3, "2 n1 + 2 n2 - 3")
 
 
 # --- boolean-system fixtures ------------------------------------------------
@@ -1055,136 +1049,33 @@ def _run_brink_30() -> FixtureResult:
 # --- slow exact closures ----------------------------------------------------
 
 
-def _exact_fixture(fid, moduli, m, t, expected, statement, cap=None, extra=None,
-                   runtime_hint="seconds"):
-    @_fixture(fid, "ExactValue", "slow", statement, runtime_hint)
-    def _run() -> FixtureResult:
-        out = computed_egz(moduli, m, t, cap=cap)
-        ok = out.kind == search.OUTCOME_EXACT and out.value == expected
-        detail = f"witness ({out.witness}) length {out.witness.length}"
-        if ok and extra is not None:
-            extra_ok, extra_detail = extra(out)
-            ok = extra_ok
-            detail = f"{detail}; {extra_detail}"
-        return FixtureResult(ok, describe(out), f"Exact {expected}", detail)
-
-    return _run
+def _run_closure(kind, moduli, m, t, cap, expected, extra) -> FixtureResult:
+    out = _closed(kind, moduli, m, t, cap)
+    ok = out.kind == search.OUTCOME_EXACT and out.value == expected
+    detail = f"witness ({out.witness}) length {out.witness.length}"
+    if ok and extra is not None:
+        ok, extra_detail = extra(out)
+        detail = f"{detail}; {extra_detail}"
+    return FixtureResult(ok, describe(out), f"Exact {expected}", detail)
 
 
-def _check_9_9_2_upper(out: EgzOutcome):
-    upper = bound_calculator("egz-odd-square-upper", k=9, r=3, ell=1)
-    return (
-        out.value <= upper.value and upper.hypotheses_ok,
-        f"consistent with upper bound {upper.value}",
-    )
+def _vs_bound(relation, detail: str, theorem_id: str, **params):
+    """Extra check that relation(value, bound) holds for the closed-form bound
+    theorem_id(**params) and that its hypotheses hold; the detail is
+    detail.format(bound)."""
 
+    def check(out: EgzOutcome):
+        bound = bound_calculator(theorem_id, **params)
+        ok = relation(out.value, bound.value) and bound.hypotheses_ok
+        return ok, detail.format(bound.value)
 
-_exact_fixture(
-    "egz-9-9-2", (9,), 2, 9, 17,
-    "E(9, Z_9, 2) = 17, closed by search, and <= the degree-2 odd-k bound 21.",
-    extra=_check_9_9_2_upper,
-)
-
-_exact_fixture(
-    "egz-10-6-6", (6,), 6, 10, 19,
-    "E(10, Z_6, 6) = 19, closed by search.",
-)
-
-
-def _check_16_8_2_sharp(out: EgzOutcome):
-    lower = bound_calculator("egz-primepower-lower", p=2, s=3, u=1, t=16)
-    return (
-        out.value == lower.value and lower.hypotheses_ok,
-        f"matches the same-prime formula value {lower.value} = 16 + 16 - 2",
-    )
-
-
-_exact_fixture(
-    "egz-16-8-2", (8,), 2, 16, 30,
-    "E(16, Z_8, 2) = 30, closed by search under the hypothesis-checked cap "
-    "30, matching the same-prime exact formula.",
-    extra=_check_16_8_2_sharp, runtime_hint="minutes",
-)
-
-
-def _check_25_5_5_sharp(out: EgzOutcome):
-    sharp = 25 + numtheory.lconst(5, 5) - 5
-    return out.value == sharp, f"sharp at t + L(5,5) - 5 = {sharp}"
-
-
-_exact_fixture(
-    "egz-25-5-5", (5,), 5, 25, 45,
-    "E(25, Z_5, 5) = 45, closed by search, sharp at the L-driven lower "
-    "bound 25 + L(5,5) - 5.",
-    extra=_check_25_5_5_sharp, runtime_hint="minutes",
-)
-
-_exact_fixture(
-    "egz-9-3-3", (3,), 3, 9, 15,
-    "E(9, Z_3, 3) = 15, closed by search under the hypothesis-checked cap 15.",
-)
+    return check
 
 
 def _check_8_222_2_gao_type(out: EgzOutcome):
     dav = computed_dav((2, 2, 2), 2, 8)
     ok = dav.kind == search.OUTCOME_EXACT and dav.value == 8 and out.value == 8 + 8 - 2
     return ok, f"D_2(Z_2^3) = {describe(dav)}; equality 14 = 8 + D - 2"
-
-
-_exact_fixture(
-    "egz-8-222-2", (2, 2, 2), 2, 8, 14,
-    "E(8, Z_2^3, 2) = 14, closed by search under the p-group cap 14, and "
-    "equal to 8 + D_2(Z_2^3) - 2 with D_2(Z_2^3) = 8 also closed by search.",
-    extra=_check_8_222_2_gao_type,
-)
-
-
-def _dav_fixture(fid, moduli, m, cap, expected, statement, extra=None):
-    @_fixture(fid, "ExactValue", "slow", statement)
-    def _run() -> FixtureResult:
-        out = computed_dav(moduli, m, cap)
-        ok = out.kind == search.OUTCOME_EXACT and out.value == expected
-        detail = f"witness ({out.witness}) length {out.witness.length}"
-        if ok and extra is not None:
-            extra_ok, extra_detail = extra(out)
-            ok = extra_ok
-            detail = f"{detail}; {extra_detail}"
-        return FixtureResult(ok, describe(out), f"Exact {expected}", detail)
-
-    return _run
-
-
-def _check_z9_upper(out: EgzOutcome):
-    upper = bound_calculator("dav-degree2-upper", k=9, r=3)
-    return (
-        out.value <= upper.value and upper.hypotheses_ok,
-        f"within the closed-form upper bound {upper.value}",
-    )
-
-
-_dav_fixture(
-    "dav-2-z9", (9,), 2, 12, 9,
-    "D_2(Z_9) = 9, closed by search under cap 12 = the odd-k r | k | r^2 "
-    "upper bound k + r.",
-    extra=_check_z9_upper,
-)
-
-_dav_fixture(
-    "dav-2-z3", (3,), 2, 10, 5,
-    "D_2(Z_3) = 5, closed by search: the length-4 sequence (1, 1, 2, 2) "
-    "has no sub-multiset of length >= 2 with e_2 = 0 mod 3.",
-)
-
-_dav_fixture(
-    "dav-2-z8", (8,), 2, 16, 16,
-    "D_2(Z_8) = 16 = L(8, 2), closed by search; with E(16, Z_8, 2) = 30 "
-    "this is an equality case of E = t + D - m.",
-)
-
-_dav_fixture(
-    "dav-3-z3", (3,), 3, 9, 9,
-    "D_3(Z_3) = 9 = L(3, 3), closed by search.",
-)
 
 
 def _check_z5_equality(out: EgzOutcome):
@@ -1196,59 +1087,88 @@ def _check_z5_equality(out: EgzOutcome):
     return ok, f"E(25, Z_5, 5) = {describe(egz_out)} = 25 + D - 5"
 
 
-_dav_fixture(
-    "dav-5-z5", (5,), 5, 25, 25,
-    "D_5(Z_5) = 25 = L(5, 5), closed by search, and E(25, Z_5, 5) = "
-    "25 + D_5(Z_5) - 5 holds with equality.",
-    extra=_check_z5_equality,
+# (id, kind, moduli, m, t, cap, expected, extra, tier, runtime hint,
+# statement): kind "E" closes E(t, G, m) under the auto cap, kind "D" closes
+# D_m(G) under the given cap; extra(outcome) -> (ok, detail) runs only when
+# the value matches.
+_CLOSURES = (
+    ("egz-9-9-2", "E", (9,), 2, 9, None, 17,
+     _vs_bound(operator.le, "consistent with upper bound {}",
+               "egz-odd-square-upper", k=9, r=3, ell=1),
+     "slow", "seconds",
+     "E(9, Z_9, 2) = 17, closed by search, and <= the degree-2 odd-k bound 21."),
+    ("egz-10-6-6", "E", (6,), 6, 10, None, 19, None, "slow", "seconds",
+     "E(10, Z_6, 6) = 19, closed by search."),
+    ("egz-16-8-2", "E", (8,), 2, 16, None, 30,
+     _vs_bound(operator.eq, "matches the same-prime formula value {} = 16 + 16 - 2",
+               "egz-primepower-lower", p=2, s=3, u=1, t=16),
+     "slow", "minutes",
+     "E(16, Z_8, 2) = 30, closed by search under the hypothesis-checked cap "
+     "30, matching the same-prime exact formula."),
+    ("egz-25-5-5", "E", (5,), 5, 25, None, 45,
+     _vs_bound(operator.eq, "sharp at t + L(5,5) - 5 = {}",
+               "egz-low-lower", k=5, m=5, t=25),
+     "slow", "minutes",
+     "E(25, Z_5, 5) = 45, closed by search, sharp at the L-driven lower "
+     "bound 25 + L(5,5) - 5."),
+    ("egz-9-3-3", "E", (3,), 3, 9, None, 15, None, "slow", "seconds",
+     "E(9, Z_3, 3) = 15, closed by search under the hypothesis-checked cap 15."),
+    ("egz-8-222-2", "E", (2, 2, 2), 2, 8, None, 14, _check_8_222_2_gao_type,
+     "slow", "seconds",
+     "E(8, Z_2^3, 2) = 14, closed by search under the p-group cap 14, and "
+     "equal to 8 + D_2(Z_2^3) - 2 with D_2(Z_2^3) = 8 also closed by search."),
+    ("dav-2-z9", "D", (9,), 2, None, 12, 9,
+     _vs_bound(operator.le, "within the closed-form upper bound {}",
+               "dav-degree2-upper", k=9, r=3),
+     "slow", "seconds",
+     "D_2(Z_9) = 9, closed by search under cap 12 = the odd-k r | k | r^2 "
+     "upper bound k + r."),
+    ("dav-2-z3", "D", (3,), 2, None, 10, 5, None, "slow", "seconds",
+     "D_2(Z_3) = 5, closed by search: the length-4 sequence (1, 1, 2, 2) "
+     "has no sub-multiset of length >= 2 with e_2 = 0 mod 3."),
+    ("dav-2-z8", "D", (8,), 2, None, 16, 16, None, "slow", "seconds",
+     "D_2(Z_8) = 16 = L(8, 2), closed by search; with E(16, Z_8, 2) = 30 "
+     "this is an equality case of E = t + D - m."),
+    ("dav-3-z3", "D", (3,), 3, None, 9, 9, None, "slow", "seconds",
+     "D_3(Z_3) = 9 = L(3, 3), closed by search."),
+    ("dav-5-z5", "D", (5,), 5, None, 25, 25, _check_z5_equality, "slow", "seconds",
+     "D_5(Z_5) = 25 = L(5, 5), closed by search, and E(25, Z_5, 5) = "
+     "25 + D_5(Z_5) - 5 holds with equality."),
+    ("dav-6-z6", "D", (6,), 6, None, 13, 13, None, "slow", "seconds",
+     "D_6(Z_6) = 13, closed by search."),
 )
 
-_dav_fixture(
-    "dav-6-z6", (6,), 6, 13, 13,
-    "D_6(Z_6) = 13, closed by search.",
-)
+_register_rows("ExactValue", _run_closure, _CLOSURES)
 
 
-@_fixture(
-    "egz-9-9-2-strict", "Formula", "slow",
-    "Strictness at (9, Z_9, 2): E = 17 exceeds 9 + D_2(Z_9) - 2 = 16, "
-    "with both constants closed by search.",
-)
-def _run_strict_9() -> FixtureResult:
-    egz_out = computed_egz((9,), 2, 9)
-    dav_out = computed_dav((9,), 2, 12)
+def _run_strict(moduli, m, t, egz_value, dav_cap, dav_value) -> FixtureResult:
+    egz_out = computed_egz(moduli, m, t)
+    dav_out = computed_dav(moduli, m, dav_cap)
     ok = (
         egz_out.kind == search.OUTCOME_EXACT
         and dav_out.kind == search.OUTCOME_EXACT
-        and egz_out.value == 17
-        and dav_out.value == 9
-        and egz_out.value > 9 + dav_out.value - 2
+        and egz_out.value == egz_value
+        and dav_out.value == dav_value
+        and egz_out.value > t + dav_out.value - m
     )
     return FixtureResult(
         ok, f"E = {describe(egz_out)}, D = {describe(dav_out)}",
-        "E = 17 > 16 = 9 + D - 2",
+        f"E = {egz_value} > {t + dav_value - m} = {t} + D - {m}",
     )
 
 
-@_fixture(
-    "egz-10-6-6-strict", "Formula", "slow",
-    "Strictness at (10, Z_6, 6): E = 19 exceeds 10 + D_6(Z_6) - 6 = 17, "
-    "with both constants closed by search.",
+# (id, moduli, m, t, E value, Davenport cap, D value, tier, runtime hint,
+# statement): both constants closed by search, and E > t + D - m.
+_STRICT_PAIRS = (
+    ("egz-9-9-2-strict", (9,), 2, 9, 17, 12, 9, "slow", "seconds",
+     "Strictness at (9, Z_9, 2): E = 17 exceeds 9 + D_2(Z_9) - 2 = 16, "
+     "with both constants closed by search."),
+    ("egz-10-6-6-strict", (6,), 6, 10, 19, 13, 13, "slow", "seconds",
+     "Strictness at (10, Z_6, 6): E = 19 exceeds 10 + D_6(Z_6) - 6 = 17, "
+     "with both constants closed by search."),
 )
-def _run_strict_10() -> FixtureResult:
-    egz_out = computed_egz((6,), 6, 10)
-    dav_out = computed_dav((6,), 6, 13)
-    ok = (
-        egz_out.kind == search.OUTCOME_EXACT
-        and dav_out.kind == search.OUTCOME_EXACT
-        and egz_out.value == 19
-        and dav_out.value == 13
-        and egz_out.value > 10 + dav_out.value - 6
-    )
-    return FixtureResult(
-        ok, f"E = {describe(egz_out)}, D = {describe(dav_out)}",
-        "E = 19 > 17 = 10 + D - 6",
-    )
+
+_register_rows("Formula", _run_strict, _STRICT_PAIRS)
 
 
 @_fixture(

@@ -3,6 +3,11 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
+from functools import lru_cache
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from egz import search
 from egz.certificates import (
@@ -126,3 +131,74 @@ def test_full_recheck_detects_wrong_method() -> None:
     bad["method"] = "guesswork"
     ok, _ = verify_certificate(bad, recheck_search=True)
     assert not ok
+
+
+@lru_cache(maxsize=None)
+def _exact_cert_texts() -> tuple[str, ...]:
+    certs = (
+        _egz_cert((3,), 2, 3),
+        _egz_cert((2, 2), 1, 4, cap=8),
+        _dav_cert((3,), 2, 10),
+        _dav_cert((2, 2), 1, 4),
+    )
+    return tuple(dumps(cert) for cert in certs)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_tampered_certificates_rejected_property(data) -> None:
+    cert = json.loads(data.draw(st.sampled_from(_exact_cert_texts()), label="cert"))
+    ok, messages = verify_certificate(cert, recheck_search=True)
+    assert ok, messages
+    tamper = data.draw(st.sampled_from(("value", "drop", "ring")), label="tamper")
+    if tamper == "value":
+        cert["outcome"]["value"] += data.draw(st.sampled_from((-1, 1)), label="delta")
+    elif tamper == "drop":
+        witness = cert["witness"]["multiplicities"]
+        del witness[data.draw(st.sampled_from(sorted(witness)), label="index")]
+    else:
+        others = [(2,), (3,), (4,), (5,), (6,), (2, 2), (2, 3), (9,)]
+        others.remove(tuple(cert["query"]["ring"]))
+        cert["query"]["ring"] = list(data.draw(st.sampled_from(others), label="ring"))
+    ok, messages = verify_certificate(cert, recheck_search=True)
+    assert not ok, (tamper, cert, messages)
+
+
+def _peak_verify(cert):
+    tracemalloc.start()
+    try:
+        result = verify_certificate(cert)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_large_ring_certificates_allocate_nothing_dense() -> None:
+    # Z_1000 x Z_1000 has 10^6 elements; index 1001 is the identity (1, 1)
+    query = {"kind": "egz", "ring": [1000, 1000], "m": 2, "t": 3}
+    infinite = {
+        "query": query, "outcome": {"kind": "infinite", "value": None},
+        "witness": {"multiplicities": {"1001": 1}},
+        "method": search.METHOD_PRECHECK, "cap_used": None,
+    }
+    (ok, messages), peak = _peak_verify(infinite)
+    assert ok, messages
+    assert peak < 2**20, peak
+    for kind, value in ((search.OUTCOME_EXACT, 5), (search.OUTCOME_AT_LEAST, 10)):
+        cert = {
+            "query": query, "outcome": {"kind": kind, "value": value},
+            "witness": {"multiplicities": {"1001": value - 1}},
+            "method": search.METHOD_FRONTIER, "cap_used": 9,
+        }
+        (ok, messages), peak = _peak_verify(cert)
+        assert not ok
+        assert messages == [
+            "Z1000xZ1000 has 1000000 elements; the testers handle at most 256"
+        ]
+        assert peak < 2**20, peak
+    wrong = json.loads(json.dumps(infinite))
+    wrong["witness"]["multiplicities"] = {"1000": 1}
+    (ok, _), peak = _peak_verify(wrong)
+    assert not ok
+    assert peak < 2**20, peak

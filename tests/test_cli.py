@@ -173,7 +173,10 @@ def test_version(capsys) -> None:
 def test_no_subcommand_errors(capsys) -> None:
     code, out, err = run(capsys)
     assert code == 1
-    assert "usage" in (out + err)
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error:")
 
 
 def test_bad_ring_argument(capsys) -> None:

@@ -57,6 +57,14 @@ def test_elements_lex_order_and_zero_first() -> None:
     for i, e in enumerate(elems):
         assert element_index(ring, e) == i
         assert element_at(ring, i) == e
+    for bad in ((2, 0), (0, 3), (-1, 0), (0, 1.0)):
+        with pytest.raises(ValueError, match="not a reduced element"):
+            element_index(ring, bad)
+    with pytest.raises(ValueError, match="arity"):
+        element_index(ring, (0,))
+    big = make_ring((1000, 1000))
+    assert element_index(big, big.one) == 1001
+    assert element_index(big, (999, 999)) == big.cardinality - 1
 
 
 def test_arithmetic_wraps_componentwise() -> None:

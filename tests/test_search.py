@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 
 import pytest
 
@@ -255,6 +256,21 @@ def test_ring_too_large_to_search() -> None:
     # the precheck and the bounds need no tables
     assert egz_constant(big, 2, 3).kind == search.OUTCOME_INFINITE
     assert default_egz_cap(big, 1, 289) == 321
+
+
+def test_infinite_on_a_large_ring_stays_small() -> None:
+    # Z_1000 x Z_1000: only the dense witness vector, as a list and as a
+    # tuple of 10^6 entries (8 MB each), may be allocated
+    ring = make_ring((1000, 1000))
+    tracemalloc.start()
+    try:
+        out = egz_constant(ring, 2, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.kind == search.OUTCOME_INFINITE
+    assert out.witness.mult[1001] == 1 and out.witness.length == 1
+    assert peak < 24 * 2**20, peak
 
 
 def test_explicit_cap_tightens_auto() -> None:

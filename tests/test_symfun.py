@@ -8,9 +8,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from egz import search
 from egz.multiset import MultisetSeq
-from egz.rings import add, elements, make_ring, mul, scalar_mul
+from egz.rings import add, element_index, elements, make_ring, mul, scalar_mul
 from egz.symfun import (
     _expansion_by_recursion,
     dominating_set_size_formula,
@@ -66,6 +69,21 @@ def test_em_three_routes_agree_sampled() -> None:
                         ring, MultisetSeq.from_elements(ring, seq), m
                     )
                     assert a == b == _naive_em(ring, seq, m)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_em_three_routes_agree_property(data) -> None:
+    # the sequence route, the multiset route and the search engine's
+    # index-space polynomial route, over Z_n and Z_2 x Z_n
+    n = data.draw(st.integers(2, 7), label="n")
+    ring = make_ring(data.draw(st.sampled_from(((n,), (2, n))), label="moduli"))
+    seq = data.draw(st.lists(st.sampled_from(elements(ring)), max_size=9), label="seq")
+    m = data.draw(st.integers(1, 6), label="m")
+    mseq = MultisetSeq.from_elements(ring, seq)
+    em = elementary_symmetric(ring, seq, m)
+    assert elementary_symmetric_multiset(ring, mseq, m) == em
+    assert search._engine(ring).em_of_mult(mseq.mult, m) == element_index(ring, em)
 
 
 def test_em_prefix_and_edges() -> None:

@@ -121,11 +121,34 @@ def test_computed_wrappers_are_cached() -> None:
     assert c is computed_dav((3,), 2, 10)
 
 
+_FAST_IDS = {
+    "bound-egz-odd-square-9", "bound-m3-upper-5", "bound-olson-formula",
+    "bound-p-group-linear-49", "bound-primepower-exact-values", "brink-4-2-2",
+    "brink-random-grid", "dav-olson-small", "dav-z2-degree-grid",
+    "dominating-closed-form", "egz-16-8-2-witness", "egz-3-3-2",
+    "egz-5-5-3-sandwich", "egz-k-k-1-classic", "egz-q-q-3-lower", "egz-z2-grid",
+    "gao-qq-info-q2", "kummer-legendre-grid", "lconst-primepower-grid",
+    "newton-girard-recursion", "rank2-reiher-search", "sweep-egz-inequalities",
+}
+
+_SLOW_IDS = {
+    "brink-16-8-2-n30", "dav-2-z3", "dav-2-z8", "dav-2-z9", "dav-3-z3",
+    "dav-5-z5", "dav-6-z6", "dav-olson-large", "egz-10-6-6", "egz-10-6-6-strict",
+    "egz-16-8-2", "egz-25-5-5", "egz-8-222-2", "egz-9-3-3", "egz-9-9-2",
+    "egz-9-9-2-strict", "egz-p-p-2-mod4", "gao-qq-info-q3",
+    "sweep-egz-inequalities-slow",
+}
+
+
 def test_fixture_registry_well_formed() -> None:
     fixtures = all_fixtures()
     ids = [fx.id for fx in fixtures]
     assert len(ids) == len(set(ids))
     assert ids == sorted(ids)
+    # pinned, so a table row that is dropped or mistyped fails here
+    assert len(_FAST_IDS) == 22 and len(_SLOW_IDS) == 19
+    assert {fx.id for fx in fixtures if fx.tier == "fast"} == _FAST_IDS
+    assert {fx.id for fx in fixtures if fx.tier == "slow"} == _SLOW_IDS
     for fx in fixtures:
         assert fx.tier in ("fast", "slow")
         assert fx.claim in ("ExactValue", "LowerBound", "UpperBound", "Formula")
