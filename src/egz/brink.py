@@ -13,12 +13,19 @@ e_m = 0" this way. This module gives the brute-force side: exact counts (or
 an early-certified count >= 2) over the cube, with the degree condition
 checked and reported.
 
-Counting enumerates the cube in chunks with numpy: a chunk of vector ids is
-expanded into n 0/1 bit columns, each monomial is an AND of its columns
-scaled by its coefficient, and a congruence accumulates monomials into an
-int64 column reduced mod p^v. Coefficients are normalized below p^v on
-construction, which keeps every accumulator far from int64 overflow for any
-system that is remotely enumerable.
+Counting enumerates the cube in chunks of 2^L vector ids (L = chunk_bits,
+at most n). Bit i of a vector id is the value of variable i (0-based), so
+a chunk fixes the n - L high variables to an assignment h and runs over
+every assignment x of the L low ones. Each monomial is a variable mask,
+split into a low and a high part; on a chunk, exactly the monomials whose
+high part lies inside h can be nonzero. Their coefficients are scattered
+at their low masks into an int64 vector of length 2^L, and L passes of the
+subset-sum (zeta) transform, a[x | 2^i] += a[x], turn it into P(h, x) for
+every x of the chunk at once, in O(M + L*2^L) work for M monomials.
+Coefficients are normalized below p^v <= 2^32 on construction and merged
+monomials have distinct supports, so a value sums at most 2^n <= 2^30 of
+them and stays below 2^62: no int64 overflow and no intermediate
+reduction mod p^v.
 """
 
 from __future__ import annotations
@@ -126,24 +133,29 @@ def count_boolean_solutions(
     """
     if inst.n > MAX_VARS:
         raise ValueError(f"instance has {inst.n} > {MAX_VARS} variables")
-    total = 1 << inst.n
-    chunk = 1 << min(chunk_bits, inst.n)
-    moduli = [inst.p ** c.v for c in inst.system]
+    if stop_at is not None and stop_at < 1:
+        raise ValueError(f"stop_at must be >= 1, got {stop_at}")
+    if chunk_bits < 1:
+        raise ValueError(f"chunk_bits must be >= 1, got {chunk_bits}")
+    low_bits = min(chunk_bits, inst.n)
+    size = 1 << low_bits
+    plans = []
+    for cong in inst.system:
+        masks = np.array(
+            [sum(1 << i for i in vs) for _, vs in cong.monomials], dtype=np.int64
+        )
+        coeffs = np.array([c for c, _ in cong.monomials], dtype=np.int64)
+        plans.append((masks & (size - 1), masks >> low_bits, coeffs, inst.p ** cong.v))
     found = 0
-    for start in range(0, total, chunk):
-        ids = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        bits = [(ids >> i) & 1 for i in range(inst.n)]
-        good = np.ones(len(ids), dtype=bool)
-        for cong, pv in zip(inst.system, moduli):
-            acc = np.zeros(len(ids), dtype=np.int64)
-            for coeff, vs in cong.monomials:
-                if vs:
-                    term = bits[vs[0]]
-                    for i in vs[1:]:
-                        term = term & bits[i]
-                    acc += coeff * term
-                else:
-                    acc += coeff
+    for h in range(1 << (inst.n - low_bits)):
+        good = np.ones(size, dtype=bool)
+        for low, high, coeffs, pv in plans:
+            live = (high & ~h) == 0
+            acc = np.zeros(size, dtype=np.int64)
+            np.add.at(acc, low[live], coeffs[live])
+            for i in range(low_bits):
+                a = acc.reshape(-1, 2, 1 << i)
+                a[:, 1] += a[:, 0]
             good &= (acc % pv) == 0
             if not good.any():
                 break

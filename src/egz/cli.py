@@ -124,13 +124,13 @@ def _cmd_newton_girard(args) -> int:
 def _cmd_brink(args) -> int:
     with open(args.instance, "r", encoding="utf-8") as fh:
         inst = brink.from_json(fh.read())
+    report = brink.count_boolean_solutions(
+        inst, stop_at=args.stop_at, chunk_bits=args.chunk_bits
+    )
     relation = "<" if inst.degree_condition else ">="
     print(
         f"degree condition: weight {inst.weight} {relation} {inst.n} variables"
         f" ({'holds' if inst.degree_condition else 'fails'})"
-    )
-    report = brink.count_boolean_solutions(
-        inst, stop_at=args.stop_at, chunk_bits=args.chunk_bits
     )
     if report.count is None:
         print(f"at least {report.at_least} solutions (stopped early)")

@@ -415,15 +415,30 @@ def calculator_ids() -> tuple[str, ...]:
 # --- memoized computed constants -------------------------------------------
 
 
-@lru_cache(maxsize=None)
+# The public wrappers pass every argument positionally, so that one query
+# is one cache entry however its caller spells it (lru_cache keys on the
+# spelling: cap=None and an omitted cap would be two entries).
+
+
 def computed_egz(
     moduli: tuple[int, ...], m: int, t: int, cap: int | None = None
+) -> EgzOutcome:
+    return _computed_egz(moduli, m, t, cap)
+
+
+def computed_dav(moduli: tuple[int, ...], m: int, cap: int) -> EgzOutcome:
+    return _computed_dav(moduli, m, cap)
+
+
+@lru_cache(maxsize=None)
+def _computed_egz(
+    moduli: tuple[int, ...], m: int, t: int, cap: int | None
 ) -> EgzOutcome:
     return search.egz_constant(make_ring(moduli), m, t, cap=cap)
 
 
 @lru_cache(maxsize=None)
-def computed_dav(moduli: tuple[int, ...], m: int, cap: int) -> EgzOutcome:
+def _computed_dav(moduli: tuple[int, ...], m: int, cap: int) -> EgzOutcome:
     return search.davenport_m(make_ring(moduli), m, cap)
 
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from egz.brink import (
     BrinkInstance,
@@ -60,6 +62,70 @@ def test_numpy_matches_pure_python() -> None:
     for inst in small:
         report = count_boolean_solutions(inst)
         assert report.count == _count_pure_python(inst)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_chunked_transform_matches_pure_python_property(data) -> None:
+    # every chunk size from one variable to the whole cube (and past it),
+    # so monomials fall on the low side, the high side and across the split
+    n = data.draw(st.integers(1, 10), label="n")
+    p = data.draw(st.sampled_from((2, 3, 5)), label="p")
+    system = []
+    for _ in range(data.draw(st.integers(0, 3), label="congruences")):
+        v = data.draw(st.integers(1, 3), label="v")
+        coeff = st.integers(-p**v, 2 * p**v)
+        monomials = data.draw(
+            st.lists(st.tuples(coeff, st.lists(st.integers(0, n - 1), max_size=4)),
+                     max_size=8),
+            label="monomials",
+        )
+        # a constant term and a support on the first and the last variable,
+        # which straddles the chunk boundary for every chunk_bits < n
+        monomials += [(data.draw(coeff, label="constant"), ()),
+                      (data.draw(coeff, label="straddling"), (0, n - 1))]
+        system.append((v, monomials))
+    inst = make_instance(n, p, system)
+    count = _count_pure_python(inst)
+    stop = data.draw(st.integers(1, (1 << n) + 1), label="stop_at")
+    for bits in range(1, n + 2):
+        report = count_boolean_solutions(inst, chunk_bits=bits)
+        assert (report.count, report.at_least) == (count, count)
+        for s in {stop, 1, count, count + 1} - {0}:
+            report = count_boolean_solutions(inst, stop_at=s, chunk_bits=bits)
+            expected = (None, s) if count >= s else (count, count)
+            assert (report.count, report.at_least) == expected
+
+
+@pytest.mark.parametrize(("p", "v"), [(2, 32), (3, 20)])
+def test_largest_coefficients_on_every_support(p: int, v: int) -> None:
+    # every one of the 2^12 supports carries p^v - 1, the largest
+    # normalized coefficient, so P(x) = (p^v - 1) * 2^|x| reaches about 2^44
+    n = 12
+    top = p**v - 1
+    supports = [vs for k in range(n + 1) for vs in itertools.combinations(range(n), k)]
+    assert top < 1 << 32
+    full = make_instance(n, p, [(v, [(top, vs) for vs in supports])])
+    # with the constant term 1 instead, P(x) = 2 - 2^|x| (mod p^v), which
+    # vanishes exactly on the n points with |x| = 1
+    shifted = make_instance(n, p, [(v, [(top if vs else 1, vs) for vs in supports])])
+    assert len(full.system[0].monomials) == 1 << n
+    for bits in (1, 5, n, n + 1):
+        assert count_boolean_solutions(full, chunk_bits=bits).count == 0
+        assert count_boolean_solutions(shifted, chunk_bits=bits).count == n
+    small = make_instance(6, p, [(v, [(top, vs) for vs in supports if max(vs, default=0) < 6])])
+    assert count_boolean_solutions(small, chunk_bits=3).count == _count_pure_python(small)
+
+
+def test_count_rejects_bad_stop_and_chunk() -> None:
+    inst = make_instance(4, 2, [])
+    for stop_at in (0, -3):
+        with pytest.raises(ValueError, match="stop_at must be >= 1"):
+            count_boolean_solutions(inst, stop_at=stop_at)
+    for bits in (0, -1):
+        with pytest.raises(ValueError, match="chunk_bits must be >= 1"):
+            count_boolean_solutions(inst, chunk_bits=bits)
+    assert count_boolean_solutions(inst, stop_at=1, chunk_bits=1).at_least == 1
 
 
 def test_chunking_invariance() -> None:

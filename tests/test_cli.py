@@ -90,6 +90,19 @@ def test_brink_command(capsys, tmp_path) -> None:
     assert "at least 2 solutions (stopped early)" in out
 
 
+@pytest.mark.parametrize(
+    ("flag", "value"), [("--stop-at", "-3"), ("--stop-at", "0"), ("--chunk-bits", "-1")]
+)
+def test_brink_bad_stop_or_chunk_errors(capsys, tmp_path, flag: str, value: str) -> None:
+    path = tmp_path / "inst.json"
+    path.write_text(brink.to_json(brink.make_instance(3, 2, [])), encoding="utf-8")
+    code, out, err = run(capsys, "brink", "--instance", str(path), flag, value)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: {flag[2:].replace('-', '_')} must be >= 1")
+
+
 def test_brink_missing_file(capsys, tmp_path) -> None:
     code, _, err = run(capsys, "brink", "--instance", str(tmp_path / "nope.json"))
     assert code == 1

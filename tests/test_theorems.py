@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import pytest
 
+from egz import search, theorems
 from egz.theorems import (
     all_fixtures,
     bound_calculator,
@@ -119,6 +122,35 @@ def test_computed_wrappers_are_cached() -> None:
     assert a is b
     c = computed_dav((3,), 2, 10)
     assert c is computed_dav((3,), 2, 10)
+
+
+def test_computed_wrappers_share_one_entry_per_query(monkeypatch) -> None:
+    # however a query is spelled, the search behind it runs once
+    searches = []
+
+    def fake(*args, **kwargs):
+        searches.append((args, kwargs))
+        return len(searches)
+
+    monkeypatch.setattr(search, "egz_constant", fake)
+    monkeypatch.setattr(search, "davenport_m", fake)
+    for name in ("_computed_egz", "_computed_dav"):
+        fresh = lru_cache(maxsize=None)(getattr(theorems, name).__wrapped__)
+        monkeypatch.setattr(theorems, name, fresh)
+
+    egz = {
+        computed_egz((3,), 2, 3),
+        computed_egz((3,), 2, 3, None),
+        computed_egz((3,), 2, 3, cap=None),
+        computed_egz(moduli=(3,), m=2, t=3),
+        computed_egz((3,), t=3, m=2, cap=None),
+    }
+    assert egz == {1}
+    assert computed_egz((3,), 2, 3, cap=6) == computed_egz((3,), 2, 3, 6) == 2
+    dav = {computed_dav((3,), 2, 10), computed_dav((3,), 2, cap=10),
+           computed_dav(cap=10, m=2, moduli=(3,))}
+    assert dav == {3}
+    assert len(searches) == 3
 
 
 _FAST_IDS = {
