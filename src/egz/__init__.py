@@ -13,6 +13,13 @@ fixture suite.
 
 from __future__ import annotations
 
+from .bounds import (
+    BoundResult,
+    bound_calculator,
+    calculator_ids,
+    d_star,
+    invariant_factors,
+)
 from .brink import (
     BrinkInstance,
     BrinkReport,
@@ -56,14 +63,7 @@ from .symfun import (
     newton_girard,
     power_sum,
 )
-from .theorems import (
-    BoundResult,
-    bound_calculator,
-    calculator_ids,
-    d_star,
-    invariant_factors,
-    run_suite,
-)
+from .theorems import run_suite
 
 __version__ = TOOL_VERSION
 

@@ -41,6 +41,8 @@ from . import numtheory
 
 MAX_VARS = 30
 DEFAULT_CHUNK_BITS = 18
+# About 18 bytes per chunk point (int64 vector, remainder, two masks): 100 MB at 22.
+MAX_CHUNK_BITS = 22
 
 Monomial = tuple[int, tuple[int, ...]]
 
@@ -135,8 +137,8 @@ def count_boolean_solutions(
         raise ValueError(f"instance has {inst.n} > {MAX_VARS} variables")
     if stop_at is not None and stop_at < 1:
         raise ValueError(f"stop_at must be >= 1, got {stop_at}")
-    if chunk_bits < 1:
-        raise ValueError(f"chunk_bits must be >= 1, got {chunk_bits}")
+    if not 1 <= chunk_bits <= MAX_CHUNK_BITS:
+        raise ValueError(f"chunk_bits must be >= 1 and <= {MAX_CHUNK_BITS}, got {chunk_bits}")
     low_bits = min(chunk_bits, inst.n)
     size = 1 << low_bits
     plans = []

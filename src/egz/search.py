@@ -33,10 +33,10 @@ m-1 for the Davenport kind. Seed levels are built by the same level step as
 the rest, from the empty multiset and without the closure test. A run
 "closes" when some level at or below the cap turns out empty, which certifies
 the exact constant by exhaustion; hitting the cap with a nonempty frontier
-yields a verified lower bound only. Caps come from the caller or from
-hypothesis-checked closed-form upper bounds (see default_egz_cap); when a
-bound B applies, the search runs through level B so that exactness never
-rests on the bound itself.
+yields a verified lower bound only. Caps come from the caller or, for the
+EGZ kind, from the hypothesis-checked upper-bound calculators in bounds;
+when a bound B applies, the search runs through level B so that exactness
+never rests on the bound itself.
 
 A level step has two implementations with the same output. The tuple step
 (_step_tuples) canonicalizes each candidate and each of its one-element
@@ -69,7 +69,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import numtheory, rings
+from . import bounds, numtheory, rings
 from .multiset import MultisetSeq, canonical_mult, orbit_perms
 from .rings import RingSpec
 
@@ -640,101 +640,70 @@ def infinite_obstruction(ring: RingSpec, m: int, t: int) -> int | None:
 
 
 def default_egz_cap(ring: RingSpec, m: int, t: int) -> int | None:
-    """Tightest applicable hypothesis-checked upper bound, or None.
-
-    Checked bounds: k(t-1) - m + 2 for cyclic Z_k with t in S(k, m);
-    p^r + m p^s - m for Z_{p^s} with t = p^r, r >= s, p^r > m(p^s - 1);
-    p^h + m * sum(p^a_j - 1) for a p-group with t = p^(sum a_j) and
-    p^h > m * sum(p^a_j - 1). Pairwise coprime moduli make the ring Z_k
-    with k their product (CRT), so the cyclic bounds apply to them too.
-    """
-    caps: list[int] = []
+    """Least value of the upper-bound calculators in bounds whose checked
+    hypotheses hold for E(t, ring, m), or None: egz-general-upper and
+    egz-primepower-upper on Z_k (pairwise coprime moduli are Z_k with k
+    their product, by CRT), egz-p-group-upper on a p-group with t = p^h."""
+    calc = bounds.bound_calculator
+    found = []
     if ring.exponent == ring.cardinality:  # lcm == product: pairwise coprime
         k = ring.cardinality
-        if numtheory.is_feasible_length(k, m, t):
-            caps.append(k * (t - 1) - m + 2)
-        kp = numtheory.prime_power(k)
-        tp = numtheory.prime_power(t)
+        found.append(calc("egz-general-upper", k=k, m=m, t=t))
+        kp, tp = numtheory.prime_power(k), numtheory.prime_power(t)
         if kp and tp and kp[0] == tp[0]:
-            p, s = kp
-            r = tp[1]
-            if r >= s and p ** r > m * (p ** s - 1):
-                caps.append(p ** r + m * p ** s - m)
-    pps = [numtheory.prime_power(n) for n in ring.moduli]
-    if all(pps) and len({p for p, _ in pps}) == 1:
-        p = pps[0][0]
-        alphas = [e for _, e in pps]
-        h = sum(alphas)
-        d = sum(p ** a - 1 for a in alphas)
-        if t == p ** h and p ** h > m * d:
-            caps.append(p ** h + m * d)
-    return min(caps) if caps else None
+            found.append(calc("egz-primepower-upper", p=kp[0], r=tp[1], s=kp[1], m=m))
+    if bounds.is_p_group(ring.moduli):
+        pps = [numtheory.prime_power(n) for n in ring.moduli]
+        alphas = tuple(e for _, e in pps)
+        if t == pps[0][0] ** sum(alphas):
+            found.append(calc("egz-p-group-upper", p=pps[0][0], alphas=alphas, m=m))
+    return min((b.value for b in found if b.hypotheses_ok), default=None)
+
+
+def _constant(kind, ring, m, t, cap, method, progress) -> EgzOutcome:
+    """Search to the least of cap and, for the EGZ kind, default_egz_cap."""
+    auto = default_egz_cap(ring, m, t) if kind == KIND_EGZ else None
+    eff = min((c for c in (cap, auto) if c is not None), default=None)
+    if eff is None:
+        raise MissingCapError(
+            f"no checked upper bound applies to E({t}, {ring}, {m}); pass a cap"
+            if kind == KIND_EGZ else f"no cap given for D_{m}({ring}); pass a cap"
+        )
+    length, witness = max_counterexample_length(
+        kind, ring, m, eff, t=t, method=method, progress=progress
+    )
+    label = OUTCOME_EXACT if length < eff else OUTCOME_AT_LEAST
+    mname = METHOD_DIRECT if method == "direct" else METHOD_FRONTIER
+    return EgzOutcome(label, length + 1, witness, mname, eff)
 
 
 def egz_constant(
-    ring: RingSpec,
-    m: int,
-    t: int,
-    cap: int | None = None,
-    method: str = "frontier",
-    workers: int = 1,
-    progress: Progress = None,
+    ring: RingSpec, m: int, t: int, cap: int | None = None, method: str = "frontier",
+    workers: int = 1, progress: Progress = None,
 ) -> EgzOutcome:
     """The generalized EGZ constant for (ring, t, m), by certified search.
 
     Infinite is decided by the all-ones precheck; otherwise the search runs
-    to min(cap, checked upper bound) and reports Exact only when a level
-    emptied, AtLeast otherwise. Raises MissingCapError when neither a cap
-    nor a checked bound is available. workers is accepted for compatibility
-    and ignored: the search is serial.
+    to min(cap, default_egz_cap) and reports Exact only when a level
+    emptied, AtLeast otherwise. Raises MissingCapError when neither is
+    available. workers is accepted for compatibility and ignored: the
+    search is serial.
     """
     if m < 1 or t < m:
         raise ValueError("need t >= m >= 1")
     if infinite_obstruction(ring, m, t) is not None:
         witness = MultisetSeq.from_counts(ring, {ring.one: 1})
         return EgzOutcome(OUTCOME_INFINITE, None, witness, METHOD_PRECHECK, None)
-    auto = default_egz_cap(ring, m, t)
-    usable = [c for c in (cap, auto) if c is not None]
-    if not usable:
-        raise MissingCapError(
-            f"no checked upper bound applies to E({t}, {ring}, {m}); pass a cap"
-        )
-    eff = min(usable)
-    if eff < m:
-        raise ValueError("cap must be >= m")
-    length, witness = max_counterexample_length(
-        KIND_EGZ, ring, m, eff, t=t, method=method, progress=progress
-    )
-    mname = METHOD_DIRECT if method == "direct" else METHOD_FRONTIER
-    if length < eff:
-        return EgzOutcome(OUTCOME_EXACT, length + 1, witness, mname, eff)
-    return EgzOutcome(OUTCOME_AT_LEAST, length + 1, witness, mname, eff)
+    return _constant(KIND_EGZ, ring, m, t, cap, method, progress)
 
 
 def davenport_m(
-    ring: RingSpec,
-    m: int,
-    cap: int | None = None,
-    method: str = "frontier",
-    workers: int = 1,
-    progress: Progress = None,
+    ring: RingSpec, m: int, cap: int | None = None, method: str = "frontier",
+    workers: int = 1, progress: Progress = None,
 ) -> EgzOutcome:
-    """The generalized Davenport constant for (ring, m), by certified search.
-
-    No checked upper bound is applied here, so the caller must give a cap;
-    raises MissingCapError without one. workers is accepted for
-    compatibility and ignored: the search is serial.
-    """
+    """The generalized Davenport constant for (ring, m), by certified search
+    to cap, as egz_constant. There is no automatic cap, so the caller must
+    give one; raises MissingCapError without it."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    if cap is None:
-        raise MissingCapError(f"no cap given for D_{m}({ring}); pass a cap")
-    if cap < m:
-        raise ValueError("cap must be >= m")
-    length, witness = max_counterexample_length(
-        KIND_DAV, ring, m, cap, method=method, progress=progress
-    )
-    mname = METHOD_DIRECT if method == "direct" else METHOD_FRONTIER
-    if length < cap:
-        return EgzOutcome(OUTCOME_EXACT, length + 1, witness, mname, cap)
-    return EgzOutcome(OUTCOME_AT_LEAST, length + 1, witness, mname, cap)
+    return _constant(KIND_DAV, ring, m, None, cap, method, progress)

@@ -1,15 +1,8 @@
-"""Closed-form bound calculators and a fixture-driven verification suite.
+"""The fixture suite: every desk-scale value re-derived by certified search.
 
-bound_calculator evaluates the known closed-form bounds on the degree-m
-Davenport and zero-e_m EGZ constants, machine-checking each bound's
-hypotheses and never asserting exactness beyond what its formula claims.
-Every calculator entry states its inequality in its detail string; a
-violated hypothesis downgrades the result to a warning rather than an
-error, so out-of-scope instances still print with a flag.
-
-The fixture suite re-derives every desk-scale value by certified search and
-checks each inequality on grids of exactly computed constants. Fixtures are
-pure functions split into a fast tier (default, aggregate runtime about a
+Fixtures check computed constants against the bound calculators in
+bounds, and each inequality on grids of exactly computed constants. They
+are pure functions split into a fast tier (default, aggregate runtime about a
 minute) and a slow tier (exhaustive closures that take seconds to minutes
 each). Most fixtures are rows of a table with one runner per table: value
 grids (_VALUE_GRIDS), single closures with an optional extra check
@@ -35,385 +28,12 @@ from functools import lru_cache, partial
 from typing import Callable, Iterable, Optional
 
 from . import brink, numtheory, search, symfun
+from .bounds import bound_calculator, invariant_factors
 from .multiset import MultisetSeq
 from .rings import make_ring
 from .search import EgzOutcome
 
-# --- group-structure helpers ------------------------------------------------
-
-
-def invariant_factors(moduli: Iterable[int]) -> tuple[int, ...]:
-    """Invariant factors n_1 | n_2 | ... | n_r of the product of Z_n groups."""
-    buckets: dict[int, list[int]] = {}
-    for n in moduli:
-        for p, e in numtheory.prime_factorization(n):
-            buckets.setdefault(p, []).append(e)
-    if not buckets:
-        return ()
-    for exps in buckets.values():
-        exps.sort(reverse=True)
-    rank = max(len(exps) for exps in buckets.values())
-    rows = []
-    for i in range(rank):
-        f = 1
-        for p, exps in buckets.items():
-            if i < len(exps):
-                f *= p ** exps[i]
-        rows.append(f)
-    return tuple(reversed(rows))
-
-
-def d_star(moduli: Iterable[int]) -> int:
-    """Sum of (n_i - 1) over the invariant factors."""
-    return sum(f - 1 for f in invariant_factors(moduli))
-
-
-def group_rank(moduli: Iterable[int]) -> int:
-    return len(invariant_factors(moduli))
-
-
-def is_p_group(moduli: Iterable[int]) -> bool:
-    primes = set()
-    for n in moduli:
-        pp = numtheory.prime_power(n)
-        if pp is None:
-            return False
-        primes.add(pp[0])
-    return len(primes) == 1
-
-
-# --- bound calculator -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BoundResult:
-    theorem_id: str
-    kind: str  # "upper" | "lower" | "exact" | "conjecture"
-    value: int
-    hypotheses_ok: bool
-    warnings: tuple[str, ...]
-    detail: str
-
-
-def _result(tid, kind, value, detail, failed_hyps=(), warnings=()):
-    warns = tuple(warnings) + tuple(f"hypothesis fails: {h}" for h in failed_hyps)
-    return BoundResult(tid, kind, value, not failed_hyps, warns, detail)
-
-
-def _calc_egz_general_upper(k: int, m: int, t: int) -> BoundResult:
-    failed = [] if numtheory.is_feasible_length(k, m, t) else [f"{t} in S({k},{m})"]
-    return _result(
-        "egz-general-upper", "upper", k * (t - 1) - m + 2,
-        f"E({t}, Z_{k}, {m}) <= k(t-1)-m+2, valid for t in S(k, m)", failed,
-    )
-
-
-def _calc_egz_low_lower(k: int, m: int, t: int) -> BoundResult:
-    failed = [] if numtheory.is_feasible_length(k, m, t) else [f"{t} in S({k},{m})"]
-    return _result(
-        "egz-low-lower", "lower", t + numtheory.lconst(k, m) - m,
-        f"E({t}, Z_{k}, {m}) >= t + L(k, m) - m, valid for t in S(k, m)", failed,
-    )
-
-
-def _calc_dav_low_lower(n: int, m: int) -> BoundResult:
-    return _result(
-        "dav-low-lower", "lower", numtheory.lconst(n, m),
-        f"D_{m}(Z_{n}) >= L({n}, {m}): the all-ones sequence of length "
-        "L-1 has no zero-e_m subsequence",
-    )
-
-
-def _calc_egz_vs_davenport_lower(t: int, m: int, dav: int) -> BoundResult:
-    failed = [] if t >= m >= 1 else ["t >= m >= 1"]
-    return _result(
-        "egz-vs-davenport-lower", "lower", t + dav - m,
-        f"E({t}, G, {m}) >= t + D_{m}(G) - m = {t} + {dav} - {m}: pad a "
-        "maximal Davenport counterexample with zeros", failed,
-    )
-
-
-def _calc_low_primepower(p: int, s: int, u: int) -> BoundResult:
-    failed = [] if numtheory.is_prime(p) else [f"{p} prime"]
-    if s < 1 or u < 0:
-        failed.append("s >= 1 and u >= 0")
-    return _result(
-        "low-primepower", "exact", p ** (s + u),
-        f"L({p}^{s}, {p}^{u}) = {p}^{s + u}", failed,
-    )
-
-
-def _calc_dav_degree2_upper(k: int, r: int) -> BoundResult:
-    failed = []
-    if k % 2 == 0:
-        failed.append(f"{k} odd")
-    if not (k % r == 0 and (r * r) % k == 0):
-        failed.append(f"r | k | r^2 with r={r}, k={k}")
-    return _result(
-        "dav-degree2-upper", "upper", k + r,
-        f"D_2(Z_{k}) <= k + r for odd k with r | k | r^2", failed,
-    )
-
-
-def _calc_egz_odd_square_upper(k: int, r: int, ell: int) -> BoundResult:
-    failed = []
-    if k % 2 == 0:
-        failed.append(f"{k} odd")
-    if ell < 1:
-        failed.append("ell >= 1")
-    if not (k % r == 0 and (r * r) % k == 0):
-        failed.append(f"r | k | r^2 with r={r}, k={k}")
-    return _result(
-        "egz-odd-square-upper", "upper", (ell + 1) * k + 2 * r - 3,
-        f"E({ell * k}, Z_{k}, 2) <= (ell+1)k + 2r - 3 for odd k with r | k | r^2",
-        failed,
-    )
-
-
-def _calc_egz_odd_prime_2_lower(p: int) -> BoundResult:
-    failed = [] if numtheory.is_prime(p) and p % 2 == 1 else [f"{p} an odd prime"]
-    if p % 4 == 3:
-        value, case = 2 * p, "p = 3 mod 4"
-    else:
-        value, case = 2 * p - 1, "p = 1 mod 4"
-    return _result(
-        "egz-odd-prime-2-lower", "lower", value,
-        f"E({p}, Z_{p}, 2) >= {value} ({case})", failed,
-    )
-
-
-def _calc_egz_m3_upper(k: int) -> BoundResult:
-    failed = [] if math.gcd(k, 3) == 1 else [f"gcd({k}, 3) = 1"]
-    return _result(
-        "egz-m3-upper", "upper", 4 * k - 3,
-        f"E({k}, Z_{k}, 3) <= 4k - 3 when gcd(k, 3) = 1 (via the rank-2 "
-        "zero-sum constant and the dominating set {{p_1, p_3}})", failed,
-    )
-
-
-def _calc_egz_qq3_lower(q: int) -> BoundResult:
-    failed = [] if numtheory.prime_power(q) else [f"{q} a prime power"]
-    return _result(
-        "egz-qq3-lower", "lower", 2 * q - 3,
-        f"E({q}, Z_{q}, 3) >= 2q - 3 for prime powers q", failed,
-    )
-
-
-def _calc_egz_z2_exact(t: int, m: int) -> BoundResult:
-    failed = [] if numtheory.is_feasible_length(2, m, t) else [f"{t} in S(2,{m})"]
-    nu = m & -m
-    return _result(
-        "egz-z2-exact", "exact", t + nu,
-        f"E({t}, Z_2, {m}) = t + 2^nu2(m) = t + D_{m}(Z_2) - m for t in S(2, m)",
-        failed,
-    )
-
-
-def _calc_dav_z2_exact(m: int) -> BoundResult:
-    failed = [] if m >= 1 else ["m >= 1"]
-    return _result(
-        "dav-z2-exact", "exact", m + (m & -m),
-        f"D_{m}(Z_2) = m + 2^nu2(m)", failed,
-    )
-
-
-def _calc_egz_primepower_upper(p: int, r: int, s: int, m: int) -> BoundResult:
-    failed = []
-    if not numtheory.is_prime(p):
-        failed.append(f"{p} prime")
-    if r < s or s < 1:
-        failed.append(f"r >= s >= 1 with r={r}, s={s}")
-    if p ** r <= m * (p ** s - 1):
-        failed.append(f"p^r > m(p^s - 1): {p ** r} > {m * (p ** s - 1)}")
-    return _result(
-        "egz-primepower-upper", "upper", p ** r + m * p ** s - m,
-        f"E({p ** r}, Z_{p ** s}, {m}) <= p^r + m p^s - m", failed,
-    )
-
-
-def _calc_egz_primepower_lower(p: int, s: int, u: int, t: int) -> BoundResult:
-    failed = []
-    if not numtheory.is_prime(p):
-        failed.append(f"{p} prime")
-    if not numtheory.is_feasible_length(p ** s, p ** u, t):
-        failed.append(f"{t} in S({p ** s},{p ** u})")
-    return _result(
-        "egz-primepower-lower", "lower", t + p ** (s + u) - p ** u,
-        f"E({t}, Z_{p ** s}, {p ** u}) >= t + p^(s+u) - p^u", failed,
-    )
-
-
-def _calc_egz_primepower_exact(p: int, r: int, s: int, u: int) -> BoundResult:
-    failed = []
-    if not numtheory.is_prime(p):
-        failed.append(f"{p} prime")
-    if not (s >= 1 and u >= 1 and r >= s + u):
-        failed.append(f"r >= s + u with s, u >= 1 (r={r}, s={s}, u={u})")
-    return _result(
-        "egz-primepower-exact", "exact", p ** r + p ** (s + u) - p ** u,
-        f"E({p ** r}, Z_{p ** s}, {p ** u}) = p^r + p^(s+u) - p^u", failed,
-    )
-
-
-def _pgroup_sum(p: int, alphas: tuple[int, ...]) -> int:
-    return sum(p ** a - 1 for a in alphas)
-
-
-def _calc_egz_p_group_upper(p: int, alphas: tuple[int, ...], m: int) -> BoundResult:
-    h = sum(alphas)
-    d = _pgroup_sum(p, alphas)
-    failed = []
-    if not numtheory.is_prime(p):
-        failed.append(f"{p} prime")
-    if p ** h <= m * d:
-        failed.append(f"p^h > m * sum(p^a_j - 1): {p ** h} > {m * d}")
-    return _result(
-        "egz-p-group-upper", "upper", p ** h + m * d,
-        f"E(p^h, G, {m}) <= p^h + m * sum(p^a_j - 1) for the rank-{len(alphas)} "
-        f"p-group with p={p}, exponents {list(alphas)} (h={h})", failed,
-    )
-
-
-def _calc_egz_p_group_lower(p: int, alphas: tuple[int, ...], s: int, t: int) -> BoundResult:
-    d = _pgroup_sum(p, alphas)
-    failed = [] if numtheory.is_prime(p) else [f"{p} prime"]
-    return _result(
-        "egz-p-group-lower", "lower", t + p ** s * d,
-        f"E({t}, G, {p ** s}) >= t + p^s * sum(p^a_j - 1) for the p-group "
-        f"with p={p}, exponents {list(alphas)}", failed,
-    )
-
-
-def _calc_egz_p_group_exact(p: int, alphas: tuple[int, ...], s: int) -> BoundResult:
-    h = sum(alphas)
-    d = _pgroup_sum(p, alphas)
-    failed = []
-    if not numtheory.is_prime(p):
-        failed.append(f"{p} prime")
-    if p ** h <= p ** s * d:
-        failed.append(f"p^h > p^s * sum(p^a_j - 1): {p ** h} > {p ** s * d}")
-    return _result(
-        "egz-p-group-exact", "exact", p ** h + p ** s * d,
-        f"E(p^h, G, p^s) = p^h + p^s * sum(p^a_j - 1) = p^h + D_(p^s)(G) - p^s "
-        f"for the p-group with p={p}, exponents {list(alphas)}, s={s}", failed,
-    )
-
-
-def _calc_egz_p_group_linear_upper(p: int, alphas: tuple[int, ...], m: int) -> BoundResult:
-    h = sum(alphas)
-    d = _pgroup_sum(p, alphas)
-    half = m // 2 + 1
-    failed = []
-    warnings = []
-    if not numtheory.is_prime(p):
-        failed.append(f"{p} prime")
-    if p <= m:
-        failed.append(f"p > m: {p} > {m}")
-    if p ** h <= half * d:
-        failed.append(f"p^h > (floor(m/2)+1) * sum(p^a_i - 1): {p ** h} > {half * d}")
-    if len(alphas) >= 2:
-        alt = p ** h + half * (sum(p ** a for a in alphas) - 1)
-        warnings.append(
-            "the budget term is read as sum(p^a_i - 1); the alternate reading "
-            f"(sum p^a_i) - 1 gives {alt} instead (the readings agree at rank 1)"
-        )
-    return _result(
-        "egz-p-group-linear-upper", "upper", p ** h + half * d,
-        f"E(p^h, G, {m}) <= p^h + (floor(m/2)+1) * sum(p^a_i - 1) for the "
-        f"p-group with p={p}, exponents {list(alphas)}, via power sums "
-        "p_1..p_floor(m/2) and p_m", failed, warnings,
-    )
-
-
-def _calc_rank2_egz_exact(n1: int, n2: int) -> BoundResult:
-    failed = [] if n1 >= 1 and n2 % n1 == 0 else [f"{n1} | {n2}"]
-    return _result(
-        "rank2-egz-exact", "exact", 2 * n1 + 2 * n2 - 3,
-        f"E({n2}, Z_{n1} x Z_{n2}, 1) = 2 n1 + 2 n2 - 3 (Kemnitz-Reiher "
-        "constant for rank-2 groups)", failed,
-    )
-
-
-def _calc_egz_classic_exact(k: int) -> BoundResult:
-    failed = [] if k >= 1 else ["k >= 1"]
-    return _result(
-        "egz-classic-exact", "exact", 2 * k - 1,
-        f"E({k}, Z_{k}, 1) = 2k - 1 (the classical zero-sum constant)", failed,
-    )
-
-
-def _calc_olson_davenport(moduli: tuple[int, ...]) -> BoundResult:
-    inv = invariant_factors(moduli)
-    failed = []
-    if not (is_p_group(moduli) or len(inv) <= 2):
-        failed.append("G is a p-group or has rank <= 2")
-    return _result(
-        "olson-davenport", "exact", 1 + d_star(moduli),
-        f"D_1(G) = 1 + sum(n_i - 1) over invariant factors {list(inv)} "
-        "(p-groups and rank <= 2)", failed,
-    )
-
-
-def _calc_gao_qq_conjecture(q: int, t: int) -> BoundResult:
-    failed = []
-    if not numtheory.prime_power(q):
-        failed.append(f"{q} a prime power")
-    if not numtheory.is_feasible_length(q, q, t):
-        failed.append(f"{t} in S({q},{q})")
-    return _result(
-        "gao-qq-conjecture", "conjecture", t + q * q - q,
-        f"open prediction: E({t}, Z_{q}, {q}) = t + q^2 - q; reported for "
-        "comparison, never asserted", failed,
-    )
-
-
-_CALCULATORS: dict[str, Callable[..., BoundResult]] = {
-    "egz-general-upper": _calc_egz_general_upper,
-    "egz-low-lower": _calc_egz_low_lower,
-    "dav-low-lower": _calc_dav_low_lower,
-    "egz-vs-davenport-lower": _calc_egz_vs_davenport_lower,
-    "low-primepower": _calc_low_primepower,
-    "dav-degree2-upper": _calc_dav_degree2_upper,
-    "egz-odd-square-upper": _calc_egz_odd_square_upper,
-    "egz-odd-prime-2-lower": _calc_egz_odd_prime_2_lower,
-    "egz-m3-upper": _calc_egz_m3_upper,
-    "egz-qq3-lower": _calc_egz_qq3_lower,
-    "egz-z2-exact": _calc_egz_z2_exact,
-    "dav-z2-exact": _calc_dav_z2_exact,
-    "egz-primepower-upper": _calc_egz_primepower_upper,
-    "egz-primepower-lower": _calc_egz_primepower_lower,
-    "egz-primepower-exact": _calc_egz_primepower_exact,
-    "egz-p-group-upper": _calc_egz_p_group_upper,
-    "egz-p-group-lower": _calc_egz_p_group_lower,
-    "egz-p-group-exact": _calc_egz_p_group_exact,
-    "egz-p-group-linear-upper": _calc_egz_p_group_linear_upper,
-    "rank2-egz-exact": _calc_rank2_egz_exact,
-    "egz-classic-exact": _calc_egz_classic_exact,
-    "olson-davenport": _calc_olson_davenport,
-    "gao-qq-conjecture": _calc_gao_qq_conjecture,
-}
-
-
-def bound_calculator(theorem_id: str, **params) -> BoundResult:
-    """Evaluate a closed-form bound with its hypotheses machine-checked.
-
-    A failed hypothesis is reported via hypotheses_ok=False and a warning;
-    the formula value is still returned. Unknown ids raise ValueError.
-    """
-    try:
-        fn = _CALCULATORS[theorem_id]
-    except KeyError:
-        known = ", ".join(sorted(_CALCULATORS))
-        raise ValueError(f"unknown theorem id {theorem_id!r}; known: {known}") from None
-    return fn(**params)
-
-
-def calculator_ids() -> tuple[str, ...]:
-    return tuple(sorted(_CALCULATORS))
-
-
 # --- memoized computed constants -------------------------------------------
-
 
 # The public wrappers pass every argument positionally, so that one query
 # is one cache entry however its caller spells it (lru_cache keys on the
@@ -543,10 +163,7 @@ def _run_egz_5_5_3() -> FixtureResult:
         bound_calculator("egz-qq3-lower", q=5).value,
     )
     upper = bound_calculator("egz-m3-upper", k=5).value
-    ok = (
-        out.kind == search.OUTCOME_EXACT
-        and lower <= out.value <= upper
-    )
+    ok = out.kind == search.OUTCOME_EXACT and lower <= out.value <= upper
     return FixtureResult(
         ok, describe(out), f"Exact in [{lower}, {upper}]",
         f"E(5, Z_5, 3) = {out.value}",
@@ -566,8 +183,9 @@ def _run_egz_qq3() -> FixtureResult:
         bad.append(f"q=3: {describe(out3)} != Infinite")
     for q in (4, 5):
         out = computed_egz((q,), 3, q)
-        if out.kind != search.OUTCOME_EXACT or out.value < 2 * q - 3:
-            bad.append(f"q={q}: {describe(out)} not exact >= {2 * q - 3}")
+        low = bound_calculator("egz-qq3-lower", q=q).value
+        if out.kind != search.OUTCOME_EXACT or out.value < low:
+            bad.append(f"q={q}: {describe(out)} not exact >= {low}")
     return _grid_result(bad, 3, ">= 2q - 3 (q=3 Infinite)")
 
 
@@ -656,7 +274,8 @@ def _run_lconst_grid() -> FixtureResult:
             for u in range(0, 7 - s):
                 total += 1
                 got = numtheory.lconst(p ** s, p ** u)
-                if got != p ** (s + u):
+                want = bound_calculator("low-primepower", p=p, s=s, u=u)
+                if got != want.value or not want.hypotheses_ok:
                     bad.append(f"L({p}^{s},{p}^{u}) = {got}")
     return _grid_result(bad, total, "p^(s+u)")
 
@@ -664,55 +283,64 @@ def _run_lconst_grid() -> FixtureResult:
 # --- value grids ------------------------------------------------------------
 
 # A grid query is (name, kind, moduli, m, t, cap, expected), with expected
-# None for Infinite. Grids build their queries when they run, not at import.
+# the BoundResult of the calculator that the search checks, or None for
+# Infinite. Grids build their queries when they run, not at import.
 
 
 def _run_value_grid(queries: Callable[[], list], expected_text: str) -> FixtureResult:
     bad = []
     rows = queries()
-    for name, kind, moduli, m, t, cap, expected in rows:
+    for name, kind, moduli, m, t, cap, want in rows:
         out = _closed(kind, moduli, m, t, cap)
-        if expected is None:
+        if want is None:
             if out.kind != search.OUTCOME_INFINITE:
                 bad.append(f"{name}: {describe(out)} != Infinite")
-        elif out.kind != search.OUTCOME_EXACT or out.value != expected:
-            bad.append(f"{name}: {describe(out)} != {expected}")
+        elif not want.hypotheses_ok:
+            bad.append(f"{name}: {'; '.join(want.warnings)}")
+        elif out.kind != search.OUTCOME_EXACT or out.value != want.value:
+            bad.append(f"{name}: {describe(out)} != {want.value}")
     return _grid_result(bad, len(rows), expected_text)
+
+
+def _bound_rows(kind: str, theorem_id: str, rows) -> list:
+    """One grid query per (name, moduli, m, t, params) row, searched under
+    the cap theorem_id(**params) and expecting that value."""
+    out = []
+    for name, moduli, m, t, params in rows:
+        want = bound_calculator(theorem_id, **params)
+        out.append((name, kind, moduli, m, t, want.value, want))
+    return out
 
 
 def _egz_z2_queries() -> list:
     queries = []
     for m in range(1, 13):
         for t in range(m, 41):
-            expected = t + (m & -m) if numtheory.is_feasible_length(2, m, t) else None
-            queries.append((f"(t={t},m={m})", "E", (2,), m, t, None, expected))
+            # the hypothesis t in S(2, m) fails exactly where E is Infinite
+            want = bound_calculator("egz-z2-exact", t=t, m=m)
+            want = want if want.hypotheses_ok else None
+            queries.append((f"(t={t},m={m})", "E", (2,), m, t, None, want))
     return queries
 
 
 def _olson_queries(groups) -> list:
-    return [(f"{g}", "D", g, 1, None, 1 + d_star(g), 1 + d_star(g)) for g in groups]
-
-
-def _rank2_queries() -> list:
-    queries = []
-    for n1, n2 in ((2, 2), (2, 4), (3, 3)):
-        want = 2 * n1 + 2 * n2 - 3
-        queries.append((f"({n1},{n2})", "E", (n1, n2), 1, n2, want, want))
-    return queries
+    rows = ((f"{g}", g, 1, None, {"moduli": g}) for g in groups)
+    return _bound_rows("D", "olson-davenport", rows)
 
 
 # (id, queries, expected text, tier, runtime hint, statement)
 _VALUE_GRIDS = (
     ("dav-z2-degree-grid",
-     lambda: [(f"m={m}", "D", (2,), m, None, m + (m & -m), m + (m & -m))
-              for m in range(1, 17)],
+     lambda: _bound_rows("D", "dav-z2-exact",
+                         ((f"m={m}", (2,), m, None, {"m": m}) for m in range(1, 17))),
      "m + 2^nu2(m)", "fast", "milliseconds",
      "D_m(Z_2) = m + 2^nu2(m) for 1 <= m <= 16, each closed by exhaustive search."),
     ("egz-z2-grid", _egz_z2_queries, "t + 2^nu2(m) or Infinite", "fast", "seconds",
      "Over Z_2 with m <= 12, t <= 40: E(t, Z_2, m) = t + 2^nu2(m) when "
      "2 | C(t, m), and Infinite otherwise; every finite case closed by search."),
     ("egz-k-k-1-classic",
-     lambda: [(f"k={k}", "E", (k,), 1, k, 2 * k - 1, 2 * k - 1) for k in range(2, 9)],
+     lambda: _bound_rows("E", "egz-classic-exact",
+                         ((f"k={k}", (k,), 1, k, {"k": k}) for k in range(2, 9))),
      "2k - 1", "fast", "seconds",
      "E(k, Z_k, 1) = 2k - 1 for 2 <= k <= 8, each closed by search."),
     ("dav-olson-small",
@@ -730,7 +358,11 @@ _VALUE_GRIDS = (
      "1 + sum(n_i - 1)", "slow", "seconds",
      "D_1(G) = 1 + sum(n_i - 1) for p-groups and rank <= 2 groups of "
      "cardinality 17..27, closed by search."),
-    ("rank2-reiher-search", _rank2_queries, "2 n1 + 2 n2 - 3", "fast", "seconds",
+    ("rank2-reiher-search",
+     lambda: _bound_rows("E", "rank2-egz-exact", (
+         (f"({a},{b})", (a, b), 1, b, {"n1": a, "n2": b}) for a, b in ((2, 2), (2, 4), (3, 3))
+     )),
+     "2 n1 + 2 n2 - 3", "fast", "seconds",
      "E(n2, Z_n1 x Z_n2, 1) = 2 n1 + 2 n2 - 3 re-derived by search for "
      "(n1, n2) in {(2,2), (2,4), (3,3)}."),
 )
@@ -779,9 +411,9 @@ def _run_sweep(rows, min_pairs: int) -> FixtureResult:
         ring = make_ring(moduli)
         dav_out = computed_dav(moduli, m, dav_cap)
         dav_exact = dav_out.value if dav_out.kind == search.OUTCOME_EXACT else None
-        if dav_exact is not None:
-            low = numtheory.lconst(ring.exponent, m) if ring.rank == 1 else None
-            if low is not None and dav_exact < low:
+        if dav_exact is not None and ring.rank == 1:
+            low = bound_calculator("dav-low-lower", n=ring.exponent, m=m).value
+            if dav_exact < low:
                 bad.append(f"D_{m}({moduli}) = {dav_exact} < L = {low}")
         for t in ts:
             out = computed_egz(moduli, m, t, cap=egz_cap)
@@ -796,19 +428,17 @@ def _run_sweep(rows, min_pairs: int) -> FixtureResult:
             value = out.value
             if ring.rank == 1:
                 k = moduli[0]
-                if numtheory.is_feasible_length(k, m, t):
-                    upper = k * (t - 1) - m + 2
-                    lower = t + numtheory.lconst(k, m) - m
-                    if value > upper:
-                        bad.append(f"E({t},Z_{k},{m}) = {value} > {upper}")
-                    if value < lower:
-                        bad.append(f"E({t},Z_{k},{m}) = {value} < L-bound {lower}")
+                upper = bound_calculator("egz-general-upper", k=k, m=m, t=t)
+                lower = bound_calculator("egz-low-lower", k=k, m=m, t=t)
+                if upper.hypotheses_ok:  # t in S(k, m), the hypothesis of both
+                    if value > upper.value:
+                        bad.append(f"E({t},Z_{k},{m}) = {value} > {upper.value}")
+                    if value < lower.value:
+                        bad.append(f"E({t},Z_{k},{m}) = {value} < L-bound {lower.value}")
             if dav_exact is not None:
-                if value < t + dav_exact - m:
-                    bad.append(
-                        f"E({t},{moduli},{m}) = {value} < t + D - m = "
-                        f"{t + dav_exact - m}"
-                    )
+                floor = bound_calculator("egz-vs-davenport-lower", t=t, m=m, dav=dav_exact)
+                if value < floor.value:
+                    bad.append(f"E({t},{moduli},{m}) = {value} < t + D - m = {floor.value}")
                 padded = list(dav_out.witness.mult)
                 padded[0] += t - m
                 cx = MultisetSeq(ring, tuple(padded))
@@ -1089,16 +719,15 @@ def _vs_bound(relation, detail: str, theorem_id: str, **params):
 
 def _check_8_222_2_gao_type(out: EgzOutcome):
     dav = computed_dav((2, 2, 2), 2, 8)
-    ok = dav.kind == search.OUTCOME_EXACT and dav.value == 8 and out.value == 8 + 8 - 2
+    floor = bound_calculator("egz-vs-davenport-lower", t=8, m=2, dav=8).value
+    ok = dav.kind == search.OUTCOME_EXACT and dav.value == 8 and out.value == floor
     return ok, f"D_2(Z_2^3) = {describe(dav)}; equality 14 = 8 + D - 2"
 
 
 def _check_z5_equality(out: EgzOutcome):
     egz_out = computed_egz((5,), 5, 25)
-    ok = (
-        egz_out.kind == search.OUTCOME_EXACT
-        and egz_out.value == 25 + out.value - 5
-    )
+    floor = bound_calculator("egz-vs-davenport-lower", t=25, m=5, dav=out.value).value
+    ok = egz_out.kind == search.OUTCOME_EXACT and egz_out.value == floor
     return ok, f"E(25, Z_5, 5) = {describe(egz_out)} = 25 + D - 5"
 
 
@@ -1159,16 +788,17 @@ _register_rows("ExactValue", _run_closure, _CLOSURES)
 def _run_strict(moduli, m, t, egz_value, dav_cap, dav_value) -> FixtureResult:
     egz_out = computed_egz(moduli, m, t)
     dav_out = computed_dav(moduli, m, dav_cap)
+    floor = bound_calculator("egz-vs-davenport-lower", t=t, m=m, dav=dav_value).value
     ok = (
         egz_out.kind == search.OUTCOME_EXACT
         and dav_out.kind == search.OUTCOME_EXACT
         and egz_out.value == egz_value
         and dav_out.value == dav_value
-        and egz_out.value > t + dav_out.value - m
+        and egz_out.value > floor
     )
     return FixtureResult(
         ok, f"E = {describe(egz_out)}, D = {describe(dav_out)}",
-        f"E = {egz_value} > {t + dav_value - m} = {t} + D - {m}",
+        f"E = {egz_value} > {floor} = {t} + D - {m}",
     )
 
 
@@ -1268,8 +898,14 @@ def run_suite(
     With jobs=1 and no timeout, fixtures run in-process (sharing the
     memoized constants). Otherwise each fixture runs in its own forked
     process; one that exceeds the timeout is terminated and reported as
-    TIMEOUT rather than a failure.
+    TIMEOUT rather than a failure. Raises ValueError for jobs < 1, for a
+    timeout that is not a finite number > 0, and for subprocess mode where
+    the fork start method is missing (spawn cannot pickle the fixtures).
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if timeout is not None and not (math.isfinite(timeout) and timeout > 0):
+        raise ValueError(f"timeout must be a finite number of seconds > 0, got {timeout}")
     chosen = _select(tier, name_filter)
     outcomes: dict[str, FixtureOutcome] = {}
 
@@ -1282,18 +918,20 @@ def run_suite(
         if progress:
             progress(oc)
 
-    if jobs <= 1 and timeout is None:
+    if jobs == 1 and timeout is None:
         for fx in chosen:
             begin = time.monotonic()
             status, computed, expected, detail = _execute(fx)
             finish(fx, status, time.monotonic() - begin, computed, expected, detail)
         return [outcomes[fx.id] for fx in chosen]
 
+    if "fork" not in multiprocessing.get_all_start_methods():
+        raise ValueError("jobs > 1 and a timeout need the fork start method")
     ctx = multiprocessing.get_context("fork")
     pending = list(chosen)
     running: list[tuple[Fixture, object, object, float]] = []
     while pending or running:
-        while pending and len(running) < max(1, jobs):
+        while pending and len(running) < jobs:
             fx = pending.pop(0)
             parent, child = ctx.Pipe(duplex=False)
             proc = ctx.Process(target=_child_main, args=(fx, child), daemon=True)
@@ -1314,7 +952,7 @@ def run_suite(
             elif timeout is not None and elapsed > timeout:
                 proc.terminate()
                 proc.join()
-                finish(fx, "TIMEOUT", elapsed, detail=f"exceeded {timeout:.0f}s")
+                finish(fx, "TIMEOUT", elapsed, detail=f"exceeded {timeout:g}s")
             else:
                 still.append((fx, proc, parent, begin))
         running = still

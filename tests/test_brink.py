@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from egz import brink
 from egz.brink import (
     BrinkInstance,
     count_boolean_solutions,
@@ -122,9 +123,10 @@ def test_count_rejects_bad_stop_and_chunk() -> None:
     for stop_at in (0, -3):
         with pytest.raises(ValueError, match="stop_at must be >= 1"):
             count_boolean_solutions(inst, stop_at=stop_at)
-    for bits in (0, -1):
+    for bits in (0, -1, brink.MAX_CHUNK_BITS + 1, 31):
         with pytest.raises(ValueError, match="chunk_bits must be >= 1"):
             count_boolean_solutions(inst, chunk_bits=bits)
+    assert count_boolean_solutions(inst, chunk_bits=brink.MAX_CHUNK_BITS).count == 16
     assert count_boolean_solutions(inst, stop_at=1, chunk_bits=1).at_least == 1
 
 

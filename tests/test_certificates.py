@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import tracemalloc
 from functools import lru_cache
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from egz import search
+from egz import search, theorems
 from egz.certificates import (
     TOOL_VERSION,
     build_certificate,
@@ -71,6 +73,27 @@ def test_dumps_byte_stability() -> None:
     # key order is part of the contract
     keys = list(loads(a).keys())
     assert keys == ["query", "outcome", "witness", "method", "cap_used", "tool_version"]
+
+
+@pytest.mark.parametrize(
+    ("moduli", "m", "t", "cap_used", "sha256"),
+    [
+        ((8,), 2, 16, 30, "31ca0bedbbf93c87b3b254bde695cd37fd0cd3f908a5590a7a6ac0570f897081"),
+        ((9,), 2, 9, 72, "d93305102575d403aa4db546c081f3efc1dafb275c32b78d2b317f08d61ad96a"),
+        ((5,), 5, 25, 45, "f013fff29c7f59c0aeb28815ad26da59f9d3babb2cfdefb7d77c5f6ac3f7b50d"),
+        ((2, 2, 2), 2, 8, 14, "0968ffb1e7b0bd00ef3ce6618ca0e64ef933fd6afed519fb4946041f87df9db9"),
+        ((2, 3), 1, 6, 31, "fc645f574d7f1b31264973865dd5862e688f956abed4fad40eab6c972077f1c3"),
+        ((10,), 2, 8, None, "7b282351157951c226e12c5551e21188aa44ead70f899edc18a01d90f1a0e73a"),
+    ],
+    ids=["E16-Z8-2", "E9-Z9-2", "E25-Z5-5", "E8-Z2^3-2", "E6-Z2xZ3-1", "E8-Z10-2-infinite"],
+)
+def test_auto_cap_certificates_are_pinned(moduli, m, t, cap_used, sha256) -> None:
+    # the Baseline closures under their automatic caps, byte for byte;
+    # computed_egz shares the searches with the fixture tests
+    out = theorems.computed_egz(moduli, m, t)
+    assert out.cap_used == cap_used
+    cert = build_certificate(search.KIND_EGZ, make_ring(moduli), m, t, out)
+    assert hashlib.sha256(dumps(cert).encode()).hexdigest() == sha256
 
 
 def test_tampered_value_rejected() -> None:

@@ -91,7 +91,8 @@ def test_brink_command(capsys, tmp_path) -> None:
 
 
 @pytest.mark.parametrize(
-    ("flag", "value"), [("--stop-at", "-3"), ("--stop-at", "0"), ("--chunk-bits", "-1")]
+    ("flag", "value"),
+    [("--stop-at", "-3"), ("--stop-at", "0"), ("--chunk-bits", "-1"), ("--chunk-bits", "31")],
 )
 def test_brink_bad_stop_or_chunk_errors(capsys, tmp_path, flag: str, value: str) -> None:
     path = tmp_path / "inst.json"
@@ -213,6 +214,12 @@ def test_davenport_missing_cap_errors(capsys) -> None:
         ["compute", "--ring", "3", "--m", "2"],
         ["davenport", "--ring", "3", "--m", "x", "--cap", "5"],
         ["check-theorems", "--tier", "huge"],
+        ["check-theorems", "--filter", "kummer", "--timeout", "-1"],
+        ["check-theorems", "--filter", "kummer", "--timeout", "0"],
+        ["check-theorems", "--filter", "kummer", "--timeout", "nan"],
+        ["check-theorems", "--filter", "kummer", "--timeout", "inf"],
+        ["check-theorems", "--filter", "kummer", "--jobs", "-4"],
+        ["check-theorems", "--filter", "kummer", "--jobs", "0"],
         ["frobnicate"],
     ],
 )

@@ -8,7 +8,7 @@ import tracemalloc
 
 import pytest
 
-from egz import search
+from egz import numtheory, search
 from egz.multiset import MultisetSeq, canonical_mult, orbit_perms
 from egz.rings import make_ring, unit_index_perms
 from egz.search import (
@@ -214,6 +214,50 @@ def test_default_egz_cap_values() -> None:
     assert default_egz_cap(make_ring((10,)), 2, 8) is None
     assert default_egz_cap(make_ring((2, 3)), 1, 6) == 31  # Z_6 in disguise
     assert default_egz_cap(make_ring((2, 4)), 1, 4) is None
+
+
+def _reference_cap(ring, m: int, t: int) -> int | None:
+    # the auto cap typed out by hand, as it was before the search read the
+    # calculators in egz.bounds; kept to pin that change to the same caps
+    caps: list[int] = []
+    if ring.exponent == ring.cardinality:  # lcm == product: pairwise coprime
+        k = ring.cardinality
+        if numtheory.is_feasible_length(k, m, t):
+            caps.append(k * (t - 1) - m + 2)
+        kp = numtheory.prime_power(k)
+        tp = numtheory.prime_power(t)
+        if kp and tp and kp[0] == tp[0]:
+            p, s = kp
+            r = tp[1]
+            if r >= s and p ** r > m * (p ** s - 1):
+                caps.append(p ** r + m * p ** s - m)
+    pps = [numtheory.prime_power(n) for n in ring.moduli]
+    if all(pps) and len({p for p, _ in pps}) == 1:
+        p = pps[0][0]
+        alphas = [e for _, e in pps]
+        h = sum(alphas)
+        d = sum(p ** a - 1 for a in alphas)
+        if t == p ** h and p ** h > m * d:
+            caps.append(p ** h + m * d)
+    return min(caps) if caps else None
+
+
+def test_default_egz_cap_matches_the_hand_formulas() -> None:
+    rings = [(n,) for n in range(2, 33)]
+    rings += [(a, b) for a in range(2, 9) for b in range(a, 9)]
+    rings += [(2, 2, 2), (2, 2, 2, 2), (3, 3, 3), (2, 3, 5)]
+    ts = set(range(1, 40)) | {
+        p ** e for p in (2, 3, 5, 7, 11, 13) for e in range(1, 9) if p ** e <= 256
+    }
+    capped = 0
+    for moduli in rings:
+        ring = make_ring(moduli)
+        for m in range(1, 7):
+            for t in sorted(x for x in ts if x >= m):
+                want = _reference_cap(ring, m, t)
+                assert default_egz_cap(ring, m, t) == want, (moduli, m, t)
+                capped += want is not None
+    assert capped > 1000  # the grid reaches every calculator, not just None
 
 
 @pytest.mark.parametrize("moduli", [(2, 3), (3, 4), (2, 3, 5)])

@@ -2,21 +2,25 @@
 
 from __future__ import annotations
 
+import ast
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
-from egz import search, theorems
-from egz.theorems import (
-    all_fixtures,
+from egz import bounds, search, theorems
+from egz.bounds import (
     bound_calculator,
     calculator_ids,
-    computed_dav,
-    computed_egz,
     d_star,
     group_rank,
     invariant_factors,
     is_p_group,
+)
+from egz.theorems import (
+    all_fixtures,
+    computed_dav,
+    computed_egz,
     run_suite,
     summarize,
     format_outcomes,
@@ -221,3 +225,47 @@ def test_timeout_reports_timeout_status() -> None:
     )
     assert len(outcomes) == 1
     assert outcomes[0].status == "TIMEOUT"
+    assert outcomes[0].detail == "exceeded 0.2s"
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"jobs": 0}, {"jobs": -4}, {"timeout": -1}, {"timeout": 0},
+     {"timeout": float("nan")}, {"timeout": float("inf")}],
+)
+def test_run_suite_rejects_bad_jobs_and_timeout(kwargs) -> None:
+    with pytest.raises(ValueError, match="jobs|timeout"):
+        run_suite(tier="fast", name_filter="kummer", **kwargs)
+
+
+def test_run_suite_without_fork_refuses_subprocess_mode(monkeypatch) -> None:
+    monkeypatch.setattr(theorems.multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    for kwargs in ({"jobs": 2}, {"timeout": 5}):
+        with pytest.raises(ValueError, match="fork"):
+            run_suite(tier="fast", name_filter="bound-", **kwargs)
+    # in-process mode needs no start method
+    assert [oc.status for oc in run_suite(tier="fast", name_filter="bound-m3")] == ["PASS"]
+
+
+def test_bounds_imports_neither_search_nor_theorems() -> None:
+    # the search takes its caps from bounds, so bounds must not need it
+    tree = ast.parse(Path(bounds.__file__).read_text(encoding="utf-8"))
+    modules = set()  # the egz modules that bounds imports
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("egz")):
+            if node.module in (None, "egz"):
+                modules.update(a.name for a in node.names)
+            else:
+                modules.add(node.module.split(".")[-1])
+        elif isinstance(node, ast.Import):
+            modules.update(a.name.split(".")[-1] for a in node.names if a.name.startswith("egz"))
+    assert modules == {"numtheory"}
+
+
+def test_value_grid_fails_a_row_whose_calculator_hypotheses_fail() -> None:
+    # a grid checks search against a calculator only where the calculator
+    # applies; rank2-egz-exact needs n1 | n2, and 3 does not divide 4
+    want = bound_calculator("rank2-egz-exact", n1=3, n2=4)
+    res = theorems._run_value_grid(lambda: [("(3,4)", "E", (3,), 2, 3, None, want)], "x")
+    assert not res.ok
+    assert "hypothesis fails: 3 | 4" in res.detail
