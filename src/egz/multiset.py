@@ -6,7 +6,9 @@ a multiset is the lexicographically least multiplicity vector over its
 unit-scaling orbit. Scaling by a unit c multiplies every degree-m elementary
 symmetric value by the unit c^m, so counterexample status for the searches in
 this package is constant on orbits and one canonical representative per orbit
-suffices.
+suffices. The frontier search reduces by a larger group
+(rings.symmetry_index_perms); the canonical form here stays the unit one, and
+so do the witnesses that search reports.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ def canonical_mult(
 
     With perms = orbit_perms(ring) this is the least multiplicity vector over
     the unit orbit. The permutations are an argument, not looked up from the
-    ring, because the search calls this once per candidate.
+    ring, because the direct search calls this once per multiset.
     """
     best = mult
     get = mult.__getitem__

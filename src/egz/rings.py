@@ -175,6 +175,73 @@ def unit_index_perms(ring: RingSpec) -> tuple[tuple[int, ...], ...]:
     return tuple(mt[idx[u]] for u in units(ring))
 
 
+# Largest |H| * cardinality that symmetry_index_perms enumerates: the search
+# gathers |H| images of a row, so a larger group is retried without shears,
+# then with the units alone.
+SYMMETRY_BUDGET = 1 << 17
+
+
+def _coordinate_map_perm(ring: RingSpec, f) -> tuple[int, ...]:
+    return tuple(element_index(ring, element(ring, f(e))) for e in elements(ring))
+
+
+def _closure(ident: tuple[int, ...], gens: list[tuple[int, ...]], limit: int):
+    """The group generated by gens, breadth-first; None once it exceeds limit."""
+    seen = {ident}
+    queue = [ident]
+    for g in queue:
+        for s in gens:
+            h = tuple(map(g.__getitem__, s))
+            if h not in seen:
+                if len(seen) == limit:
+                    return None
+                seen.add(h)
+                queue.append(h)
+    return tuple(sorted(seen))
+
+
+@lru_cache(maxsize=32)
+def symmetry_index_perms(ring: RingSpec, additive: bool) -> tuple[tuple[int, ...], ...]:
+    """Index permutations of a group H whose maps keep every zero-e_m
+    sub-multiset zero, sorted (identity first).
+
+    H is generated by the unit scalings, the transpositions of coordinates
+    with equal moduli (ring automorphisms: e_m(u * s(S)) = u^m s(e_m(S))) and,
+    when additive (m = 1, where e_1 is the sum), the shears
+    x_j += (n_j / gcd(n_i, n_j)) x_i, which are additive automorphisms. A
+    group past SYMMETRY_BUDGET is retried without shears, then with units
+    alone, so H always contains the units.
+    """
+    units_h = tuple(sorted(unit_index_perms(ring)))
+    ident = units_h[0]
+    gens: list[tuple[int, ...]] = []  # a few units that generate them all
+    span = {ident}
+    for u in units_h:
+        if u not in span:
+            gens.append(u)
+            span = set(_closure(ident, gens, len(units_h)))
+    mods = ring.moduli
+    pairs = [(i, j) for i in range(ring.rank) for j in range(ring.rank) if i != j]
+
+    def swap(i, j):
+        return lambda e: [e[j] if k == i else e[i] if k == j else x for k, x in enumerate(e)]
+
+    def shear(i, j):
+        c = mods[j] // math.gcd(mods[i], mods[j])
+        return lambda e: [x + c * e[i] if k == j else x for k, x in enumerate(e)]
+
+    swaps = [_coordinate_map_perm(ring, swap(i, j)) for i, j in pairs if i < j and mods[i] == mods[j]]
+    shears = [_coordinate_map_perm(ring, shear(i, j)) for i, j in pairs] if additive else []
+    limit = SYMMETRY_BUDGET // ring.cardinality
+    for extra in (swaps + shears, swaps):
+        extra = [p for p in extra if p not in span]
+        if extra:
+            group = _closure(ident, gens + extra, limit)
+            if group is not None:
+                return group
+    return units_h
+
+
 def format_elem(ring: RingSpec, a: Elem) -> str:
     if ring.rank == 1:
         return str(a[0])

@@ -22,10 +22,19 @@ fixed element order. Two facts drive the algorithm:
     one qualifying subsequence not covered by a removal). Levels can
     therefore be built as a frontier BFS with membership tests against the
     previous level only.
-  * Unit-orbit reduction: scaling a multiset by a unit c multiplies every
-    e_m value by the unit c^m, so counterexample status is constant on
-    orbits and each level keeps one canonical (lex-least) representative
-    per orbit.
+  * Orbit reduction: the maps of the group H of
+    rings.symmetry_index_perms (unit scalings, which multiply every e_m
+    value by the unit c^m; coordinate swaps of equal moduli, which are ring
+    automorphisms; and for m = 1 the shears, additive automorphisms that
+    fix the zero sum) keep counterexample status, so each level keeps one
+    representative per H-orbit, the lex-least member.
+
+The witness stays the lex-least counterexample of the final length, as if
+only units reduced: the counterexamples of one length are a union of
+H-orbits, so the least of them is the least member of its own orbit and is
+stored, and the least stored class (row 0 of an array level) is it. It is
+unit-canonical, because H contains the units, so witnesses and certificate
+bytes do not depend on H.
 
 The frontier seeds at level t for the EGZ kind (every shorter multiset is
 vacuously a counterexample; level t keeps those with e_m != 0) and at level
@@ -38,21 +47,28 @@ EGZ kind, from the hypothesis-checked upper-bound calculators in bounds;
 when a bound B applies, the search runs through level B so that exactness
 never rests on the bound itself.
 
-A level step has two implementations with the same output. The tuple step
-(_step_tuples) canonicalizes each candidate and each of its one-element
-removals in Python; it serves levels below _SMALL_LEVEL candidates (frontier
-size times ring size), where numpy's fixed cost per call would dominate.
-The array step (_Rows.step) keeps the level as an (N, width) unsigned array
-and works in blocks of at most _BLOCK_ROWS rows: it makes all N * |G|
-extensions at once, canonicalizes them by gathering every unit image and
-taking the least big-endian 8-byte word sequence, dedupes by sorting row
-keys, looks every one-element removal up with np.searchsorted in the sorted
-keys of the previous level's full unit orbits (no per-removal canonical
-form), and evaluates e_m (Davenport kind) only on survivors through index
-tables. A row key is the row's bytes, compared by memcmp; that equals tuple
-order because entries are stored most significant byte first (uint8 up to
-a cap of 255, big-endian uint16 or uint32 above), so each array level is
-sorted and its row 0 is the lex-least class.
+A level step has two implementations with the same output, and both run in
+the same order: unit-canonicalize and dedupe the one-element extensions,
+keep those whose one-element removals all lie in the previous level's
+H-orbits and (Davenport kind, and the EGZ seed) whose e_m is nonzero, and
+only then map the survivors to their H-representatives and dedupe again.
+Canonicalizing every candidate under H instead costs |H| images per
+candidate, most of which the closure test then rejects; when H is the unit
+group the last pass is skipped. The tuple step (_step_tuples) does this in
+Python on sets of tuples; it serves levels whose estimated Python cost,
+_tuple_cost, is below _SMALL_LEVEL (_SMALL_EM_LEVEL when e_m is tested),
+where numpy's fixed cost per call would dominate. The array step
+(_Rows.step) keeps the level as an (N, width) unsigned array and works in
+blocks (_Rows.block_rows: at most _BLOCK_ROWS rows and _BLOCK_BYTES of
+gathered images): it makes all N * |G| extensions at once, canonicalizes
+rows by gathering every image and taking the least big-endian 8-byte word
+sequence, dedupes by sorting row keys, looks every one-element removal up
+with np.searchsorted in the sorted keys of the previous level's full
+H-orbits (no per-removal canonical form), and evaluates e_m only on the rows
+left through index tables. A row key is the row's bytes, compared by memcmp;
+that equals tuple order because entries are stored most significant byte
+first (uint8 up to a cap of 255, big-endian uint16 or uint32 above), so each
+array level is sorted and its row 0 is the lex-least class.
 
 The independent full testers (is_counterexample_*) re-enumerate sub-multiset
 multiplicity vectors with a truncated generating product per vector. They
@@ -63,6 +79,7 @@ and the tests that pin the frontier to unpruned search.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
@@ -113,8 +130,8 @@ class _Engine:
     """Per-ring index-space arithmetic: tables and truncated polys."""
 
     __slots__ = (
-        "ring", "card", "add_t", "mul_t", "scal_t", "perms", "one_idx",
-        "exponent", "_factor_cache", "_ident_cache", "_rows",
+        "ring", "card", "add_t", "mul_t", "scal_t", "units", "one_idx",
+        "exponent", "_factor_cache", "_ident_cache", "_rows", "_getters",
     )
 
     def __init__(self, ring: RingSpec) -> None:
@@ -125,10 +142,20 @@ class _Engine:
         self.scal_t = rings.scalar_index_table(ring)
         self.exponent = ring.exponent
         self.one_idx = rings.element_index(ring, ring.one)
-        self.perms = orbit_perms(ring)
+        self.units = rings.unit_index_perms(ring)
         self._factor_cache: dict[tuple[int, int, int], tuple[int, ...]] = {}
         self._ident_cache: dict[int, tuple[int, ...]] = {}
-        self._rows: dict[str, _Rows] = {}
+        self._rows: dict[tuple[str, int], _Rows] = {}
+        self._getters: dict[int, list] = {}
+
+    def images(self, group) -> list:
+        """One itemgetter per permutation of group (a unit or symmetry group
+        of this ring): g(mult) is an image of the tuple mult."""
+        # the candidate groups of a ring are nested, so the order names one
+        got = self._getters.get(len(group))
+        if got is None:
+            got = self._getters[len(group)] = [operator.itemgetter(*p) for p in group]
+        return got
 
     def identity_poly(self, m: int) -> tuple[int, ...]:
         poly = self._ident_cache.get(m)
@@ -181,22 +208,30 @@ class _Engine:
     def em_of_mult(self, mult, m: int) -> int:
         return self.em_coeffs(mult, m)[m]
 
-    def rows(self, cap: int) -> "_Rows":
-        """The array kernel whose row dtype holds multiplicities up to cap."""
+    def rows(self, cap: int, sym) -> "_Rows":
+        """The array kernel whose row dtype holds multiplicities up to cap,
+        reducing by the group sym (rings.symmetry_index_perms)."""
         if cap > 0xFFFFFFFF:
             raise ValueError(f"cap {cap} exceeds the array search limit 2**32 - 1")
         dtype = np.dtype(">u1" if cap <= 0xFF else ">u2" if cap <= 0xFFFF else ">u4")
-        kit = self._rows.get(dtype.str)
+        key = (dtype.str, len(sym))  # the order names the group, as in images
+        kit = self._rows.get(key)
         if kit is None:
-            kit = self._rows[dtype.str] = _Rows(self, dtype)
+            kit = self._rows[key] = _Rows(self, dtype, sym)
         return kit
 
 
-# Rows per numpy block: bounds the (rows x units x width) canonical gather.
+# Rows per numpy block, and bytes per block of gathered images (rows x
+# perms x row bytes): the first bounds the extension and removal copies,
+# the second the canonical gathers under large groups.
 _BLOCK_ROWS = 4096
-# Levels with fewer candidates (frontier size times ring size) take the
-# tuple step: below this numpy's fixed cost per call outweighs the work.
-_SMALL_LEVEL = 128
+_BLOCK_BYTES = 1 << 21
+# Levels whose estimated tuple-step cost (_tuple_cost) is below these take
+# the tuple step: below them numpy's fixed cost per call outweighs the work.
+# The array e_m pass costs a few numpy calls per ring element, so levels
+# that test e_m stay on tuples longer.
+_SMALL_LEVEL = 96
+_SMALL_EM_LEVEL = 256
 
 
 class _Rows:
@@ -214,11 +249,11 @@ class _Rows:
     """
 
     __slots__ = (
-        "engine", "card", "dtype", "width", "key_dtype", "perm", "eye",
-        "_key_view", "_idx_dtype", "_arith", "_fac",
+        "engine", "card", "dtype", "width", "key_dtype", "unit_perm", "perm",
+        "eye", "_key_view", "_idx_dtype", "_arith", "_fac",
     )
 
-    def __init__(self, engine: _Engine, dtype: np.dtype) -> None:
+    def __init__(self, engine: _Engine, dtype: np.dtype, sym) -> None:
         self.engine = engine
         self.card = card = engine.card
         self.dtype = dtype
@@ -226,12 +261,12 @@ class _Rows:
         self.width = width = words * 8 // dtype.itemsize
         self._key_view = np.dtype(">u8" if words == 1 else f"V{words * 8}")
         self.key_dtype = np.dtype(np.uint64) if words == 1 else self._key_view
-        pad = list(range(card, width))
-        ident = list(range(card))
-        # identity first; padding columns map to themselves
-        self.perm = np.array(
-            [ident + pad] + [list(p) + pad for p in engine.perms], dtype=np.intp
-        )
+        pad = list(range(card, width))  # padding columns map to themselves
+        self.unit_perm = np.array([list(p) + pad for p in engine.units], dtype=np.intp)
+        if len(sym) == len(engine.units):
+            self.perm = self.unit_perm
+        else:
+            self.perm = np.array([list(p) + pad for p in sym], dtype=np.intp)
         self.eye = np.eye(card, width, dtype=dtype)
         self._idx_dtype = np.min_scalar_type(card - 1)  # element indices
         self._arith = None
@@ -263,9 +298,14 @@ class _Rows:
         out = rows[:, None, :] + self.eye
         return out.reshape(-1, self.width).astype(self.dtype, copy=False)
 
-    def canonical(self, rows: np.ndarray) -> np.ndarray:
-        """Lex-least image of each row over the unit orbit."""
-        images = rows.take(self.perm, axis=1)  # (rows, units, width), C order
+    def block_rows(self, perm: np.ndarray) -> int:
+        """Rows per block whose gather under perm fits _BLOCK_BYTES."""
+        size = len(perm) * self.width * self.dtype.itemsize
+        return max(1, min(_BLOCK_ROWS, _BLOCK_BYTES // size))
+
+    def canonical(self, rows: np.ndarray, perm: np.ndarray) -> np.ndarray:
+        """Lex-least image of each row under the permutations perm."""
+        images = rows.take(perm, axis=1)  # (rows, perms, width), C order
         words = images.view(">u8")
         tied = np.ones(images.shape[:2], dtype=bool)
         for j in range(words.shape[2]):
@@ -274,8 +314,14 @@ class _Rows:
         return images[np.arange(len(images)), tied.argmax(axis=1)]
 
     def orbit_keys(self, rows: np.ndarray) -> np.ndarray:
-        """Sorted keys of every unit image of every row."""
-        return np.sort(self.keys(rows.take(self.perm, axis=1).reshape(-1, self.width)))
+        """Sorted keys of every image of every row under the search group."""
+        per = self.block_rows(self.perm)
+        keys = np.concatenate([
+            self.keys(rows[lo : lo + per].take(self.perm, axis=1).reshape(-1, self.width))
+            for lo in range(0, len(rows), per)
+        ])
+        keys.sort()
+        return keys
 
     def closed(self, rows: np.ndarray, prev_keys: np.ndarray) -> np.ndarray:
         """Mask of rows whose one-element removals all have keys in prev_keys."""
@@ -332,10 +378,12 @@ class _Rows:
         return poly[:, m]
 
     def step(self, rows: np.ndarray, prev_keys: np.ndarray | None, em_m: int | None):
-        """The array level step: as _step_tuples, on sorted distinct rows."""
-        per = max(1, _BLOCK_ROWS // self.card)
+        """The array level step: as _step_tuples, on sorted distinct rows;
+        prev_keys are the previous level's orbit_keys."""
+        upr = self.unit_perm
+        per = max(1, self.block_rows(upr) // self.card)
         found = [
-            self.unique(self.canonical(self.extend(rows[lo : lo + per])))
+            self.unique(self.canonical(self.extend(rows[lo : lo + per]), upr))
             for lo in range(0, len(rows), per)
         ]
         cands = self.unique(np.concatenate(found))
@@ -347,7 +395,13 @@ class _Rows:
             if em_m is not None and len(block):
                 block = block[self.em(block, em_m) != 0]
             out.append(block)
-        return np.concatenate(out)
+        out = np.concatenate(out)
+        if self.perm is upr:
+            return out
+        per = self.block_rows(self.perm)
+        return self.unique(np.concatenate([
+            self.canonical(out[lo : lo + per], self.perm) for lo in range(0, len(out), per)
+        ] or [out]))
 
 
 # Largest ring the search builds tables for: _Engine holds card**2 and
@@ -355,7 +409,7 @@ class _Rows:
 MAX_CARDINALITY = 256
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def _engine(ring: RingSpec) -> _Engine:
     if ring.cardinality > MAX_CARDINALITY:
         raise ValueError(
@@ -467,9 +521,9 @@ def _vacuous_witness(ring: RingSpec, length: int) -> MultisetSeq:
     return MultisetSeq(ring, mult)
 
 
-def _all_canonical(engine: _Engine, length: int) -> set[tuple[int, ...]]:
-    card = engine.card
-    perms = engine.perms
+def _all_canonical(ring: RingSpec, length: int) -> set[tuple[int, ...]]:
+    card = ring.cardinality
+    perms = orbit_perms(ring)
     out: set[tuple[int, ...]] = set()
     mult = [0] * card
 
@@ -488,16 +542,21 @@ def _all_canonical(engine: _Engine, length: int) -> set[tuple[int, ...]]:
     return out
 
 
-def _step_tuples(engine: _Engine, members, prev: set | None, em_m: int | None):
-    """The tuple level step: canonical one-element extensions of members.
+def _step_tuples(engine: _Engine, members, prev: set | None, em_m: int | None, sym):
+    """The tuple level step: one-element extensions of members, reduced to
+    their lex-least images under the group sym.
 
     With prev given, an extension survives only if every one-element
-    removal is a class of prev; with em_m given, only if its own e_m value
-    is nonzero.
+    removal is an image under sym of a member of prev; with em_m given, only
+    if its own e_m value is nonzero.
     """
     card = engine.card
-    perms = engine.perms
+    units = engine.images(engine.units)
+    group = engine.images(sym)
     em = engine.em_of_mult
+    orbits = None
+    if prev is not None:
+        orbits = {img(mult) for mult in prev for img in group}
     seen: set[tuple[int, ...]] = set()
     out: set[tuple[int, ...]] = set()
     for mult in members:
@@ -506,19 +565,19 @@ def _step_tuples(engine: _Engine, members, prev: set | None, em_m: int | None):
             base[g] += 1
             cand = tuple(base)
             base[g] -= 1
-            canon = canonical_mult(cand, perms)
+            canon = min(img(cand) for img in units)
             if canon in seen:
                 continue
             seen.add(canon)
             ok = True
-            if prev is not None:
+            if orbits is not None:
                 # the removal at g is the parent itself, already known
                 lst = list(cand)
                 for i, c in enumerate(cand):
                     if c == 0 or i == g:
                         continue
                     lst[i] = c - 1
-                    if canonical_mult(tuple(lst), perms) not in prev:
+                    if tuple(lst) not in orbits:
                         ok = False
                         break
                     lst[i] = c
@@ -526,21 +585,43 @@ def _step_tuples(engine: _Engine, members, prev: set | None, em_m: int | None):
                 ok = False
             if ok:
                 out.add(canon)
-    return out
+    if group is units:
+        return out
+    reps: set[tuple[int, ...]] = set()
+    covered: set[tuple[int, ...]] = set()
+    for mult in out:  # one orbit per new representative
+        if mult not in covered:
+            orbit = {img(mult) for img in group}
+            covered |= orbit
+            reps.add(min(orbit))
+    return reps
 
 
-def _advance(engine: _Engine, frontier, closed: bool, em_m, cap: int):
-    """The next level from frontier, a set of tuples or a sorted row array.
+def _tuple_cost(n: int, card: int, units: int, group: int) -> int:
+    """Estimated Python work of _step_tuples on n members, in candidates:
+    n * card of them, each reduced over the units, plus the orbits of prev
+    and of the survivors, about n * group images of card entries. The
+    weight of an image against a candidate, and the two cutoffs, were fitted
+    to timings of both steps on every level of the small searches of
+    perfbench's batch-small and oracle pools (Z_2 to Z_8, Z_2^2, Z_2^3,
+    Z_2xZ_4 and Z_3^2, m <= 3) and checked on D_1(Z_5^2)."""
+    return n * card + (n * card * group) // (8 * units)
+
+
+def _advance(engine: _Engine, frontier, closed: bool, em_m, cap: int, sym):
+    """The next level from frontier, a set of tuples or a sorted row array,
+    under the group sym.
 
     closed asks for the closure test against frontier itself; em_m for the
     e_m != 0 test. Small levels take the tuple step and return a set; the
     others take the array step.
     """
-    if len(frontier) * engine.card < _SMALL_LEVEL:
+    cost = _tuple_cost(len(frontier), engine.card, len(engine.units), len(sym))
+    if cost < (_SMALL_LEVEL if em_m is None else _SMALL_EM_LEVEL):
         if isinstance(frontier, np.ndarray):
-            frontier = engine.rows(cap).to_tuples(frontier)
-        return _step_tuples(engine, frontier, frontier if closed else None, em_m)
-    kit = engine.rows(cap)
+            frontier = engine.rows(cap, sym).to_tuples(frontier)
+        return _step_tuples(engine, frontier, frontier if closed else None, em_m, sym)
+    kit = engine.rows(cap, sym)
     rows = frontier if isinstance(frontier, np.ndarray) else kit.from_tuples(frontier)
     return kit.step(rows, kit.orbit_keys(rows) if closed else None, em_m)
 
@@ -582,6 +663,7 @@ def max_counterexample_length(
         raise ValueError(f"unknown method {method!r}")
 
     engine = _engine(ring)
+    sym = rings.symmetry_index_perms(ring, m == 1)
     # Seed levels skip the closure test: every multiset of length <= vacuous
     # is a counterexample, and at the EGZ seed level t exactly those with
     # e_m != 0 are.
@@ -589,7 +671,7 @@ def max_counterexample_length(
     frontier = {(0,) * engine.card}
     for level in range(1, seed + 1):
         seed_em = m if level == t else None
-        frontier = _advance(engine, frontier, False, seed_em, cap)
+        frontier = _advance(engine, frontier, False, seed_em, cap, sym)
     level = seed
     em_m = m if kind == KIND_DAV else None
     if not len(frontier):
@@ -597,7 +679,7 @@ def max_counterexample_length(
     if progress:
         progress(level, len(frontier))
     while level < cap:
-        nxt = _advance(engine, frontier, True, em_m, cap)
+        nxt = _advance(engine, frontier, True, em_m, cap, sym)
         if not len(nxt):
             break
         frontier = nxt
@@ -608,15 +690,15 @@ def max_counterexample_length(
 
 
 def _direct_max(ring: RingSpec, kind: str, m: int, cap: int, t: int | None):
-    """Unpruned reference search: every canonical multiset of every length,
-    each tested with the full sub-multiset enumeration."""
+    """Unpruned reference search: every unit-canonical multiset of every
+    length, each tested with the full sub-multiset enumeration."""
     engine = _engine(ring)
     start = t if kind == KIND_EGZ else m
     best_level = start - 1
     best_witness = _vacuous_witness(ring, best_level)
     for level in range(start, cap + 1):
         survivors = set()
-        for mult in _all_canonical(engine, level):
+        for mult in _all_canonical(ring, level):
             if kind == KIND_EGZ:
                 ok = _find_zero_sub_exact(engine, mult, t, m) is None
             else:

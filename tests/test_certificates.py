@@ -96,6 +96,23 @@ def test_auto_cap_certificates_are_pinned(moduli, m, t, cap_used, sha256) -> Non
     assert hashlib.sha256(dumps(cert).encode()).hexdigest() == sha256
 
 
+@pytest.mark.parametrize(
+    ("moduli", "m", "cap", "sha256"),
+    [
+        ((5, 5), 1, 9, "0a735032271e176987f75ee7168adb39d93ffc6a17a336c9bc78cba3f83fe8db"),
+        ((3, 9), 1, 11, "a1aaec931a9c68ed6c92dc8a6cffe0d1cfae2a7099e22b475ae8f5d62bd6dd6f"),
+        ((3, 3), 1, 6, "cac4fd5c5fd32b2d22b57fe76e249678741ca806582901f7db6554539fc4b8b7"),
+    ],
+    ids=["D1-Z5xZ5", "D1-Z3xZ9", "D1-Z3xZ3"],
+)
+def test_davenport_certificates_are_pinned(moduli, m, cap, sha256) -> None:
+    # recorded when the search reduced by units only: a larger search group
+    # must not move a witness or a byte
+    out = theorems.computed_dav(moduli, m, cap)
+    cert = build_certificate(search.KIND_DAV, make_ring(moduli), m, None, out)
+    assert hashlib.sha256(dumps(cert).encode()).hexdigest() == sha256
+
+
 def test_tampered_value_rejected() -> None:
     cert = _egz_cert((3,), 2, 3)
     bad = json.loads(dumps(cert))

@@ -23,6 +23,7 @@ from egz.rings import (
     power,
     scalar_index_table,
     scalar_mul,
+    symmetry_index_perms,
     unit_index_perms,
     units,
 )
@@ -109,6 +110,48 @@ def test_units_and_perms() -> None:
     ulist = units(ring24)
     assert all(u[0] == 1 and u[1] % 2 == 1 for u in ulist)
     assert len(ulist) == 2
+
+
+@pytest.mark.parametrize(
+    "moduli, additive, order",
+    [
+        ((5, 5), True, 480),  # GL_2(F_5)
+        ((5, 5), False, 32),  # units and the coordinate swap
+        ((7, 7), True, 2016),  # GL_2(F_7)
+        ((2, 2, 2), True, 168),  # GL_3(F_2)
+        ((2, 2, 2, 2), True, 24),  # GL_4(F_2) is past the budget: S_4
+        ((2,) * 6, False, 720),  # S_6
+        ((3, 9), True, 108),  # Aut(Z_3 x Z_9)
+        ((2, 4), True, 8),
+        ((8,), True, 4),  # cyclic rings keep their units
+        ((2, 3), True, 2),
+    ],
+)
+def test_symmetry_group_orders(moduli, additive, order) -> None:
+    ring = make_ring(moduli)
+    group = symmetry_index_perms(ring, additive)
+    assert len(group) == len(set(group)) == order
+    assert group[0] == tuple(range(ring.cardinality))
+    assert set(unit_index_perms(ring)) <= set(group)
+
+
+@pytest.mark.parametrize(
+    "moduli", [(2, 2), (2, 4), (3, 3), (4, 4), (3, 9), (2, 2, 2), (2, 2, 4), (5, 5)]
+)
+def test_symmetry_perms_respect_the_ring(moduli) -> None:
+    # every map of the additive group is an additive automorphism, so it
+    # keeps zero sums; every map of the ring group is h = u * s with s a ring
+    # automorphism, so h(ab) h(1) = h(a) h(b) and zero e_m values stay zero
+    ring = make_ring(moduli)
+    add_t, mul_t = add_index_table(ring), mul_index_table(ring)
+    one = element_index(ring, ring.one)
+    pairs = list(itertools.product(range(ring.cardinality), repeat=2))
+    for p in symmetry_index_perms(ring, True):
+        assert sorted(p) == list(range(ring.cardinality))
+        assert all(p[add_t[a][b]] == add_t[p[a]][p[b]] for a, b in pairs)
+    for p in symmetry_index_perms(ring, False):
+        assert all(p[add_t[a][b]] == add_t[p[a]][p[b]] for a, b in pairs)
+        assert all(mul_t[p[mul_t[a][b]]][p[one]] == mul_t[p[a]][p[b]] for a, b in pairs)
 
 
 def test_format_elem() -> None:

@@ -7,10 +7,12 @@ import math
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from egz import numtheory, search
 from egz.multiset import MultisetSeq, canonical_mult, orbit_perms
-from egz.rings import make_ring, unit_index_perms
+from egz.rings import make_ring, symmetry_index_perms, unit_index_perms
 from egz.search import (
     KIND_DAV,
     KIND_EGZ,
@@ -124,19 +126,49 @@ def test_downward_closure_exhaustive(moduli) -> None:
                             assert is_counterexample_dav(sub, m)
 
 
-@pytest.mark.parametrize("moduli", [(2,), (3,), (4,), (2, 2)])
+@pytest.mark.parametrize(
+    "moduli", [(2,), (3,), (4,), (2, 2), (2, 2, 2), (3, 3), (2, 4), (2, 2, 2, 2)]
+)
 def test_frontier_matches_direct(moduli) -> None:
+    # the frontier reduces by symmetry_index_perms (GL_3(F_2) on Z_2^3 at
+    # m = 1), the direct search by units only: same lengths and witnesses.
+    # Z_2^4 has one unit, so each direct search there takes about a second:
+    # it runs to cap 5 with t = m + 1 only.
     ring = make_ring(moduli)
+    cap, t_offsets = (5, (1,)) if ring.cardinality == 16 else (7, (0, 1, 2))
     for m in (1, 2):
-        for t in range(m, m + 3):
-            frontier = max_counterexample_length(KIND_EGZ, ring, m, 7, t=t)
+        for t in (m + k for k in t_offsets):
+            frontier = max_counterexample_length(KIND_EGZ, ring, m, cap, t=t)
             direct = max_counterexample_length(
-                KIND_EGZ, ring, m, 7, t=t, method="direct"
+                KIND_EGZ, ring, m, cap, t=t, method="direct"
             )
             assert frontier == direct
-        frontier = max_counterexample_length(KIND_DAV, ring, m, 7)
-        direct = max_counterexample_length(KIND_DAV, ring, m, 7, method="direct")
+        frontier = max_counterexample_length(KIND_DAV, ring, m, cap)
+        direct = max_counterexample_length(KIND_DAV, ring, m, cap, method="direct")
         assert frontier == direct
+
+
+_SYMMETRY_RINGS = [(2, 2), (2, 4), (3, 3), (4, 4), (2, 2, 2), (3, 9), (5, 5), (2, 2, 4)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_counterexample_status_is_invariant_under_the_search_group(data) -> None:
+    ring = make_ring(data.draw(st.sampled_from(_SYMMETRY_RINGS)))
+    m = data.draw(st.integers(1, 3))
+    group = symmetry_index_perms(ring, m == 1)
+    perm = data.draw(st.sampled_from(group))
+    card = ring.cardinality
+    support = data.draw(st.lists(st.integers(0, card - 1), min_size=1, max_size=4))
+    counts = data.draw(st.lists(st.integers(1, 4), min_size=len(support), max_size=len(support)))
+    mult = [0] * card
+    for i, c in zip(support, counts):
+        mult[i] += c
+    mseq = MultisetSeq(ring, tuple(mult))
+    image = MultisetSeq(ring, tuple(mult[perm[i]] for i in range(card)))
+    assert is_counterexample_dav(image, m) == is_counterexample_dav(mseq, m)
+    t = data.draw(st.integers(m, max(m, mseq.length)))
+    assert is_counterexample_egz(image, t, m) == is_counterexample_egz(mseq, t, m)
 
 
 def test_unit_orbit_soundness() -> None:
@@ -375,19 +407,26 @@ def test_davenport_without_cap_raises() -> None:
         (KIND_DAV, (3, 3), 1, None, 6),
         (KIND_EGZ, (2, 2, 2), 2, 8, 14),
         (KIND_DAV, (5, 5), 1, None, 6),
+        (KIND_DAV, (2, 2, 2), 1, None, 5),
+        (KIND_DAV, (3, 9), 1, None, 5),
+        (KIND_EGZ, (3, 3), 1, 3, 7),
+        (KIND_DAV, (4, 4), 2, None, 7),
     ],
 )
 def test_array_step_matches_tuple_step(kind, moduli, m, t, cap) -> None:
     # every level of the search, seed levels included, built both ways
-    engine = search._engine(make_ring(moduli))
-    kit = engine.rows(cap)
+    # under the search's group
+    ring = make_ring(moduli)
+    engine = search._engine(ring)
+    sym = symmetry_index_perms(ring, m == 1)
+    kit = engine.rows(cap, sym)
     seed = t if kind == KIND_EGZ else m - 1
     frontier = {(0,) * engine.card}
     for level in range(1, cap + 1):
         closed = level > seed
         em_m = m if (kind == KIND_DAV and closed) or level == t else None
         expect = search._step_tuples(
-            engine, frontier, frontier if closed else None, em_m
+            engine, frontier, frontier if closed else None, em_m, sym
         )
         rows = kit.from_tuples(frontier)
         got = kit.step(rows, kit.orbit_keys(rows) if closed else None, em_m)
@@ -404,8 +443,10 @@ def test_array_step_matches_tuple_step(kind, moduli, m, t, cap) -> None:
 def test_row_keys_follow_tuple_order(moduli, cap) -> None:
     import numpy as np
 
-    engine = search._engine(make_ring(moduli))
-    kit = engine.rows(cap)
+    ring = make_ring(moduli)
+    engine = search._engine(ring)
+    sym = symmetry_index_perms(ring, True)
+    kit = engine.rows(cap, sym)
     top = np.iinfo(kit.dtype).max
     rng = np.random.default_rng(cap)
     vals = rng.integers(0, 4, size=(400, engine.card))
@@ -418,9 +459,13 @@ def test_row_keys_follow_tuple_order(moduli, cap) -> None:
     assert [tuples[i] for i in order] == sorted(tuples)
     uniq = kit.unique(rows)
     assert [tuple(r) for r in uniq[:, : engine.card].tolist()] == sorted(set(tuples))
-    canon = kit.canonical(rows)
+    canon = kit.canonical(rows, kit.unit_perm)
     assert [tuple(r) for r in canon[:, : engine.card].tolist()] == [
-        canonical_mult(tp, engine.perms) for tp in tuples
+        canonical_mult(tp, orbit_perms(ring)) for tp in tuples
+    ]
+    canon = kit.canonical(rows, kit.perm)
+    assert [tuple(r) for r in canon[:, : engine.card].tolist()] == [
+        canonical_mult(tp, sym) for tp in tuples
     ]
 
 
@@ -431,8 +476,9 @@ def test_row_keys_follow_tuple_order(moduli, cap) -> None:
 def test_array_em_matches_engine(moduli, m, cap) -> None:
     import numpy as np
 
-    engine = search._engine(make_ring(moduli))
-    kit = engine.rows(cap)
+    ring = make_ring(moduli)
+    engine = search._engine(ring)
+    kit = engine.rows(cap, symmetry_index_perms(ring, False))
     rng = np.random.default_rng(m * cap)
     vals = rng.integers(0, cap + 1, size=(300, engine.card))
     vals[rng.random(vals.shape) < 0.5] = 0  # sparse rows, multiplicities above the exponent
