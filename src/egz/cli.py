@@ -314,6 +314,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_ERROR
+    except MemoryError as exc:  # numpy's _ArrayMemoryError too
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
+        return _EXIT_ERROR
 
 
 if __name__ == "__main__":

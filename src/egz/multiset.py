@@ -21,7 +21,7 @@ from . import rings
 from .rings import Elem, RingSpec
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=rings.CACHED_RINGS)
 def orbit_perms(ring: RingSpec) -> tuple[tuple[int, ...], ...]:
     """Index permutations of the units other than the identity."""
     ident = tuple(range(ring.cardinality))

@@ -97,13 +97,18 @@ def scalar_mul(ring: RingSpec, s: int, a: Elem) -> Elem:
     return tuple((s * x) % n for x, n in zip(a, ring.moduli))
 
 
-@lru_cache(maxsize=None)
+# How many rings each table cache below holds: more than a batch of queries
+# touches, and a bound on what library use over many rings keeps alive.
+CACHED_RINGS = 32
+
+
+@lru_cache(maxsize=CACHED_RINGS)
 def elements(ring: RingSpec) -> tuple[Elem, ...]:
     """All ring elements in the fixed lexicographic order."""
     return tuple(itertools.product(*(range(n) for n in ring.moduli)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHED_RINGS)
 def _index_map(ring: RingSpec) -> dict[Elem, int]:
     return {e: i for i, e in enumerate(elements(ring))}
 
@@ -129,7 +134,7 @@ def is_unit(ring: RingSpec, a: Elem) -> bool:
     return all(math.gcd(x, n) == 1 for x, n in zip(a, ring.moduli))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHED_RINGS)
 def units(ring: RingSpec) -> tuple[Elem, ...]:
     """All invertible elements, in enumeration order."""
     return tuple(e for e in elements(ring) if is_unit(ring, e))
@@ -138,7 +143,7 @@ def units(ring: RingSpec) -> tuple[Elem, ...]:
 # Index-space tables used by the search engine. The search refuses rings
 # above search.MAX_CARDINALITY elements, so full tables stay cheap.
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHED_RINGS)
 def add_index_table(ring: RingSpec) -> tuple[tuple[int, ...], ...]:
     elems = elements(ring)
     idx = _index_map(ring)
@@ -147,7 +152,7 @@ def add_index_table(ring: RingSpec) -> tuple[tuple[int, ...], ...]:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHED_RINGS)
 def mul_index_table(ring: RingSpec) -> tuple[tuple[int, ...], ...]:
     elems = elements(ring)
     idx = _index_map(ring)
@@ -156,7 +161,7 @@ def mul_index_table(ring: RingSpec) -> tuple[tuple[int, ...], ...]:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHED_RINGS)
 def scalar_index_table(ring: RingSpec) -> tuple[tuple[int, ...], ...]:
     """Row s (0 <= s < exponent) maps element index to the index of s*element."""
     elems = elements(ring)
@@ -167,7 +172,7 @@ def scalar_index_table(ring: RingSpec) -> tuple[tuple[int, ...], ...]:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHED_RINGS)
 def unit_index_perms(ring: RingSpec) -> tuple[tuple[int, ...], ...]:
     """Index permutations induced by multiplication with each unit."""
     mt = mul_index_table(ring)
@@ -200,7 +205,7 @@ def _closure(ident: tuple[int, ...], gens: list[tuple[int, ...]], limit: int):
     return tuple(sorted(seen))
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=CACHED_RINGS)
 def symmetry_index_perms(ring: RingSpec, additive: bool) -> tuple[tuple[int, ...], ...]:
     """Index permutations of a group H whose maps keep every zero-e_m
     sub-multiset zero, sorted (identity first).

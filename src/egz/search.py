@@ -48,27 +48,30 @@ when a bound B applies, the search runs through level B so that exactness
 never rests on the bound itself.
 
 A level step has two implementations with the same output, and both run in
-the same order: unit-canonicalize and dedupe the one-element extensions,
-keep those whose one-element removals all lie in the previous level's
-H-orbits and (Davenport kind, and the EGZ seed) whose e_m is nonzero, and
-only then map the survivors to their H-representatives and dedupe again.
-Canonicalizing every candidate under H instead costs |H| images per
-candidate, most of which the closure test then rejects; when H is the unit
-group the last pass is skipped. The tuple step (_step_tuples) does this in
-Python on sets of tuples; it serves levels whose estimated Python cost,
+the same order: dedupe the raw one-element extensions of the stored
+representatives, keep those whose one-element removals all lie in the
+previous level's H-orbits and (Davenport kind, and the EGZ seed) whose e_m
+is nonzero, and only then map the survivors to their H-representatives and
+dedupe again. Both tests are H-invariant, and no orbit is missed: if X is a
+counterexample of length L+1 and a is in X, then X - a lies in h(R) for a
+stored R and some h in H, so h^-1(X) = R + h^-1(a) extends R. Canonicalizing
+every candidate first would cost |H| images per candidate, most of which the
+closure test then rejects. The tuple step (_step_tuples) does this in Python
+on sets of tuples; it serves levels whose estimated Python cost,
 _tuple_cost, is below _SMALL_LEVEL (_SMALL_EM_LEVEL when e_m is tested),
 where numpy's fixed cost per call would dominate. The array step
 (_Rows.step) keeps the level as an (N, width) unsigned array and works in
 blocks (_Rows.block_rows: at most _BLOCK_ROWS rows and _BLOCK_BYTES of
-gathered images): it makes all N * |G| extensions at once, canonicalizes
-rows by gathering every image and taking the least big-endian 8-byte word
-sequence, dedupes by sorting row keys, looks every one-element removal up
-with np.searchsorted in the sorted keys of the previous level's full
-H-orbits (no per-removal canonical form), and evaluates e_m only on the rows
-left through index tables. A row key is the row's bytes, compared by memcmp;
-that equals tuple order because entries are stored most significant byte
-first (uint8 up to a cap of 255, big-endian uint16 or uint32 above), so each
-array level is sorted and its row 0 is the lex-least class.
+gathered images): it makes all N * |G| extensions at once, dedupes by
+sorting row keys, looks every one-element removal up with np.searchsorted in
+the sorted keys of the previous level's full H-orbits (no per-removal
+canonical form), evaluates e_m only on the rows left through index tables,
+and canonicalizes the survivors by gathering every image and taking the
+least big-endian 8-byte word sequence. A row key is the row's bytes,
+compared by memcmp; that equals tuple order because entries are stored most
+significant byte first (uint8 up to a cap of 255, big-endian uint16 or
+uint32 above), so each array level is sorted and its row 0 is the lex-least
+class.
 
 The independent full testers (is_counterexample_*) re-enumerate sub-multiset
 multiplicity vectors with a truncated generating product per vector. They
@@ -130,7 +133,7 @@ class _Engine:
     """Per-ring index-space arithmetic: tables and truncated polys."""
 
     __slots__ = (
-        "ring", "card", "add_t", "mul_t", "scal_t", "units", "one_idx",
+        "ring", "card", "add_t", "mul_t", "scal_t", "one_idx",
         "exponent", "_factor_cache", "_ident_cache", "_rows", "_getters",
     )
 
@@ -142,15 +145,14 @@ class _Engine:
         self.scal_t = rings.scalar_index_table(ring)
         self.exponent = ring.exponent
         self.one_idx = rings.element_index(ring, ring.one)
-        self.units = rings.unit_index_perms(ring)
         self._factor_cache: dict[tuple[int, int, int], tuple[int, ...]] = {}
         self._ident_cache: dict[int, tuple[int, ...]] = {}
         self._rows: dict[tuple[str, int], _Rows] = {}
         self._getters: dict[int, list] = {}
 
     def images(self, group) -> list:
-        """One itemgetter per permutation of group (a unit or symmetry group
-        of this ring): g(mult) is an image of the tuple mult."""
+        """One itemgetter per permutation of group (a symmetry group of this
+        ring): g(mult) is an image of the tuple mult."""
         # the candidate groups of a ring are nested, so the order names one
         got = self._getters.get(len(group))
         if got is None:
@@ -242,14 +244,14 @@ class _Rows:
     search cap. Its key is the row's bytes as one void scalar. Entries are
     stored most significant byte first and the padding is the same in every
     row, so memcmp order on keys (what np.sort and np.searchsorted use)
-    equals tuple order on the vectors, and lex-least over a unit orbit is
+    equals tuple order on the vectors, and lex-least over an orbit is
     the least big-endian word sequence. A one-word row is keyed by that word
     as a native uint64 instead: same order, and numpy sorts integers far
     faster than voids.
     """
 
     __slots__ = (
-        "engine", "card", "dtype", "width", "key_dtype", "unit_perm", "perm",
+        "engine", "card", "dtype", "width", "key_dtype", "perm",
         "eye", "_key_view", "_idx_dtype", "_arith", "_fac",
     )
 
@@ -262,11 +264,7 @@ class _Rows:
         self._key_view = np.dtype(">u8" if words == 1 else f"V{words * 8}")
         self.key_dtype = np.dtype(np.uint64) if words == 1 else self._key_view
         pad = list(range(card, width))  # padding columns map to themselves
-        self.unit_perm = np.array([list(p) + pad for p in engine.units], dtype=np.intp)
-        if len(sym) == len(engine.units):
-            self.perm = self.unit_perm
-        else:
-            self.perm = np.array([list(p) + pad for p in sym], dtype=np.intp)
+        self.perm = np.array([list(p) + pad for p in sym], dtype=np.intp)
         self.eye = np.eye(card, width, dtype=dtype)
         self._idx_dtype = np.min_scalar_type(card - 1)  # element indices
         self._arith = None
@@ -288,7 +286,9 @@ class _Rows:
 
     def unique(self, rows: np.ndarray) -> np.ndarray:
         """Distinct rows in tuple order."""
-        k = np.sort(self.keys(rows))
+        k = self.keys(rows)
+        k = k.copy() if np.may_share_memory(k, rows) else k  # void keys view rows
+        k.sort()  # in place: one copy of the keys, not two
         k = k[np.concatenate(([True], k[1:] != k[:-1]))] if len(k) else k
         raw = k.astype(self._key_view, copy=False)
         return raw.view(self.dtype).reshape(-1, self.width)
@@ -380,13 +380,10 @@ class _Rows:
     def step(self, rows: np.ndarray, prev_keys: np.ndarray | None, em_m: int | None):
         """The array level step: as _step_tuples, on sorted distinct rows;
         prev_keys are the previous level's orbit_keys."""
-        upr = self.unit_perm
-        per = max(1, self.block_rows(upr) // self.card)
-        found = [
-            self.unique(self.canonical(self.extend(rows[lo : lo + per]), upr))
-            for lo in range(0, len(rows), per)
-        ]
-        cands = self.unique(np.concatenate(found))
+        per = max(1, _BLOCK_ROWS // self.card)
+        cands = self.unique(np.concatenate([
+            self.unique(self.extend(rows[lo : lo + per])) for lo in range(0, len(rows), per)
+        ]))
         out = []
         for lo in range(0, len(cands), _BLOCK_ROWS):
             block = cands[lo : lo + _BLOCK_ROWS]
@@ -396,8 +393,6 @@ class _Rows:
                 block = block[self.em(block, em_m) != 0]
             out.append(block)
         out = np.concatenate(out)
-        if self.perm is upr:
-            return out
         per = self.block_rows(self.perm)
         return self.unique(np.concatenate([
             self.canonical(out[lo : lo + per], self.perm) for lo in range(0, len(out), per)
@@ -551,7 +546,6 @@ def _step_tuples(engine: _Engine, members, prev: set | None, em_m: int | None, s
     if its own e_m value is nonzero.
     """
     card = engine.card
-    units = engine.images(engine.units)
     group = engine.images(sym)
     em = engine.em_of_mult
     orbits = None
@@ -565,13 +559,12 @@ def _step_tuples(engine: _Engine, members, prev: set | None, em_m: int | None, s
             base[g] += 1
             cand = tuple(base)
             base[g] -= 1
-            canon = min(img(cand) for img in units)
-            if canon in seen:
+            if cand in seen:
                 continue
-            seen.add(canon)
+            seen.add(cand)
             ok = True
             if orbits is not None:
-                # the removal at g is the parent itself, already known
+                # the removal at g is the parent, a stored representative
                 lst = list(cand)
                 for i, c in enumerate(cand):
                     if c == 0 or i == g:
@@ -584,9 +577,7 @@ def _step_tuples(engine: _Engine, members, prev: set | None, em_m: int | None, s
             if ok and em_m is not None and em(cand, em_m) == 0:
                 ok = False
             if ok:
-                out.add(canon)
-    if group is units:
-        return out
+                out.add(cand)
     reps: set[tuple[int, ...]] = set()
     covered: set[tuple[int, ...]] = set()
     for mult in out:  # one orbit per new representative
@@ -597,15 +588,14 @@ def _step_tuples(engine: _Engine, members, prev: set | None, em_m: int | None, s
     return reps
 
 
-def _tuple_cost(n: int, card: int, units: int, group: int) -> int:
+def _tuple_cost(n: int, card: int, group: int) -> int:
     """Estimated Python work of _step_tuples on n members, in candidates:
-    n * card of them, each reduced over the units, plus the orbits of prev
-    and of the survivors, about n * group images of card entries. The
-    weight of an image against a candidate, and the two cutoffs, were fitted
-    to timings of both steps on every level of the small searches of
-    perfbench's batch-small and oracle pools (Z_2 to Z_8, Z_2^2, Z_2^3,
-    Z_2xZ_4 and Z_3^2, m <= 3) and checked on D_1(Z_5^2)."""
-    return n * card + (n * card * group) // (8 * units)
+    n * card of them, plus the orbits of prev and of the survivors, about
+    n * group images. The weight of an image against a candidate, and the
+    two cutoffs, were fitted to timings of both steps on every level of the
+    small searches of perfbench's batch-small and oracle pools (Z_2 to Z_8,
+    Z_2^2, Z_2^3, Z_2xZ_4 and Z_3^2, m <= 3) and checked on D_1(Z_5^2)."""
+    return n * card + n * group // 8
 
 
 def _advance(engine: _Engine, frontier, closed: bool, em_m, cap: int, sym):
@@ -616,7 +606,7 @@ def _advance(engine: _Engine, frontier, closed: bool, em_m, cap: int, sym):
     e_m != 0 test. Small levels take the tuple step and return a set; the
     others take the array step.
     """
-    cost = _tuple_cost(len(frontier), engine.card, len(engine.units), len(sym))
+    cost = _tuple_cost(len(frontier), engine.card, len(sym))
     if cost < (_SMALL_LEVEL if em_m is None else _SMALL_EM_LEVEL):
         if isinstance(frontier, np.ndarray):
             frontier = engine.rows(cap, sym).to_tuples(frontier)

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from egz import brink, certificates, rings
+from egz import brink, certificates, rings, search
 from egz.cli import main
 
 
@@ -241,4 +241,17 @@ def test_ring_too_large_fails_before_tables(capsys, monkeypatch) -> None:
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and "289 elements" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_out_of_memory_is_one_line_exit_1(capsys, monkeypatch) -> None:
+    # numpy's allocation failure (_ArrayMemoryError) is a MemoryError
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 473. MiB for an array with shape (7742160,)")
+
+    monkeypatch.setattr(search, "max_counterexample_length", no_memory)
+    code, out, err = run(capsys, "davenport", "--ring", "2x2x2", "--m", "1", "--cap", "7")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: out of memory: Unable to allocate 473. MiB")
     assert len(err.splitlines()) == 1

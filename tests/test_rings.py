@@ -154,6 +154,24 @@ def test_symmetry_perms_respect_the_ring(moduli) -> None:
         assert all(mul_t[p[mul_t[a][b]]][p[one]] == mul_t[p[a]][p[b]] for a, b in pairs)
 
 
+def test_ring_caches_stay_bounded() -> None:
+    # library use over many rings must not grow the table caches without limit
+    from egz import multiset, rings
+
+    tables = [
+        rings.elements, rings._index_map, rings.units, rings.add_index_table,
+        rings.mul_index_table, rings.scalar_index_table, rings.unit_index_perms,
+        multiset.orbit_perms,
+    ]
+    for n in range(2, 42):
+        ring = make_ring((n,))
+        for fn in tables:
+            fn(ring)
+        rings.symmetry_index_perms(ring, True)
+    for fn in tables + [rings.symmetry_index_perms]:
+        assert fn.cache_info().currsize <= 32, fn.__name__
+
+
 def test_format_elem() -> None:
     assert format_elem(make_ring((9,)), (4,)) == "4"
     assert format_elem(make_ring((2, 4)), (1, 3)) == "(1,3)"

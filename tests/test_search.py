@@ -148,6 +148,32 @@ def test_frontier_matches_direct(moduli) -> None:
         assert frontier == direct
 
 
+@pytest.mark.parametrize(
+    "kind, moduli, m, t, cap, sizes",
+    [
+        (KIND_EGZ, (9,), 2, 9, None, [3631, 4514, 3345, 1267, 348, 88, 27, 10]),
+        (KIND_DAV, (5, 5), 1, None, 9, [1, 1, 3, 8, 28, 74, 107, 69, 18]),
+        (KIND_DAV, (3, 9), 1, None, 11, [1, 3, 13, 49, 186, 534, 819, 513, 288, 127, 43]),
+        (KIND_EGZ, (2, 2, 2), 2, 8, None, [1127, 1472, 1355, 933, 398, 110]),
+    ],
+    ids=["E9-Z9-2", "D1-Z5xZ5", "D1-Z3xZ9", "E8-Z2^3-2"],
+)
+def test_frontier_sizes_are_pinned(kind, moduli, m, t, cap, sizes) -> None:
+    # classes per level (one per orbit of the search group), from the seed
+    # level on: a change to the level step must keep the same orbits
+    ring = make_ring(moduli)
+    seen = []
+
+    def progress(level, size):
+        seen.append(size)
+
+    if kind == KIND_EGZ:
+        egz_constant(ring, m, t, cap=cap, progress=progress)
+    else:
+        davenport_m(ring, m, cap=cap, progress=progress)
+    assert seen == sizes
+
+
 _SYMMETRY_RINGS = [(2, 2), (2, 4), (3, 3), (4, 4), (2, 2, 2), (3, 9), (5, 5), (2, 2, 4)]
 
 
@@ -459,7 +485,8 @@ def test_row_keys_follow_tuple_order(moduli, cap) -> None:
     assert [tuples[i] for i in order] == sorted(tuples)
     uniq = kit.unique(rows)
     assert [tuple(r) for r in uniq[:, : engine.card].tolist()] == sorted(set(tuples))
-    canon = kit.canonical(rows, kit.unit_perm)
+    units = engine.rows(cap, unit_index_perms(ring))
+    canon = units.canonical(rows, units.perm)
     assert [tuple(r) for r in canon[:, : engine.card].tolist()] == [
         canonical_mult(tp, orbit_perms(ring)) for tp in tuples
     ]
