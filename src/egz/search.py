@@ -67,11 +67,10 @@ sorting row keys, looks every one-element removal up with np.searchsorted in
 the sorted keys of the previous level's full H-orbits (no per-removal
 canonical form), evaluates e_m only on the rows left through index tables,
 and canonicalizes the survivors by gathering every image and taking the
-least big-endian 8-byte word sequence. A row key is the row's bytes,
-compared by memcmp; that equals tuple order because entries are stored most
-significant byte first (uint8 up to a cap of 255, big-endian uint16 or
-uint32 above), so each array level is sorted and its row 0 is the lex-least
-class.
+least big-endian 8-byte word sequence. A row holds one uint8 per element, so
+a row key, the row's bytes compared by memcmp, follows tuple order; each
+array level is sorted and its row 0 is the lex-least class. Levels from 255
+on, whose extensions could hold a multiplicity past 255, take the tuple step.
 
 The independent full testers (is_counterexample_*) re-enumerate sub-multiset
 multiplicity vectors with a truncated generating product per vector. They
@@ -134,7 +133,7 @@ class _Engine:
 
     __slots__ = (
         "ring", "card", "add_t", "mul_t", "scal_t", "one_idx",
-        "exponent", "_factor_cache", "_ident_cache", "_rows", "_getters",
+        "exponent", "_factor_cache", "_ident_cache", "_kits",
     )
 
     def __init__(self, ring: RingSpec) -> None:
@@ -147,17 +146,7 @@ class _Engine:
         self.one_idx = rings.element_index(ring, ring.one)
         self._factor_cache: dict[tuple[int, int, int], tuple[int, ...]] = {}
         self._ident_cache: dict[int, tuple[int, ...]] = {}
-        self._rows: dict[tuple[str, int], _Rows] = {}
-        self._getters: dict[int, list] = {}
-
-    def images(self, group) -> list:
-        """One itemgetter per permutation of group (a symmetry group of this
-        ring): g(mult) is an image of the tuple mult."""
-        # the candidate groups of a ring are nested, so the order names one
-        got = self._getters.get(len(group))
-        if got is None:
-            got = self._getters[len(group)] = [operator.itemgetter(*p) for p in group]
-        return got
+        self._kits: dict[bool, _Rows] = {}
 
     def identity_poly(self, m: int) -> tuple[int, ...]:
         poly = self._ident_cache.get(m)
@@ -210,16 +199,13 @@ class _Engine:
     def em_of_mult(self, mult, m: int) -> int:
         return self.em_coeffs(mult, m)[m]
 
-    def rows(self, cap: int, sym) -> "_Rows":
-        """The array kernel whose row dtype holds multiplicities up to cap,
-        reducing by the group sym (rings.symmetry_index_perms)."""
-        if cap > 0xFFFFFFFF:
-            raise ValueError(f"cap {cap} exceeds the array search limit 2**32 - 1")
-        dtype = np.dtype(">u1" if cap <= 0xFF else ">u2" if cap <= 0xFFFF else ">u4")
-        key = (dtype.str, len(sym))  # the order names the group, as in images
-        kit = self._rows.get(key)
+    def kit(self, additive: bool) -> "_Rows":
+        """The level-step kit reducing by rings.symmetry_index_perms(ring,
+        additive)."""
+        kit = self._kits.get(additive)
         if kit is None:
-            kit = self._rows[key] = _Rows(self, dtype, sym)
+            sym = rings.symmetry_index_perms(self.ring, additive)
+            kit = self._kits[additive] = _Rows(self, sym)
         return kit
 
 
@@ -234,46 +220,47 @@ _BLOCK_BYTES = 1 << 21
 # that test e_m stay on tuples longer.
 _SMALL_LEVEL = 96
 _SMALL_EM_LEVEL = 256
+# Largest multiplicity of a uint8 row. A level's extensions are one longer
+# than the level, so levels from _ROW_MAX on take the tuple step.
+_ROW_MAX = 0xFF
 
 
 class _Rows:
-    """Array form of the level step for one ring and one row dtype.
+    """The level step's kit for one ring and one symmetry group H: H as
+    itemgetters for the tuple step, and the array form of the step.
 
-    A row is a multiplicity vector, zero-padded to whole 8-byte words, in
-    the narrowest of uint8 and big-endian uint16 or uint32 that holds the
-    search cap. Its key is the row's bytes as one void scalar. Entries are
-    stored most significant byte first and the padding is the same in every
-    row, so memcmp order on keys (what np.sort and np.searchsorted use)
-    equals tuple order on the vectors, and lex-least over an orbit is
-    the least big-endian word sequence. A one-word row is keyed by that word
-    as a native uint64 instead: same order, and numpy sorts integers far
-    faster than voids.
+    A row is a multiplicity vector in uint8, zero-padded to whole 8-byte
+    words. Its key is the row's bytes as one void scalar. The padding is the
+    same in every row, so memcmp order on keys (what np.sort and
+    np.searchsorted use) equals tuple order on the vectors, and lex-least
+    over an orbit is the least big-endian word sequence. A one-word row is
+    keyed by that word as a native uint64 instead: same order, and numpy
+    sorts integers far faster than voids.
     """
 
     __slots__ = (
-        "engine", "card", "dtype", "width", "key_dtype", "perm",
+        "engine", "card", "width", "key_dtype", "images", "perm",
         "eye", "_key_view", "_idx_dtype", "_arith", "_fac",
     )
 
-    def __init__(self, engine: _Engine, dtype: np.dtype, sym) -> None:
+    def __init__(self, engine: _Engine, sym) -> None:
         self.engine = engine
         self.card = card = engine.card
-        self.dtype = dtype
-        words = -(-card * dtype.itemsize // 8)
-        self.width = width = words * 8 // dtype.itemsize
-        self._key_view = np.dtype(">u8" if words == 1 else f"V{words * 8}")
-        self.key_dtype = np.dtype(np.uint64) if words == 1 else self._key_view
+        self.width = width = -(-card // 8) * 8
+        self._key_view = np.dtype(">u8" if width == 8 else f"V{width}")
+        self.key_dtype = np.dtype(np.uint64) if width == 8 else self._key_view
+        self.images = [operator.itemgetter(*p) for p in sym]  # img(mult) is an image
         pad = list(range(card, width))  # padding columns map to themselves
         self.perm = np.array([list(p) + pad for p in sym], dtype=np.intp)
-        self.eye = np.eye(card, width, dtype=dtype)
+        self.eye = np.eye(card, width, dtype=np.uint8)
         self._idx_dtype = np.min_scalar_type(card - 1)  # element indices
         self._arith = None
         self._fac: dict[int, np.ndarray] = {}
 
     def from_tuples(self, members) -> np.ndarray:
         vals = np.array(list(members), dtype=np.int64).reshape(-1, self.card)
-        assert vals.max(initial=0) <= np.iinfo(self.dtype).max, "row dtype too narrow"
-        rows = np.zeros((len(vals), self.width), self.dtype)
+        assert vals.max(initial=0) <= _ROW_MAX, "multiplicity past a uint8 row"
+        rows = np.zeros((len(vals), self.width), np.uint8)
         rows[:, : self.card] = vals
         return rows
 
@@ -291,16 +278,15 @@ class _Rows:
         k.sort()  # in place: one copy of the keys, not two
         k = k[np.concatenate(([True], k[1:] != k[:-1]))] if len(k) else k
         raw = k.astype(self._key_view, copy=False)
-        return raw.view(self.dtype).reshape(-1, self.width)
+        return raw.view(np.uint8).reshape(-1, self.width)
 
     def extend(self, rows: np.ndarray) -> np.ndarray:
         """All len(rows) * card one-element extensions, parent-major."""
-        out = rows[:, None, :] + self.eye
-        return out.reshape(-1, self.width).astype(self.dtype, copy=False)
+        return (rows[:, None, :] + self.eye).reshape(-1, self.width)
 
     def block_rows(self, perm: np.ndarray) -> int:
         """Rows per block whose gather under perm fits _BLOCK_BYTES."""
-        size = len(perm) * self.width * self.dtype.itemsize
+        size = len(perm) * self.width
         return max(1, min(_BLOCK_ROWS, _BLOCK_BYTES // size))
 
     def canonical(self, rows: np.ndarray, perm: np.ndarray) -> np.ndarray:
@@ -537,17 +523,17 @@ def _all_canonical(ring: RingSpec, length: int) -> set[tuple[int, ...]]:
     return out
 
 
-def _step_tuples(engine: _Engine, members, prev: set | None, em_m: int | None, sym):
+def _step_tuples(kit: _Rows, members, prev: set | None, em_m: int | None):
     """The tuple level step: one-element extensions of members, reduced to
-    their lex-least images under the group sym.
+    their lex-least images under the kit's group.
 
     With prev given, an extension survives only if every one-element
-    removal is an image under sym of a member of prev; with em_m given, only
-    if its own e_m value is nonzero.
+    removal is an image of a member of prev; with em_m given, only if its
+    own e_m value is nonzero.
     """
-    card = engine.card
-    group = engine.images(sym)
-    em = engine.em_of_mult
+    card = kit.card
+    group = kit.images
+    em = kit.engine.em_of_mult
     orbits = None
     if prev is not None:
         orbits = {img(mult) for mult in prev for img in group}
@@ -598,20 +584,20 @@ def _tuple_cost(n: int, card: int, group: int) -> int:
     return n * card + n * group // 8
 
 
-def _advance(engine: _Engine, frontier, closed: bool, em_m, cap: int, sym):
-    """The next level from frontier, a set of tuples or a sorted row array,
-    under the group sym.
+def _advance(kit: _Rows, frontier, level: int, closed: bool, em_m):
+    """The level after frontier, a set of tuples or a sorted row array of
+    multisets of length level, under the kit's group.
 
     closed asks for the closure test against frontier itself; em_m for the
-    e_m != 0 test. Small levels take the tuple step and return a set; the
+    e_m != 0 test. Small levels, and levels whose extensions could hold a
+    multiplicity past a uint8, take the tuple step and return a set; the
     others take the array step.
     """
-    cost = _tuple_cost(len(frontier), engine.card, len(sym))
-    if cost < (_SMALL_LEVEL if em_m is None else _SMALL_EM_LEVEL):
+    cost = _tuple_cost(len(frontier), kit.card, len(kit.images))
+    if level >= _ROW_MAX or cost < (_SMALL_LEVEL if em_m is None else _SMALL_EM_LEVEL):
         if isinstance(frontier, np.ndarray):
-            frontier = engine.rows(cap, sym).to_tuples(frontier)
-        return _step_tuples(engine, frontier, frontier if closed else None, em_m, sym)
-    kit = engine.rows(cap, sym)
+            frontier = kit.to_tuples(frontier)
+        return _step_tuples(kit, frontier, frontier if closed else None, em_m)
     rows = frontier if isinstance(frontier, np.ndarray) else kit.from_tuples(frontier)
     return kit.step(rows, kit.orbit_keys(rows) if closed else None, em_m)
 
@@ -652,16 +638,15 @@ def max_counterexample_length(
     if method != "frontier":
         raise ValueError(f"unknown method {method!r}")
 
-    engine = _engine(ring)
-    sym = rings.symmetry_index_perms(ring, m == 1)
+    kit = _engine(ring).kit(m == 1)
     # Seed levels skip the closure test: every multiset of length <= vacuous
     # is a counterexample, and at the EGZ seed level t exactly those with
     # e_m != 0 are.
     seed = t if kind == KIND_EGZ else vacuous
-    frontier = {(0,) * engine.card}
-    for level in range(1, seed + 1):
-        seed_em = m if level == t else None
-        frontier = _advance(engine, frontier, False, seed_em, cap, sym)
+    frontier = {(0,) * kit.card}
+    for level in range(seed):
+        seed_em = m if level + 1 == t else None
+        frontier = _advance(kit, frontier, level, False, seed_em)
     level = seed
     em_m = m if kind == KIND_DAV else None
     if not len(frontier):
@@ -669,14 +654,14 @@ def max_counterexample_length(
     if progress:
         progress(level, len(frontier))
     while level < cap:
-        nxt = _advance(engine, frontier, True, em_m, cap, sym)
+        nxt = _advance(kit, frontier, level, True, em_m)
         if not len(nxt):
             break
         frontier = nxt
         level += 1
         if progress:
             progress(level, len(frontier))
-    return level, MultisetSeq(ring, _least(frontier, engine.card))
+    return level, MultisetSeq(ring, _least(frontier, kit.card))
 
 
 def _direct_max(ring: RingSpec, kind: str, m: int, cap: int, t: int | None):

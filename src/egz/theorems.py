@@ -37,7 +37,10 @@ from .search import EgzOutcome
 
 # The public wrappers pass every argument positionally, so that one query
 # is one cache entry however its caller spells it (lru_cache keys on the
-# spelling: cap=None and an omitted cap would be two entries).
+# spelling: cap=None and an omitted cap would be two entries). A full
+# check-theorems --tier all makes 457 EGZ and 70 Davenport entries, so
+# COMPUTED_CACHE keeps every hit of the suite and bounds library use.
+COMPUTED_CACHE = 1024
 
 
 def computed_egz(
@@ -50,14 +53,14 @@ def computed_dav(moduli: tuple[int, ...], m: int, cap: int) -> EgzOutcome:
     return _computed_dav(moduli, m, cap)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=COMPUTED_CACHE)
 def _computed_egz(
     moduli: tuple[int, ...], m: int, t: int, cap: int | None
 ) -> EgzOutcome:
     return search.egz_constant(make_ring(moduli), m, t, cap=cap)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=COMPUTED_CACHE)
 def _computed_dav(moduli: tuple[int, ...], m: int, cap: int) -> EgzOutcome:
     return search.davenport_m(make_ring(moduli), m, cap)
 

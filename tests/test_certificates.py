@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from egz import search, theorems
+from egz.cli import main
 from egz.certificates import (
     TOOL_VERSION,
     build_certificate,
@@ -163,6 +164,82 @@ def test_davenport_certificate_has_null_t() -> None:
     bad["query"]["t"] = 3
     ok, _ = verify_certificate(bad)
     assert not ok
+
+
+# (certificate, path to a field, bad value): a query field or witness count
+# that is not an int of the right range, JSON true among them, or a witness
+# that is not an object
+_BAD_FIELDS = [
+    pytest.param("egz", ("query", "m"), "x", id="egz-m-str"),
+    pytest.param("egz", ("query", "m"), 2.0, id="egz-m-float"),
+    pytest.param("egz", ("query", "t"), 2.5, id="egz-t-float"),
+    pytest.param("egz", ("query", "t"), "3", id="egz-t-str"),
+    pytest.param("egz", ("witness", "multiplicities", "0"), True, id="egz-count-true"),
+    pytest.param("egz", ("witness", "multiplicities"), [], id="egz-witness-list"),
+    pytest.param("dav", ("query", "m"), "x", id="dav-m-str"),
+    pytest.param("dav", ("query", "m"), 0, id="dav-m-0"),
+    pytest.param("infinite", ("query", "m"), 0, id="infinite-m-0"),
+    pytest.param("infinite", ("query", "m"), -1, id="infinite-m-negative"),
+    pytest.param("infinite", ("query", "m"), True, id="infinite-m-true"),
+    pytest.param("infinite", ("query", "t"), 8.0, id="infinite-t-float"),
+    pytest.param("infinite", ("witness", "multiplicities", "1"), True, id="infinite-count-true"),
+]
+
+
+def _with_bad_field(base: str, path, value) -> dict:
+    cert = {
+        "egz": lambda: _egz_cert((3,), 2, 3),
+        "dav": lambda: _dav_cert((3,), 2, 10),
+        "infinite": lambda: _egz_cert((10,), 2, 8),
+    }[base]()
+    ok, messages = verify_certificate(cert)
+    assert ok, messages
+    node = cert
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return cert
+
+
+@pytest.mark.parametrize("base, path, value", _BAD_FIELDS)
+def test_malformed_fields_rejected(base, path, value) -> None:
+    cert = _with_bad_field(base, path, value)
+    ok, messages = verify_certificate(cert, recheck_search=True)
+    assert not ok
+    assert messages
+
+
+@pytest.mark.parametrize("base, path, value", _BAD_FIELDS)
+def test_verify_cert_cli_rejects_malformed_fields(
+    base, path, value, capsys, tmp_path
+) -> None:
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(dumps(_with_bad_field(base, path, value)), encoding="utf-8")
+    capsys.readouterr()
+    code = main(["verify-cert", str(cert_path), "--full"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out.splitlines()[-1] == "certificate INVALID"
+    assert err == ""
+
+
+def test_wide_row_certificate_fails_full_recheck() -> None:
+    # D_1(Z_27) = 27; searches with a cap above 255 that ran on big-endian
+    # uint16 rows got multiplicities back byte-swapped and certified this.
+    # The witness 26^2 passes the testers; the re-run search disagrees.
+    cert = {
+        "query": {"kind": "davenport", "ring": [27], "m": 1, "t": None},
+        "outcome": {"kind": "exact", "value": 3},
+        "witness": {"multiplicities": {"26": 2}},
+        "method": "frontier_exhaustive",
+        "cap_used": 256,
+        "tool_version": TOOL_VERSION,
+    }
+    ok, messages = verify_certificate(cert)
+    assert ok, messages
+    ok, messages = verify_certificate(cert, recheck_search=True)
+    assert not ok
+    assert messages[-1] == "re-run found max counterexample length 26, certificate claims 2"
 
 
 def test_full_recheck_detects_wrong_method() -> None:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from egz import numtheory, search
+from egz import bounds, numtheory, search
 from egz.multiset import MultisetSeq, canonical_mult, orbit_perms
 from egz.rings import make_ring, symmetry_index_perms, unit_index_perms
 from egz.search import (
@@ -444,16 +444,13 @@ def test_array_step_matches_tuple_step(kind, moduli, m, t, cap) -> None:
     # under the search's group
     ring = make_ring(moduli)
     engine = search._engine(ring)
-    sym = symmetry_index_perms(ring, m == 1)
-    kit = engine.rows(cap, sym)
+    kit = engine.kit(m == 1)
     seed = t if kind == KIND_EGZ else m - 1
     frontier = {(0,) * engine.card}
     for level in range(1, cap + 1):
         closed = level > seed
         em_m = m if (kind == KIND_DAV and closed) or level == t else None
-        expect = search._step_tuples(
-            engine, frontier, frontier if closed else None, em_m, sym
-        )
+        expect = search._step_tuples(kit, frontier, frontier if closed else None, em_m)
         rows = kit.from_tuples(frontier)
         got = kit.step(rows, kit.orbit_keys(rows) if closed else None, em_m)
         listed = [tuple(r) for r in got[:, : engine.card].tolist()]
@@ -463,52 +460,79 @@ def test_array_step_matches_tuple_step(kind, moduli, m, t, cap) -> None:
         frontier = expect
 
 
-@pytest.mark.parametrize(
-    "moduli, cap", [((8,), 30), ((3, 3), 255), ((2, 4), 400), ((5, 5), 400), ((2, 3), 70000)]
-)
+@pytest.mark.parametrize("moduli, cap", [((8,), 30), ((3, 3), 255)])
 def test_row_keys_follow_tuple_order(moduli, cap) -> None:
     import numpy as np
 
     ring = make_ring(moduli)
     engine = search._engine(ring)
-    sym = symmetry_index_perms(ring, True)
-    kit = engine.rows(cap, sym)
-    top = np.iinfo(kit.dtype).max
+    kit = engine.kit(True)
     rng = np.random.default_rng(cap)
     vals = rng.integers(0, 4, size=(400, engine.card))
-    vals[::7, -1] = rng.integers(0, min(cap, top) + 1, size=len(vals[::7]))
-    if cap > 0xFF:
-        vals[3, 0] = 300
+    vals[::7, -1] = rng.integers(0, cap + 1, size=len(vals[::7]))
     tuples = [tuple(v) for v in vals.tolist()]
     rows = kit.from_tuples(tuples)
     order = np.argsort(kit.keys(rows), kind="stable")
     assert [tuples[i] for i in order] == sorted(tuples)
     uniq = kit.unique(rows)
     assert [tuple(r) for r in uniq[:, : engine.card].tolist()] == sorted(set(tuples))
-    units = engine.rows(cap, unit_index_perms(ring))
+    units = search._Rows(engine, unit_index_perms(ring))
     canon = units.canonical(rows, units.perm)
     assert [tuple(r) for r in canon[:, : engine.card].tolist()] == [
         canonical_mult(tp, orbit_perms(ring)) for tp in tuples
     ]
     canon = kit.canonical(rows, kit.perm)
     assert [tuple(r) for r in canon[:, : engine.card].tolist()] == [
-        canonical_mult(tp, sym) for tp in tuples
+        canonical_mult(tp, symmetry_index_perms(ring, True)) for tp in tuples
     ]
 
 
 @pytest.mark.parametrize(
     "moduli, m, cap",
-    [((9,), 2, 40), ((2, 2, 2), 3, 12), ((5, 5), 1, 20), ((5, 5), 2, 300), ((2, 4), 4, 30)],
+    [((9,), 2, 40), ((2, 2, 2), 3, 12), ((5, 5), 1, 20), ((5, 5), 2, 255), ((2, 4), 4, 30)],
 )
 def test_array_em_matches_engine(moduli, m, cap) -> None:
     import numpy as np
 
     ring = make_ring(moduli)
     engine = search._engine(ring)
-    kit = engine.rows(cap, symmetry_index_perms(ring, False))
+    kit = engine.kit(False)
     rng = np.random.default_rng(m * cap)
     vals = rng.integers(0, cap + 1, size=(300, engine.card))
     vals[rng.random(vals.shape) < 0.5] = 0  # sparse rows, multiplicities above the exponent
     tuples = [tuple(v) for v in vals.tolist()]
     got = kit.em(kit.from_tuples(tuples), m).tolist()
     assert got == [engine.em_of_mult(tp, m) for tp in tuples]
+
+
+# --- results across the 255 boundary of the uint8 rows ----------------------
+
+
+@pytest.mark.parametrize(
+    "moduli, m, caps",
+    [((27,), 1, (27, 255, 256, 300)), ((5, 5), 1, (9, 300)), ((9,), 2, (12, 300))],
+)
+def test_davenport_does_not_depend_on_cap_past_255(moduli, m, caps) -> None:
+    # each search closes well below its least cap, so a larger cap can only
+    # change how far the search may run, never its result
+    ring = make_ring(moduli)
+    outs = [davenport_m(ring, m, cap) for cap in caps]
+    assert {(o.kind, o.value, o.witness) for o in outs} == {
+        (outs[0].kind, outs[0].value, outs[0].witness)
+    }
+    assert outs[0].kind == "exact"
+
+
+@pytest.mark.parametrize("t, m", [(130, 1), (256, 1), (260, 2)])
+def test_egz_z2_past_255_matches_calculator(t, m) -> None:
+    out = egz_constant(make_ring((2,)), m, t)
+    want = bounds.bound_calculator("egz-z2-exact", t=t, m=m)
+    assert want.hypotheses_ok
+    assert out.cap_used > 255
+    assert (out.kind, out.value) == ("exact", want.value)
+
+
+def test_levels_from_255_take_the_tuple_step() -> None:
+    # E(258, Z_3, 1) seeds at level 258: levels 255 to 258 run on tuples
+    out = egz_constant(make_ring((3,)), 1, 258)
+    assert (out.kind, out.value, out.witness.mult) == ("exact", 260, (0, 2, 257))

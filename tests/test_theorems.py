@@ -269,3 +269,20 @@ def test_value_grid_fails_a_row_whose_calculator_hypotheses_fail() -> None:
     res = theorems._run_value_grid(lambda: [("(3,4)", "E", (3,), 2, 3, None, want)], "x")
     assert not res.ok
     assert "hypothesis fails: 3 | 4" in res.detail
+
+
+def test_computed_caches_stay_bounded() -> None:
+    # instant queries: E(t, Z_2, 1) for odd t is Infinite by the all-ones
+    # family, and D_1(Z_2) closes at level 1 whatever the cap
+    n = theorems.COMPUTED_CACHE + 50
+    try:
+        for i in range(n):
+            computed_egz((2,), 1, 2 * i + 1)
+            computed_dav((2,), 1, i + 1)
+        for cached in (theorems._computed_egz, theorems._computed_dav):
+            info = cached.cache_info()
+            assert info.misses >= n
+            assert info.currsize <= theorems.COMPUTED_CACHE
+    finally:
+        theorems._computed_egz.cache_clear()
+        theorems._computed_dav.cache_clear()
