@@ -35,7 +35,8 @@ def canonical_mult(
 
     With perms = orbit_perms(ring) this is the least multiplicity vector over
     the unit orbit. The permutations are an argument, not looked up from the
-    ring, because the direct search calls this once per multiset.
+    ring, so a caller canonicalizing many multisets of one ring builds them
+    once.
     """
     best = mult
     get = mult.__getitem__

@@ -73,13 +73,20 @@ array level is sorted and its row 0 is the lex-least class. Levels from 255
 on, whose extensions could hold a multiplicity past 255, take the tuple step.
 
 The independent full testers (is_counterexample_*) re-enumerate sub-multiset
-multiplicity vectors with a truncated generating product per vector. They
-are the oracle route used by direct enumeration, certificate verification,
-and the tests that pin the frontier to unpruned search.
+multiplicity vectors depth first over the positions of nonzero multiplicity,
+in lex order, and return the first one with e_m = 0. Along the walk the
+truncated generating product gains one linear factor (1 + g x) per element
+taken, a second route to e_m beside the binomial factors of
+_Engine.em_coeffs. They are the oracle route used by direct enumeration,
+certificate verification, and the tests that pin the frontier to unpruned
+search. Direct enumeration (method="direct") tests the unit-canonical
+multisets of each length in lex order and stops at the first counterexample,
+the length's lex-least one; only the closing length is swept in full.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -89,7 +96,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import bounds, numtheory, rings
-from .multiset import MultisetSeq, canonical_mult, orbit_perms
+from .multiset import MultisetSeq, orbit_perms
 from .rings import RingSpec
 
 KIND_EGZ = "egz"
@@ -104,6 +111,11 @@ OUTCOME_AT_LEAST = "at_least"
 OUTCOME_INFINITE = "infinite"
 
 Progress = Optional[Callable[[int, int], None]]
+
+
+def _check_method(method: str) -> None:
+    if method not in ("frontier", "direct"):
+        raise ValueError(f"unknown method {method!r}")
 
 
 class MissingCapError(ValueError):
@@ -403,61 +415,77 @@ def _engine(ring: RingSpec) -> _Engine:
 # --- full testers (independent oracle route) --------------------------------
 
 
-def _find_zero_sub_exact(engine: _Engine, mult, t: int, m: int):
-    """Lex-least sub-multiplicity vector of size exactly t with e_m = 0."""
-    card = engine.card
-    suffix = [0] * (card + 1)
-    for i in range(card - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + mult[i]
-    sub = [0] * card
-    poly_mul = engine.poly_mul
-    factor = engine.factor_poly
+def _support(mult) -> tuple[list[int], list[int]]:
+    """The positions of mult with nonzero multiplicity, and the suffix sums
+    of their multiplicities (one more entry than positions, ending in 0)."""
+    support = [i for i, c in enumerate(mult) if c]
+    suffix = [0] * (len(support) + 1)
+    for k in range(len(support) - 1, -1, -1):
+        suffix[k] = suffix[k + 1] + mult[support[k]]
+    return support, suffix
 
-    def rec(pos: int, rem: int, poly):
-        if rem > suffix[pos]:
-            return None
-        if pos == card - 1:
-            if rem > mult[pos]:
-                return None
-            sub[pos] = rem
-            p = poly if rem == 0 else poly_mul(poly, factor(pos, rem, m), m)
-            if p[m] == 0:
-                found = tuple(sub)
-                sub[pos] = 0
-                return found
-            sub[pos] = 0
-            return None
-        for c in range(min(mult[pos], rem) + 1):
-            sub[pos] = c
-            p = poly if c == 0 else poly_mul(poly, factor(pos, c, m), m)
-            hit = rec(pos + 1, rem - c, p)
+
+def _find_zero_sub_exact(engine: _Engine, mult, t: int, m: int):
+    """Lex-least sub-multiplicity vector of size exactly t with e_m = 0.
+
+    A depth-first walk over the support of mult, each position's count
+    tried in increasing order; a position outside the support can only
+    take 0. The truncated product is updated by one factor (1 + g x) per
+    count, and a branch ends once t elements are taken."""
+    support, suffix = _support(mult)
+    sub = [0] * engine.card
+    add_t = engine.add_t
+    mul_t = engine.mul_t
+
+    def rec(k: int, rem: int, poly):
+        if rem == 0:  # every later count is 0, the first thing tried
+            return tuple(sub) if poly[m] == 0 else None
+        g = support[k]
+        row = mul_t[g]
+        p = list(poly)
+        lo = max(0, rem - suffix[k + 1])  # below lo, the later positions hold too few
+        for c in range(min(mult[g], rem) + 1):
+            if c and g:  # element 0 is the ring zero: identity factor
+                for j in range(m, 0, -1):
+                    p[j] = add_t[p[j]][row[p[j - 1]]]
+            if c < lo:
+                continue
+            sub[g] = c
+            hit = rec(k + 1, rem - c, p)
             if hit is not None:
                 return hit
-        sub[pos] = 0
+        sub[g] = 0
         return None
 
-    return rec(0, t, engine.identity_poly(m))
+    return None if t > suffix[0] else rec(0, t, engine.identity_poly(m))
 
 
 def _find_zero_sub_geq(engine: _Engine, mult, m: int):
-    """Lex-least sub-multiplicity vector of size >= m with e_m = 0."""
-    card = engine.card
-    sub = [0] * card
-    poly_mul = engine.poly_mul
-    factor = engine.factor_poly
+    """Lex-least sub-multiplicity vector of size >= m with e_m = 0, by the
+    walk of _find_zero_sub_exact; a branch ends once it has taken m or more
+    elements with e_m = 0, or can no longer reach m."""
+    support, suffix = _support(mult)
+    sub = [0] * engine.card
+    add_t = engine.add_t
+    mul_t = engine.mul_t
 
-    def rec(pos: int, taken: int, poly):
-        if pos == card:
-            if taken >= m and poly[m] == 0:
-                return tuple(sub)
+    def rec(k: int, taken: int, poly):
+        if taken >= m and poly[m] == 0:  # every later count is 0, the first thing tried
+            return tuple(sub)
+        if k == len(support) or taken + suffix[k] < m:
             return None
-        for c in range(mult[pos] + 1):
-            sub[pos] = c
-            p = poly if c == 0 else poly_mul(poly, factor(pos, c, m), m)
-            hit = rec(pos + 1, taken + c, p)
+        g = support[k]
+        row = mul_t[g]
+        p = list(poly)
+        for c in range(mult[g] + 1):
+            if c and g:  # element 0 is the ring zero: identity factor
+                for j in range(m, 0, -1):
+                    p[j] = add_t[p[j]][row[p[j - 1]]]
+            sub[g] = c
+            hit = rec(k + 1, taken + c, p)
             if hit is not None:
                 return hit
-        sub[pos] = 0
+        sub[g] = 0
         return None
 
     return rec(0, 0, engine.identity_poly(m))
@@ -502,25 +530,18 @@ def _vacuous_witness(ring: RingSpec, length: int) -> MultisetSeq:
     return MultisetSeq(ring, mult)
 
 
-def _all_canonical(ring: RingSpec, length: int) -> set[tuple[int, ...]]:
-    card = ring.cardinality
-    perms = orbit_perms(ring)
-    out: set[tuple[int, ...]] = set()
-    mult = [0] * card
-
-    def rec(pos: int, rem: int) -> None:
-        if pos == card - 1:
-            mult[pos] = rem
-            out.add(canonical_mult(tuple(mult), perms))
-            mult[pos] = 0
-            return
-        for c in range(rem + 1):
-            mult[pos] = c
-            rec(pos + 1, rem - c)
-        mult[pos] = 0
-
-    rec(0, length)
-    return out
+def _unit_canonical(ring: RingSpec, length: int):
+    """The unit-canonical multiplicity vectors of one length, in increasing
+    lex order: every composition of length over the ring's elements, kept
+    when no unit image of it is smaller. A composition is read off its
+    cuts, a nondecreasing sequence, and cuts and compositions share lex
+    order."""
+    images = [operator.itemgetter(*p) for p in orbit_perms(ring)]
+    cuts_of = itertools.combinations_with_replacement(range(length + 1), ring.cardinality - 1)
+    for cuts in cuts_of:
+        mult = tuple(map(operator.sub, cuts + (length,), (0,) + cuts))
+        if not any(img(mult) < mult for img in images):
+            yield mult
 
 
 def _step_tuples(kit: _Rows, members, prev: set | None, em_m: int | None):
@@ -621,6 +642,7 @@ def max_counterexample_length(
     witness of that length. Returns cap when the search did not close."""
     if kind not in (KIND_EGZ, KIND_DAV):
         raise ValueError(f"unknown kind {kind!r}")
+    _check_method(method)
     if m < 1:
         raise ValueError("m must be >= 1")
     if cap < m:
@@ -635,8 +657,6 @@ def max_counterexample_length(
         return cap, _vacuous_witness(ring, cap)
     if method == "direct":
         return _direct_max(ring, kind, m, cap, t)
-    if method != "frontier":
-        raise ValueError(f"unknown method {method!r}")
 
     kit = _engine(ring).kit(m == 1)
     # Seed levels skip the closure test: every multiset of length <= vacuous
@@ -665,26 +685,26 @@ def max_counterexample_length(
 
 
 def _direct_max(ring: RingSpec, kind: str, m: int, cap: int, t: int | None):
-    """Unpruned reference search: every unit-canonical multiset of every
-    length, each tested with the full sub-multiset enumeration."""
+    """Unpruned reference search by units only. Each length's unit-canonical
+    multisets are tested in increasing lex order with the full sub-multiset
+    enumeration, and the first counterexample, the length's lex-least one,
+    ends the length and is its witness. A length with none, swept in full,
+    closes the search."""
     engine = _engine(ring)
+    if kind == KIND_EGZ:
+        def is_counterexample(mult) -> bool:
+            return _find_zero_sub_exact(engine, mult, t, m) is None
+    else:
+        def is_counterexample(mult) -> bool:
+            return _find_zero_sub_geq(engine, mult, m) is None
     start = t if kind == KIND_EGZ else m
-    best_level = start - 1
-    best_witness = _vacuous_witness(ring, best_level)
+    best = start - 1, _vacuous_witness(ring, start - 1)
     for level in range(start, cap + 1):
-        survivors = set()
-        for mult in _all_canonical(ring, level):
-            if kind == KIND_EGZ:
-                ok = _find_zero_sub_exact(engine, mult, t, m) is None
-            else:
-                ok = _find_zero_sub_geq(engine, mult, m) is None
-            if ok:
-                survivors.add(mult)
-        if not survivors:
-            return best_level, best_witness
-        best_level = level
-        best_witness = MultisetSeq(ring, min(survivors))
-    return best_level, best_witness
+        least = next(filter(is_counterexample, _unit_canonical(ring, level)), None)
+        if least is None:
+            return best
+        best = level, MultisetSeq(ring, least)
+    return best
 
 
 # --- constants --------------------------------------------------------------
@@ -746,6 +766,7 @@ def egz_constant(
     available. workers is accepted for compatibility and ignored: the
     search is serial.
     """
+    _check_method(method)
     if m < 1 or t < m:
         raise ValueError("need t >= m >= 1")
     if infinite_obstruction(ring, m, t) is not None:
@@ -761,6 +782,7 @@ def davenport_m(
     """The generalized Davenport constant for (ring, m), by certified search
     to cap, as egz_constant. There is no automatic cap, so the caller must
     give one; raises MissingCapError without it."""
+    _check_method(method)
     if m < 1:
         raise ValueError("m must be >= 1")
     return _constant(KIND_DAV, ring, m, None, cap, method, progress)

@@ -12,7 +12,14 @@ from hypothesis import strategies as st
 
 from egz import bounds, numtheory, search
 from egz.multiset import MultisetSeq, canonical_mult, orbit_perms
-from egz.rings import make_ring, symmetry_index_perms, unit_index_perms
+from egz.rings import (
+    add,
+    element_at,
+    make_ring,
+    mul,
+    symmetry_index_perms,
+    unit_index_perms,
+)
 from egz.search import (
     KIND_DAV,
     KIND_EGZ,
@@ -78,21 +85,77 @@ def test_worked_query_examples() -> None:
     assert (length, witness.mult) == (5, (2, 3))
 
 
+def _compositions(card, length):
+    if card == 1:
+        yield (length,)
+        return
+    for c in range(length + 1):
+        for rest in _compositions(card - 1, length - c):
+            yield (c,) + rest
+
+
 def _all_canonical_multisets(ring, length):
+    perms = orbit_perms(ring)
+    return [c for c in _compositions(ring.cardinality, length) if canonical_mult(c, perms) == c]
+
+
+def _em_by_subsets(ring, mult, m):
+    seq = [element_at(ring, i) for i, c in enumerate(mult) for _ in range(c)]
+    total = ring.zero
+    for combo in itertools.combinations(seq, m):
+        prod = ring.one
+        for x in combo:
+            prod = mul(ring, prod, x)
+        total = add(ring, total, prod)
+    return total
+
+
+def _brute_zero_sub(ring, mult, m, size_ok):
+    # sub-vectors in lex order: the first qualifying one is the lex-least
+    for sub in itertools.product(*(range(c + 1) for c in mult)):
+        if size_ok(sum(sub)) and _em_by_subsets(ring, sub, m) == ring.zero:
+            return sub
+    return None
+
+
+_TESTER_RINGS = [(2,), (3,), (4,), (5,), (6,), (2, 2), (2, 4), (3, 3)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_testers_return_the_lex_least_zero_sub(data) -> None:
+    # the support walk and its early returns keep the lex order of a plain
+    # product over every position's counts, zero multiplicities included
+    ring = make_ring(data.draw(st.sampled_from(_TESTER_RINGS)))
     card = ring.cardinality
-    out = []
+    m = data.draw(st.integers(1, 3))
+    mult = [0] * card
+    mult[0] = data.draw(st.integers(0, 2))  # element 0 is the ring zero
+    for i in data.draw(st.lists(st.integers(0, card - 1), max_size=6)):
+        mult[i] += 1
+    mseq = MultisetSeq(ring, tuple(mult))
+    t = data.draw(st.integers(m, max(m, mseq.length) + 2))
+    hit = find_egz_zero_sub(mseq, t, m)
+    want = _brute_zero_sub(ring, mult, m, lambda n: n == t)
+    assert (None if hit is None else hit.mult) == want
+    hit = find_dav_zero_sub(mseq, m)
+    want = _brute_zero_sub(ring, mult, m, lambda n: n >= m)
+    assert (None if hit is None else hit.mult) == want
 
-    def rec(pos, remaining, acc):
-        if pos == card - 1:
-            mult = tuple(acc + [remaining])
-            if canonical_mult(mult, orbit_perms(ring)) == mult:
-                out.append(mult)
-            return
-        for c in range(remaining + 1):
-            rec(pos + 1, remaining - c, acc + [c])
 
-    rec(0, length, [])
-    return out
+@pytest.mark.parametrize(
+    "moduli", [(2,), (3,), (4,), (5,), (6,), (7,), (8,), (2, 4), (3, 3)]
+)
+def test_direct_enumeration_is_the_canonical_forms_in_lex_order(moduli) -> None:
+    # the direct search stops each length at its first counterexample,
+    # which is the lex-least one only if this order holds
+    ring = make_ring(moduli)
+    perms = orbit_perms(ring)
+    for length in range(7):
+        got = list(search._unit_canonical(ring, length))
+        assert all(a < b for a, b in zip(got, got[1:]))
+        want = {canonical_mult(c, perms) for c in _compositions(ring.cardinality, length)}
+        assert set(got) == want
 
 
 @pytest.mark.parametrize("moduli", [(2,), (3,), (4,), (2, 2)])
@@ -131,13 +194,11 @@ def test_downward_closure_exhaustive(moduli) -> None:
 )
 def test_frontier_matches_direct(moduli) -> None:
     # the frontier reduces by symmetry_index_perms (GL_3(F_2) on Z_2^3 at
-    # m = 1), the direct search by units only: same lengths and witnesses.
-    # Z_2^4 has one unit, so each direct search there takes about a second:
-    # it runs to cap 5 with t = m + 1 only.
+    # m = 1), the direct search by units only: same lengths and witnesses
     ring = make_ring(moduli)
-    cap, t_offsets = (5, (1,)) if ring.cardinality == 16 else (7, (0, 1, 2))
+    cap = 7
     for m in (1, 2):
-        for t in (m + k for k in t_offsets):
+        for t in (m, m + 1, m + 2):
             frontier = max_counterexample_length(KIND_EGZ, ring, m, cap, t=t)
             direct = max_counterexample_length(
                 KIND_EGZ, ring, m, cap, t=t, method="direct"
@@ -405,6 +466,27 @@ def test_validation_errors() -> None:
         max_counterexample_length(KIND_EGZ, ring, 2, 10, t=1)
     with pytest.raises(ValueError):
         max_counterexample_length(KIND_EGZ, ring, 2, 1, t=3)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: egz_constant(make_ring((3,)), 1, 3, cap=2, method="bogus"),
+        lambda: max_counterexample_length(KIND_EGZ, make_ring((3,)), 1, 2, t=3, method="bogus"),
+        lambda: egz_constant(make_ring((3,)), 1, 4, method="bogus"),
+        lambda: egz_constant(make_ring((3,)), 2, 3, method="bogus"),
+        lambda: max_counterexample_length(KIND_DAV, make_ring((3,)), 2, 6, method="bogus"),
+        lambda: davenport_m(make_ring((3,)), 2, cap=6, method="bogus"),
+        lambda: davenport_m(make_ring((3,)), 2, method="bogus"),
+    ],
+    ids=[
+        "vacuous-cap", "vacuous-cap-max", "infinite", "egz", "davenport-max",
+        "davenport", "davenport-no-cap",
+    ],
+)
+def test_unknown_method_raises_before_any_answer(call) -> None:
+    with pytest.raises(ValueError, match="unknown method 'bogus'"):
+        call()
 
 
 def test_witness_is_lex_least_canonical() -> None:
