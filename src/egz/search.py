@@ -60,17 +60,35 @@ closure test then rejects. The tuple step (_step_tuples) does this in Python
 on sets of tuples; it serves levels whose estimated Python cost,
 _tuple_cost, is below _SMALL_LEVEL (_SMALL_EM_LEVEL when e_m is tested),
 where numpy's fixed cost per call would dominate. The array step
-(_Rows.step) keeps the level as an (N, width) unsigned array and works in
-blocks (_Rows.block_rows: at most _BLOCK_ROWS rows and _BLOCK_BYTES of
-gathered images): it makes all N * |G| extensions at once, dedupes by
-sorting row keys, looks every one-element removal up with np.searchsorted in
-the sorted keys of the previous level's full H-orbits (no per-removal
-canonical form), evaluates e_m only on the rows left through index tables,
-and canonicalizes the survivors by gathering every image and taking the
-least big-endian 8-byte word sequence. A row holds one uint8 per element, so
-a row key, the row's bytes compared by memcmp, follows tuple order; each
-array level is sorted and its row 0 is the lex-least class. Levels from 255
-on, whose extensions could hold a multiplicity past 255, take the tuple step.
+(_Rows.step) keeps the level as an (N, width) uint8 array, one byte per
+element, and works in blocks (_Rows.block_rows: at most _BLOCK_ROWS rows
+and _BLOCK_BYTES of images): it makes all N * |G| extensions at once,
+dedupes them by sorting exact row keys (the row's bytes, whose memcmp order
+is tuple order), looks every one-element removal up with np.searchsorted in
+the sorted linear keys of the previous level's full H-orbits (no
+per-removal canonical form), evaluates e_m only on the rows left through
+index tables, and canonicalizes the survivors by gathering every image and
+taking the least big-endian 8-byte word sequence. Each array level is
+sorted, and its row 0 is the lex-least class. Levels from 255 on, whose
+extensions could hold a multiplicity past 255, take the tuple step.
+
+The closure lookups use linear keys h(X) = sum X[i] w[i] mod 2**64
+(universal hashing: Carter and Wegman, JCSS 18, 1979; fingerprints: Karp
+and Rabin, IBM J. Res. Dev. 31, 1987). The keys of all |H| images of a row
+are one matrix product with an image-weight matrix, so no image is
+gathered, and a removal's key is the row's key minus one weight. A row of
+at most 8 elements is one word, and its weights 256**(7 - i) make the
+linear key that word: exact. Wider rows take fixed odd weights, and two
+rows may share a key. A shared key can only admit a removal that is not in
+the previous level, never reject one that is, so every array level is a
+superset of the true level (dedupe and canonical forms stay exact on rows),
+and an empty level still proves exactness. When such keys were compared,
+the search then runs the full tester on its witness: if it passes, it is a
+true counterexample and the least class of a superset of the true level, so
+it is the true lex-least one, and the true search ends at the same length.
+If it fails, a collision admitted it, and the whole search runs again on
+the tuple step, whose tests are exact. The fixed weights keep runs
+deterministic.
 
 The independent full testers (is_counterexample_*) re-enumerate sub-multiset
 multiplicity vectors depth first over the positions of nonzero multiplicity,
@@ -222,8 +240,9 @@ class _Engine:
 
 
 # Rows per numpy block, and bytes per block of gathered images (rows x
-# perms x row bytes): the first bounds the extension and removal copies,
-# the second the canonical gathers under large groups.
+# perms x row bytes) or of uint64 row casts: the first bounds the extension
+# copies, the second the canonical gathers under large groups and the casts
+# of the linear keys.
 _BLOCK_ROWS = 4096
 _BLOCK_BYTES = 1 << 21
 # Levels whose estimated tuple-step cost (_tuple_cost) is below these take
@@ -235,6 +254,28 @@ _SMALL_EM_LEVEL = 256
 # Largest multiplicity of a uint8 row. A level's extensions are one longer
 # than the level, so levels from _ROW_MAX on take the tuple step.
 _ROW_MAX = 0xFF
+# Seed of the weights of wide rows' linear keys: any fixed value keeps runs
+# deterministic.
+_KEY_SEED = 0x243F6A8885A308D3
+_MASK64 = (1 << 64) - 1
+
+
+def _key_weights(card: int) -> np.ndarray:
+    """Weights w (uint64, one per element) of the linear row key
+    sum X[i] w[i] mod 2**64. Rows of at most 8 elements take w[i] =
+    256**(7 - i), which makes the key the row's big-endian word. Wider rows
+    take splitmix64 outputs, made odd, from a fixed seed; pure Python,
+    because importing numpy.random would cost about 6 MB per process."""
+    if card <= 8:
+        return np.array([1 << 8 * (7 - i) for i in range(card)], np.uint64)
+    out = []
+    x = _KEY_SEED
+    for _ in range(card):
+        x = (x + 0x9E3779B97F4A7C15) & _MASK64
+        z = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        out.append((z ^ (z >> 31)) | 1)
+    return np.array(out, np.uint64)
 
 
 class _Rows:
@@ -242,17 +283,19 @@ class _Rows:
     itemgetters for the tuple step, and the array form of the step.
 
     A row is a multiplicity vector in uint8, zero-padded to whole 8-byte
-    words. Its key is the row's bytes as one void scalar. The padding is the
-    same in every row, so memcmp order on keys (what np.sort and
-    np.searchsorted use) equals tuple order on the vectors, and lex-least
-    over an orbit is the least big-endian word sequence. A one-word row is
-    keyed by that word as a native uint64 instead: same order, and numpy
-    sorts integers far faster than voids.
+    words. keys() is exact, for dedupe: the row's bytes as one void scalar,
+    or a one-word row's word as a uint64. The padding is the same in every
+    row, so their order (memcmp, what np.sort and np.searchsorted use) is
+    tuple order, and the lex-least image of a row is its least big-endian
+    word sequence. The closure test uses linear keys X @ w instead (see
+    _key_weights): image h of X, X.take(perm_h), has the key X @ W[:, h],
+    where W[perm_h[j], h] = w[j], and exact_keys says whether distinct
+    rows always get distinct linear keys.
     """
 
     __slots__ = (
-        "engine", "card", "width", "key_dtype", "images", "perm",
-        "eye", "_key_view", "_idx_dtype", "_arith", "_fac",
+        "engine", "card", "width", "key_dtype", "images", "perm", "w", "W",
+        "exact_keys", "eye", "_key_view", "_idx_dtype", "_arith", "_fac",
     )
 
     def __init__(self, engine: _Engine, sym) -> None:
@@ -264,6 +307,10 @@ class _Rows:
         self.images = [operator.itemgetter(*p) for p in sym]  # img(mult) is an image
         pad = list(range(card, width))  # padding columns map to themselves
         self.perm = np.array([list(p) + pad for p in sym], dtype=np.intp)
+        self.w = _key_weights(card)
+        self.W = np.empty((card, len(sym)), np.uint64)
+        self.W[self.perm[:, :card], np.arange(len(sym))[:, None]] = self.w
+        self.exact_keys = width == 8
         self.eye = np.eye(card, width, dtype=np.uint8)
         self._idx_dtype = np.min_scalar_type(card - 1)  # element indices
         self._arith = None
@@ -311,29 +358,38 @@ class _Rows:
             tied &= w == w.min(axis=1, keepdims=True)
         return images[np.arange(len(images)), tied.argmax(axis=1)]
 
+    def linear_keys(self, rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """rows @ weights mod 2**64: with w the rows' linear keys, with W
+        those of all their images (one column per map of H). The rows are
+        cast to uint64 in blocks of at most _BLOCK_BYTES."""
+        per = max(1, _BLOCK_BYTES // (8 * self.card))
+        out = np.empty((len(rows),) + weights.shape[1:], np.uint64)
+        for lo in range(0, len(rows), per):
+            block = rows[lo : lo + per, : self.card].astype(np.uint64)
+            np.matmul(block, weights, out=out[lo : lo + per])
+        return out
+
     def orbit_keys(self, rows: np.ndarray) -> np.ndarray:
-        """Sorted keys of every image of every row under the search group."""
-        per = self.block_rows(self.perm)
-        keys = np.concatenate([
-            self.keys(rows[lo : lo + per].take(self.perm, axis=1).reshape(-1, self.width))
-            for lo in range(0, len(rows), per)
-        ])
+        """Sorted linear keys of every image of every row under the search
+        group."""
+        keys = self.linear_keys(rows, self.W).ravel()
         keys.sort()
         return keys
 
     def closed(self, rows: np.ndarray, prev_keys: np.ndarray) -> np.ndarray:
-        """Mask of rows whose one-element removals all have keys in prev_keys."""
+        """Mask of rows whose one-element removals all have linear keys in
+        prev_keys. A key shared by a removal and some other image can only
+        keep a row, never drop one."""
+        k = self.linear_keys(rows, self.w)
         ok = np.ones(len(rows), dtype=bool)
-        for i in range(self.card):
+        for i, wi in enumerate(self.w):  # wi a np.uint64: the arithmetic stays uint64
             sel = np.flatnonzero(ok & (rows[:, i] > 0))
             if not len(sel):
                 continue
-            sub = rows[sel]
-            sub[:, i] -= 1
-            k = self.keys(sub)
-            pos = np.searchsorted(prev_keys, k)
+            sub = k[sel] - wi
+            pos = np.searchsorted(prev_keys, sub)
             pos[pos == len(prev_keys)] = 0
-            ok[sel[prev_keys[pos] != k]] = False
+            ok[sel[prev_keys[pos] != sub]] = False
         return ok
 
     def _tables(self, m: int, top: int):
@@ -605,17 +661,21 @@ def _tuple_cost(n: int, card: int, group: int) -> int:
     return n * card + n * group // 8
 
 
-def _advance(kit: _Rows, frontier, level: int, closed: bool, em_m):
+def _advance(kit: _Rows, frontier, level: int, closed: bool, em_m, arrays: bool):
     """The level after frontier, a set of tuples or a sorted row array of
     multisets of length level, under the kit's group.
 
     closed asks for the closure test against frontier itself; em_m for the
-    e_m != 0 test. Small levels, and levels whose extensions could hold a
-    multiplicity past a uint8, take the tuple step and return a set; the
-    others take the array step.
+    e_m != 0 test. Small levels, levels whose extensions could hold a
+    multiplicity past a uint8, and every level when arrays is false take
+    the tuple step and return a set; the others take the array step.
     """
     cost = _tuple_cost(len(frontier), kit.card, len(kit.images))
-    if level >= _ROW_MAX or cost < (_SMALL_LEVEL if em_m is None else _SMALL_EM_LEVEL):
+    if (
+        not arrays
+        or level >= _ROW_MAX
+        or cost < (_SMALL_LEVEL if em_m is None else _SMALL_EM_LEVEL)
+    ):
         if isinstance(frontier, np.ndarray):
             frontier = kit.to_tuples(frontier)
         return _step_tuples(kit, frontier, frontier if closed else None, em_m)
@@ -629,6 +689,44 @@ def _least(frontier, card: int) -> tuple[int, ...]:
     return min(frontier)
 
 
+def _frontier_max(kit: _Rows, kind: str, m: int, t: int | None, cap: int, progress, arrays: bool):
+    """The frontier BFS to cap: the last nonempty level, its least class,
+    and whether some closure test compared linear keys that are not exact.
+
+    Seed levels skip the closure test: every multiset of length below the
+    seed is a counterexample, and at the EGZ seed level t exactly those with
+    e_m != 0 are. arrays=False keeps every level on the tuple step."""
+    seed = t if kind == KIND_EGZ else m - 1
+    frontier = {(0,) * kit.card}
+    for level in range(seed):
+        seed_em = m if level + 1 == t else None
+        frontier = _advance(kit, frontier, level, False, seed_em, arrays)
+    level = seed
+    em_m = m if kind == KIND_DAV else None
+    if not len(frontier):
+        return seed - 1, _vacuous_witness(kit.engine.ring, seed - 1).mult, False
+    if progress:
+        progress(level, len(frontier))
+    hashed = False
+    while level < cap:
+        nxt = _advance(kit, frontier, level, True, em_m, arrays)
+        hashed |= isinstance(nxt, np.ndarray) and not kit.exact_keys
+        if not len(nxt):
+            break
+        frontier = nxt
+        level += 1
+        if progress:
+            progress(level, len(frontier))
+    return level, _least(frontier, kit.card), hashed
+
+
+def _counterexample_test(engine: _Engine, kind: str, m: int, t: int | None):
+    """The full tester of kind, as a predicate on multiplicity vectors."""
+    if kind == KIND_EGZ:
+        return lambda mult: _find_zero_sub_exact(engine, mult, t, m) is None
+    return lambda mult: _find_zero_sub_geq(engine, mult, m) is None
+
+
 def max_counterexample_length(
     kind: str,
     ring: RingSpec,
@@ -639,7 +737,14 @@ def max_counterexample_length(
     progress: Progress = None,
 ) -> tuple[int, MultisetSeq]:
     """Longest counterexample length up to cap, with a lex-least canonical
-    witness of that length. Returns cap when the search did not close."""
+    witness of that length. Returns cap when the search did not close.
+
+    On rows wider than one word the array step's closure test compares
+    linear keys, so each level is a superset of the true one. When it ran,
+    the witness is checked by the full tester: it passes, and is then the
+    true lex-least counterexample of the true last level, unless a key
+    collision admitted it; in that case the search runs again on the tuple
+    step, whose tests are exact, and progress reports its levels again."""
     if kind not in (KIND_EGZ, KIND_DAV):
         raise ValueError(f"unknown kind {kind!r}")
     _check_method(method)
@@ -658,30 +763,12 @@ def max_counterexample_length(
     if method == "direct":
         return _direct_max(ring, kind, m, cap, t)
 
-    kit = _engine(ring).kit(m == 1)
-    # Seed levels skip the closure test: every multiset of length <= vacuous
-    # is a counterexample, and at the EGZ seed level t exactly those with
-    # e_m != 0 are.
-    seed = t if kind == KIND_EGZ else vacuous
-    frontier = {(0,) * kit.card}
-    for level in range(seed):
-        seed_em = m if level + 1 == t else None
-        frontier = _advance(kit, frontier, level, False, seed_em)
-    level = seed
-    em_m = m if kind == KIND_DAV else None
-    if not len(frontier):
-        return vacuous, _vacuous_witness(ring, vacuous)
-    if progress:
-        progress(level, len(frontier))
-    while level < cap:
-        nxt = _advance(kit, frontier, level, True, em_m)
-        if not len(nxt):
-            break
-        frontier = nxt
-        level += 1
-        if progress:
-            progress(level, len(frontier))
-    return level, MultisetSeq(ring, _least(frontier, kit.card))
+    engine = _engine(ring)
+    kit = engine.kit(m == 1)
+    level, least, hashed = _frontier_max(kit, kind, m, t, cap, progress, arrays=True)
+    if hashed and not _counterexample_test(engine, kind, m, t)(least):
+        level, least, _ = _frontier_max(kit, kind, m, t, cap, progress, arrays=False)
+    return level, MultisetSeq(ring, least)
 
 
 def _direct_max(ring: RingSpec, kind: str, m: int, cap: int, t: int | None):
@@ -690,13 +777,7 @@ def _direct_max(ring: RingSpec, kind: str, m: int, cap: int, t: int | None):
     enumeration, and the first counterexample, the length's lex-least one,
     ends the length and is its witness. A length with none, swept in full,
     closes the search."""
-    engine = _engine(ring)
-    if kind == KIND_EGZ:
-        def is_counterexample(mult) -> bool:
-            return _find_zero_sub_exact(engine, mult, t, m) is None
-    else:
-        def is_counterexample(mult) -> bool:
-            return _find_zero_sub_geq(engine, mult, m) is None
+    is_counterexample = _counterexample_test(_engine(ring), kind, m, t)
     start = t if kind == KIND_EGZ else m
     best = start - 1, _vacuous_witness(ring, start - 1)
     for level in range(start, cap + 1):

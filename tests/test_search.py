@@ -569,6 +569,94 @@ def test_row_keys_follow_tuple_order(moduli, cap) -> None:
     ]
 
 
+@pytest.mark.parametrize("moduli", [(8,), (2, 2, 2), (3, 3), (5, 5), (2, 2, 2, 2)])
+def test_image_weights_key_the_images(moduli) -> None:
+    # W[perm_h[j], h] = w[j]: row @ W[:, h] is the key of the image
+    # row.take(perm_h), not of its inverse image; one-word keys are exact
+    import numpy as np
+
+    ring = make_ring(moduli)
+    engine = search._engine(ring)
+    card = engine.card
+    kit = engine.kit(True)
+    rng = np.random.default_rng(card)
+    rows = kit.from_tuples(rng.integers(0, 256, size=(300, card)).tolist())
+    images = []
+    for h, perm in enumerate(kit.perm):
+        image = rows.take(perm, axis=1)[:, :card]
+        assert (image @ kit.w == rows[:, :card] @ kit.W[:, h]).all()
+        images.append(image @ kit.w)
+    assert (kit.orbit_keys(rows) == np.sort(np.concatenate(images))).all()
+    assert kit.exact_keys == (card <= 8)
+    if kit.exact_keys:
+        assert (kit.linear_keys(rows, kit.w) == kit.keys(rows)).all()
+
+
+@pytest.mark.parametrize(
+    "moduli, kind, m, t, cap",
+    [
+        ((3, 3), KIND_EGZ, 1, 3, 10),
+        ((3, 3), KIND_EGZ, 2, 4, 10),
+        ((3, 3), KIND_DAV, 1, None, 10),
+        ((3, 3), KIND_DAV, 2, None, 10),
+        ((2, 2, 2, 2), KIND_EGZ, 1, 4, 8),
+        ((2, 2, 2, 2), KIND_EGZ, 2, 4, 7),
+        ((2, 2, 2, 2), KIND_DAV, 1, None, 7),
+        ((2, 2, 2, 2), KIND_DAV, 2, None, 7),
+    ],
+)
+def test_key_collisions_do_not_change_the_answer(moduli, kind, m, t, cap, monkeypatch) -> None:
+    # all-ones weights give every multiset of one length the same linear
+    # key, so the closure test keeps every candidate: each level is a
+    # superset of the true one, the search runs to the cap, its witness
+    # fails the full tester, and the rerun on the tuple step must give the
+    # answer of the unpruned search
+    import numpy as np
+
+    monkeypatch.setattr(search, "_key_weights", lambda card: np.ones(card, np.uint64))
+    monkeypatch.setattr(search, "_engine", search._Engine)  # fresh kits, uncached
+    monkeypatch.setattr(search, "_SMALL_LEVEL", 0)  # every level takes the array step
+    monkeypatch.setattr(search, "_SMALL_EM_LEVEL", 0)
+    runs = []
+    frontier_max = search._frontier_max
+
+    def spy(*args, arrays):
+        runs.append(arrays)
+        return frontier_max(*args, arrays=arrays)
+
+    monkeypatch.setattr(search, "_frontier_max", spy)
+    ring = make_ring(moduli)
+    frontier = max_counterexample_length(kind, ring, m, cap, t=t)
+    assert runs == [True, False]
+    assert frontier == max_counterexample_length(kind, ring, m, cap, t=t, method="direct")
+
+
+def test_answering_leaves_numpy_random_unimported() -> None:
+    # numpy.random costs about 6 MB in a fresh process; the key weights are
+    # made in pure Python so that a search never imports it
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    code = (
+        "import sys, numpy\n"
+        "before = 'numpy.random' in sys.modules\n"
+        "from egz.rings import make_ring\n"
+        "from egz.search import davenport_m\n"
+        "out = davenport_m(make_ring((5, 5)), 1, 9)\n"
+        "print(before, 'numpy.random' in sys.modules, out.kind, out.value)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(search.__file__).resolve().parents[1]))
+    res = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    before, after, kind, value = res.stdout.split()
+    if before == "True":
+        pytest.skip("this numpy imports numpy.random with numpy itself")
+    assert (after, kind, value) == ("False", "exact", "9")
+
+
 @pytest.mark.parametrize(
     "moduli, m, cap",
     [((9,), 2, 40), ((2, 2, 2), 3, 12), ((5, 5), 1, 20), ((5, 5), 2, 255), ((2, 4), 4, 30)],
