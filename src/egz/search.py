@@ -90,12 +90,14 @@ If it fails, a collision admitted it, and the whole search runs again on
 the tuple step, whose tests are exact. The fixed weights keep runs
 deterministic.
 
-The independent full testers (is_counterexample_*) re-enumerate sub-multiset
-multiplicity vectors depth first over the positions of nonzero multiplicity,
-in lex order, and return the first one with e_m = 0. Along the walk the
+The independent full testers (is_counterexample_*) are one walk,
+_find_zero_sub, with a window of sizes: exactly t for the EGZ kind, at least
+m for the Davenport kind. It re-enumerates sub-multiset multiplicity vectors
+depth first over the positions of nonzero multiplicity, in lex order, and
+returns the first one in the window with e_m = 0. Along the walk the
 truncated generating product gains one linear factor (1 + g x) per element
-taken, a second route to e_m beside the binomial factors of
-_Engine.em_coeffs. They are the oracle route used by direct enumeration,
+taken, a second route to e_m beside the binomial factors of the tuple
+step's _Rows.em_mult. They are the oracle route used by direct enumeration,
 certificate verification, and the tests that pin the frontier to unpruned
 search. Direct enumeration (method="direct") tests the unit-canonical
 multisets of each length in lex order and stops at the first counterexample,
@@ -158,87 +160,6 @@ class EgzOutcome:
     cap_used: int | None
 
 
-class _Engine:
-    """Per-ring index-space arithmetic: tables and truncated polys."""
-
-    __slots__ = (
-        "ring", "card", "add_t", "mul_t", "scal_t", "one_idx",
-        "exponent", "_factor_cache", "_ident_cache", "_kits",
-    )
-
-    def __init__(self, ring: RingSpec) -> None:
-        self.ring = ring
-        self.card = ring.cardinality
-        self.add_t = rings.add_index_table(ring)
-        self.mul_t = rings.mul_index_table(ring)
-        self.scal_t = rings.scalar_index_table(ring)
-        self.exponent = ring.exponent
-        self.one_idx = rings.element_index(ring, ring.one)
-        self._factor_cache: dict[tuple[int, int, int], tuple[int, ...]] = {}
-        self._ident_cache: dict[int, tuple[int, ...]] = {}
-        self._kits: dict[bool, _Rows] = {}
-
-    def identity_poly(self, m: int) -> tuple[int, ...]:
-        poly = self._ident_cache.get(m)
-        if poly is None:
-            poly = (self.one_idx,) + (0,) * m
-            self._ident_cache[m] = poly
-        return poly
-
-    def factor_poly(self, idx: int, c: int, m: int) -> tuple[int, ...]:
-        # (1 + g x)^c truncated at degree m for g = element idx, coefficient
-        # j equal to C(c, j) g^j with the binomial reduced mod the exponent
-        # (which fixes it per coordinate modulus).
-        key = (idx, c, m)
-        poly = self._factor_cache.get(key)
-        if poly is None:
-            out = [0] * (m + 1)
-            out[0] = self.one_idx
-            powj = self.one_idx
-            mul_row = self.mul_t
-            for j in range(1, min(c, m) + 1):
-                powj = mul_row[powj][idx]
-                out[j] = self.scal_t[math.comb(c, j) % self.exponent][powj]
-            poly = tuple(out)
-            self._factor_cache[key] = poly
-        return poly
-
-    def poly_mul(self, a, b, m: int) -> tuple[int, ...]:
-        add_t = self.add_t
-        mul_t = self.mul_t
-        out = [0] * (m + 1)
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            row = mul_t[ai]
-            for j, bj in enumerate(b[: m - i + 1]):
-                if bj == 0:
-                    continue
-                k = i + j
-                out[k] = add_t[out[k]][row[bj]]
-        return tuple(out)
-
-    def em_coeffs(self, mult, m: int) -> tuple[int, ...]:
-        poly = self.identity_poly(m)
-        for idx in range(1, self.card):  # element 0 is the ring zero: identity factor
-            c = mult[idx]
-            if c:
-                poly = self.poly_mul(poly, self.factor_poly(idx, c, m), m)
-        return poly
-
-    def em_of_mult(self, mult, m: int) -> int:
-        return self.em_coeffs(mult, m)[m]
-
-    def kit(self, additive: bool) -> "_Rows":
-        """The level-step kit reducing by rings.symmetry_index_perms(ring,
-        additive)."""
-        kit = self._kits.get(additive)
-        if kit is None:
-            sym = rings.symmetry_index_perms(self.ring, additive)
-            kit = self._kits[additive] = _Rows(self, sym)
-        return kit
-
-
 # Rows per numpy block, and bytes per block of gathered images (rows x
 # perms x row bytes) or of uint64 row casts: the first bounds the extension
 # copies, the second the canonical gathers under large groups and the casts
@@ -278,6 +199,25 @@ def _key_weights(card: int) -> np.ndarray:
     return np.array(out, np.uint64)
 
 
+# Largest ring the search builds tables for: the rings index tables hold
+# card**2 and exponent * card Python ints, and every array level card
+# columns per row.
+MAX_CARDINALITY = 256
+
+
+def _index_tables(ring: RingSpec):
+    """(add_t, mul_t, one_idx): the ring's cached index tables and the index
+    of 1. Raises ValueError, before any table is built, on a ring past
+    MAX_CARDINALITY."""
+    if ring.cardinality > MAX_CARDINALITY:
+        raise ValueError(
+            f"{ring} has {ring.cardinality} elements; the search handles at most "
+            f"{MAX_CARDINALITY}"
+        )
+    one_idx = rings.element_index(ring, ring.one)
+    return rings.add_index_table(ring), rings.mul_index_table(ring), one_idx
+
+
 class _Rows:
     """The level step's kit for one ring and one symmetry group H: H as
     itemgetters for the tuple step, and the array form of the step.
@@ -294,13 +234,15 @@ class _Rows:
     """
 
     __slots__ = (
-        "engine", "card", "width", "key_dtype", "images", "perm", "w", "W",
-        "exact_keys", "eye", "_key_view", "_idx_dtype", "_arith", "_fac",
+        "ring", "card", "add_t", "mul_t", "one_idx", "width", "key_dtype",
+        "images", "perm", "w", "W", "exact_keys", "eye", "_key_view",
+        "_idx_dtype", "_arith", "_fac", "_factors",
     )
 
-    def __init__(self, engine: _Engine, sym) -> None:
-        self.engine = engine
-        self.card = card = engine.card
+    def __init__(self, ring: RingSpec, sym) -> None:
+        self.ring = ring
+        self.card = card = ring.cardinality
+        self.add_t, self.mul_t, self.one_idx = _index_tables(ring)
         self.width = width = -(-card // 8) * 8
         self._key_view = np.dtype(">u8" if width == 8 else f"V{width}")
         self.key_dtype = np.dtype(np.uint64) if width == 8 else self._key_view
@@ -315,6 +257,7 @@ class _Rows:
         self._idx_dtype = np.min_scalar_type(card - 1)  # element indices
         self._arith = None
         self._fac: dict[int, np.ndarray] = {}
+        self._factors: dict[tuple[int, int, int], tuple[int, ...]] = {}
 
     def from_tuples(self, members) -> np.ndarray:
         vals = np.array(list(members), dtype=np.int64).reshape(-1, self.card)
@@ -395,22 +338,20 @@ class _Rows:
     def _tables(self, m: int, top: int):
         # add/mul index tables and fac[g, c, j] = C(c, j) g^j for c <= top
         if self._arith is None:
-            e = self.engine
-            self._arith = (
-                np.array(e.add_t, self._idx_dtype),
-                np.array(e.mul_t, self._idx_dtype),
-                np.array(e.scal_t, self._idx_dtype),
+            scal_t = rings.scalar_index_table(self.ring)
+            self._arith = tuple(
+                np.array(tab, self._idx_dtype) for tab in (self.add_t, self.mul_t, scal_t)
             )
         add, mul, scal = self._arith
         fac = self._fac.get(m)
         if fac is None or fac.shape[1] <= top:
-            e = self.engine
+            exponent = self.ring.exponent
             comb = np.array(
-                [[math.comb(c, j) % e.exponent for j in range(m + 1)] for c in range(top + 1)],
+                [[math.comb(c, j) % exponent for j in range(m + 1)] for c in range(top + 1)],
                 dtype=np.intp,
             )
             pw = np.empty((self.card, m + 1), self._idx_dtype)
-            pw[:, 0] = e.one_idx
+            pw[:, 0] = self.one_idx
             for j in range(1, m + 1):
                 pw[:, j] = mul[pw[:, j - 1], np.arange(self.card)]
             fac = self._fac[m] = scal[comb[None, :, :], pw[:, None, :]]
@@ -420,7 +361,7 @@ class _Rows:
         """Element index of e_m of each row (0 is the ring zero)."""
         add, mul, fac = self._tables(m, int(rows[:, : self.card].max()))
         poly = np.zeros((len(rows), m + 1), self._idx_dtype)
-        poly[:, 0] = self.engine.one_idx
+        poly[:, 0] = self.one_idx
         for g in range(1, self.card):  # element 0 is the ring zero: identity factor
             f = fac[g][rows[:, g]]
             out = np.zeros_like(poly)
@@ -430,6 +371,44 @@ class _Rows:
                     out[:, i + j] = add[out[:, i + j], mul[a, f[:, j]]]
             poly = out
         return poly[:, m]
+
+    def _factor(self, g: int, c: int, m: int) -> tuple[int, ...]:
+        # (1 + g x)^c truncated at degree m, coefficient j equal to C(c, j)
+        # g^j with the binomial reduced mod the exponent (which fixes it per
+        # coordinate modulus)
+        key = (g, c, m)
+        poly = self._factors.get(key)
+        if poly is None:
+            scal_t = rings.scalar_index_table(self.ring)
+            out = [self.one_idx] + [0] * m
+            powj = self.one_idx
+            for j in range(1, min(c, m) + 1):
+                powj = self.mul_t[powj][g]
+                out[j] = scal_t[math.comb(c, j) % self.ring.exponent][powj]
+            poly = self._factors[key] = tuple(out)
+        return poly
+
+    def em_mult(self, mult, m: int) -> int:
+        """Element index of e_m of one multiplicity vector, the product of
+        the binomial factors (1 + g x)^c truncated at degree m: the tuple
+        step's e_m."""
+        add_t = self.add_t
+        mul_t = self.mul_t
+        poly = (self.one_idx,) + (0,) * m
+        for g in range(1, self.card):  # element 0 is the ring zero: identity factor
+            c = mult[g]
+            if not c:
+                continue
+            f = self._factor(g, c, m)
+            out = [0] * (m + 1)
+            for i, a in enumerate(poly):
+                if a:  # index 0 is the ring zero, so are its products
+                    row = mul_t[a]
+                    for k, b in enumerate(f[: m - i + 1], i):
+                        if b:
+                            out[k] = add_t[out[k]][row[b]]
+            poly = out
+        return poly[m]
 
     def step(self, rows: np.ndarray, prev_keys: np.ndarray | None, em_m: int | None):
         """The array level step: as _step_tuples, on sorted distinct rows;
@@ -453,19 +432,12 @@ class _Rows:
         ] or [out]))
 
 
-# Largest ring the search builds tables for: _Engine holds card**2 and
-# exponent * card Python ints, and every array level card columns per row.
-MAX_CARDINALITY = 256
-
-
-@lru_cache(maxsize=16)
-def _engine(ring: RingSpec) -> _Engine:
-    if ring.cardinality > MAX_CARDINALITY:
-        raise ValueError(
-            f"{ring} has {ring.cardinality} elements; the search handles at most "
-            f"{MAX_CARDINALITY}"
-        )
-    return _Engine(ring)
+@lru_cache(maxsize=32)
+def _kit(ring: RingSpec, additive: bool) -> _Rows:
+    """The level-step kit reducing by rings.symmetry_index_perms(ring,
+    additive)."""
+    _index_tables(ring)  # the size guard, before the group builds a table
+    return _Rows(ring, rings.symmetry_index_perms(ring, additive))
 
 
 # --- full testers (independent oracle route) --------------------------------
@@ -481,78 +453,53 @@ def _support(mult) -> tuple[list[int], list[int]]:
     return support, suffix
 
 
-def _find_zero_sub_exact(engine: _Engine, mult, t: int, m: int):
-    """Lex-least sub-multiplicity vector of size exactly t with e_m = 0.
+def _find_zero_sub(tables, mult, m: int, lo: int, hi: int):
+    """Lex-least sub-multiplicity vector of size in [lo, hi] with e_m = 0,
+    or None; tables are _index_tables of the ring.
 
     A depth-first walk over the support of mult, each position's count
     tried in increasing order; a position outside the support can only
-    take 0. The truncated product is updated by one factor (1 + g x) per
-    count, and a branch ends once t elements are taken."""
+    take 0. The truncated product gains one factor (1 + g x) per element
+    taken. A branch ends once it has taken lo or more elements with
+    e_m = 0 (every later count 0 is the first thing tried), has taken hi,
+    or can no longer reach lo."""
+    add_t, mul_t, one_idx = tables
     support, suffix = _support(mult)
-    sub = [0] * engine.card
-    add_t = engine.add_t
-    mul_t = engine.mul_t
-
-    def rec(k: int, rem: int, poly):
-        if rem == 0:  # every later count is 0, the first thing tried
-            return tuple(sub) if poly[m] == 0 else None
-        g = support[k]
-        row = mul_t[g]
-        p = list(poly)
-        lo = max(0, rem - suffix[k + 1])  # below lo, the later positions hold too few
-        for c in range(min(mult[g], rem) + 1):
-            if c and g:  # element 0 is the ring zero: identity factor
-                for j in range(m, 0, -1):
-                    p[j] = add_t[p[j]][row[p[j - 1]]]
-            if c < lo:
-                continue
-            sub[g] = c
-            hit = rec(k + 1, rem - c, p)
-            if hit is not None:
-                return hit
-        sub[g] = 0
-        return None
-
-    return None if t > suffix[0] else rec(0, t, engine.identity_poly(m))
-
-
-def _find_zero_sub_geq(engine: _Engine, mult, m: int):
-    """Lex-least sub-multiplicity vector of size >= m with e_m = 0, by the
-    walk of _find_zero_sub_exact; a branch ends once it has taken m or more
-    elements with e_m = 0, or can no longer reach m."""
-    support, suffix = _support(mult)
-    sub = [0] * engine.card
-    add_t = engine.add_t
-    mul_t = engine.mul_t
+    end = len(support)
+    sub = [0] * len(mult)
 
     def rec(k: int, taken: int, poly):
-        if taken >= m and poly[m] == 0:  # every later count is 0, the first thing tried
+        if taken >= lo and poly[m] == 0:
             return tuple(sub)
-        if k == len(support) or taken + suffix[k] < m:
+        if k == end or taken == hi or taken + suffix[k] < lo:
             return None
         g = support[k]
         row = mul_t[g]
         p = list(poly)
+        least = lo - taken - suffix[k + 1]  # below it, the later positions hold too few
         for c in range(mult[g] + 1):
             if c and g:  # element 0 is the ring zero: identity factor
                 for j in range(m, 0, -1):
                     p[j] = add_t[p[j]][row[p[j - 1]]]
+            if c < least:
+                continue
             sub[g] = c
             hit = rec(k + 1, taken + c, p)
             if hit is not None:
                 return hit
+            if taken + c == hi:  # larger counts overshoot hi; cheaper than a bound on c
+                break
         sub[g] = 0
         return None
 
-    return rec(0, 0, engine.identity_poly(m))
+    return rec(0, 0, (one_idx,) + (0,) * m)
 
 
 def find_egz_zero_sub(mseq: MultisetSeq, t: int, m: int) -> MultisetSeq | None:
     """A length-t sub-multiset with e_m = 0, or None if none exists."""
     if m < 1 or t < m:
         raise ValueError("need t >= m >= 1")
-    engine = _engine(mseq.ring)
-    hit = _find_zero_sub_exact(engine, mseq.mult, t, m)
+    hit = _find_zero_sub(_index_tables(mseq.ring), mseq.mult, m, t, t)
     return None if hit is None else MultisetSeq(mseq.ring, hit)
 
 
@@ -565,8 +512,7 @@ def find_dav_zero_sub(mseq: MultisetSeq, m: int) -> MultisetSeq | None:
     """A sub-multiset of length >= m with e_m = 0, or None if none exists."""
     if m < 1:
         raise ValueError("need m >= 1")
-    engine = _engine(mseq.ring)
-    hit = _find_zero_sub_geq(engine, mseq.mult, m)
+    hit = _find_zero_sub(_index_tables(mseq.ring), mseq.mult, m, m, mseq.length)
     return None if hit is None else MultisetSeq(mseq.ring, hit)
 
 
@@ -610,7 +556,7 @@ def _step_tuples(kit: _Rows, members, prev: set | None, em_m: int | None):
     """
     card = kit.card
     group = kit.images
-    em = kit.engine.em_of_mult
+    em = kit.em_mult
     orbits = None
     if prev is not None:
         orbits = {img(mult) for mult in prev for img in group}
@@ -704,7 +650,7 @@ def _frontier_max(kit: _Rows, kind: str, m: int, t: int | None, cap: int, progre
     level = seed
     em_m = m if kind == KIND_DAV else None
     if not len(frontier):
-        return seed - 1, _vacuous_witness(kit.engine.ring, seed - 1).mult, False
+        return seed - 1, _vacuous_witness(kit.ring, seed - 1).mult, False
     if progress:
         progress(level, len(frontier))
     hashed = False
@@ -720,11 +666,12 @@ def _frontier_max(kit: _Rows, kind: str, m: int, t: int | None, cap: int, progre
     return level, _least(frontier, kit.card), hashed
 
 
-def _counterexample_test(engine: _Engine, kind: str, m: int, t: int | None):
+def _counterexample_test(ring: RingSpec, kind: str, m: int, t: int | None):
     """The full tester of kind, as a predicate on multiplicity vectors."""
+    tables = _index_tables(ring)
     if kind == KIND_EGZ:
-        return lambda mult: _find_zero_sub_exact(engine, mult, t, m) is None
-    return lambda mult: _find_zero_sub_geq(engine, mult, m) is None
+        return lambda mult: _find_zero_sub(tables, mult, m, t, t) is None
+    return lambda mult: _find_zero_sub(tables, mult, m, m, sum(mult)) is None
 
 
 def max_counterexample_length(
@@ -763,10 +710,9 @@ def max_counterexample_length(
     if method == "direct":
         return _direct_max(ring, kind, m, cap, t)
 
-    engine = _engine(ring)
-    kit = engine.kit(m == 1)
+    kit = _kit(ring, m == 1)
     level, least, hashed = _frontier_max(kit, kind, m, t, cap, progress, arrays=True)
-    if hashed and not _counterexample_test(engine, kind, m, t)(least):
+    if hashed and not _counterexample_test(ring, kind, m, t)(least):
         level, least, _ = _frontier_max(kit, kind, m, t, cap, progress, arrays=False)
     return level, MultisetSeq(ring, least)
 
@@ -777,7 +723,7 @@ def _direct_max(ring: RingSpec, kind: str, m: int, cap: int, t: int | None):
     enumeration, and the first counterexample, the length's lex-least one,
     ends the length and is its witness. A length with none, swept in full,
     closes the search."""
-    is_counterexample = _counterexample_test(_engine(ring), kind, m, t)
+    is_counterexample = _counterexample_test(ring, kind, m, t)
     start = t if kind == KIND_EGZ else m
     best = start - 1, _vacuous_witness(ring, start - 1)
     for level in range(start, cap + 1):

@@ -54,7 +54,7 @@ def elementary_symmetric(ring: RingSpec, seq: Iterable[Elem], m: int) -> Elem:
     return elementary_symmetric_prefix(ring, seq, m)[m]
 
 
-def _factor_poly(ring: RingSpec, g: Elem, c: int, m: int) -> list[Elem]:
+def _binomial_factor(ring: RingSpec, g: Elem, c: int, m: int) -> list[Elem]:
     # (1 + g x)^c truncated at degree m: coefficient j is C(c, j) g^j with the
     # binomial reduced per coordinate modulus.
     out = [ring.zero] * (m + 1)
@@ -66,7 +66,7 @@ def _factor_poly(ring: RingSpec, g: Elem, c: int, m: int) -> list[Elem]:
     return out
 
 
-def _poly_mul_trunc(ring: RingSpec, a: list[Elem], b: list[Elem], m: int) -> list[Elem]:
+def _mul_truncated(ring: RingSpec, a: list[Elem], b: list[Elem], m: int) -> list[Elem]:
     zero = ring.zero
     out = [zero] * (m + 1)
     for i, ai in enumerate(a):
@@ -90,7 +90,7 @@ def elementary_symmetric_multiset_prefix(ring: RingSpec, mseq: MultisetSeq, m: i
     for g, c in mseq.items():
         if g == ring.zero:
             continue  # factor is 1 + 0 x + ...: identity
-        poly = _poly_mul_trunc(ring, poly, _factor_poly(ring, g, c, m), m)
+        poly = _mul_truncated(ring, poly, _binomial_factor(ring, g, c, m), m)
     return poly
 
 

@@ -156,7 +156,7 @@ def test_symmetry_perms_respect_the_ring(moduli) -> None:
 
 def test_ring_caches_stay_bounded() -> None:
     # library use over many rings must not grow the table caches without limit
-    from egz import multiset, rings
+    from egz import multiset, rings, search
 
     tables = [
         rings.elements, rings._index_map, rings.units, rings.add_index_table,
@@ -168,7 +168,8 @@ def test_ring_caches_stay_bounded() -> None:
         for fn in tables:
             fn(ring)
         rings.symmetry_index_perms(ring, True)
-    for fn in tables + [rings.symmetry_index_perms]:
+        search._kit(ring, True)
+    for fn in tables + [rings.symmetry_index_perms, search._kit]:
         assert fn.cache_info().currsize <= 32, fn.__name__
 
 

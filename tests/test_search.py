@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from egz import bounds, numtheory, search
+from egz import bounds, numtheory, rings, search
 from egz.multiset import MultisetSeq, canonical_mult, orbit_perms
 from egz.rings import (
     add,
@@ -411,11 +411,22 @@ def test_missing_cap_raises() -> None:
     assert out.value == 9  # 2*2 + 2*4 - 3, the rank-2 constant
 
 
-def test_ring_too_large_to_search() -> None:
+def test_ring_too_large_to_search(monkeypatch) -> None:
+    # the search and both full testers refuse the ring before any table
+    def no_tables(ring):
+        raise AssertionError(f"built a table for {ring}")
+
+    for name in ("add_index_table", "mul_index_table", "scalar_index_table"):
+        monkeypatch.setattr(rings, name, no_tables)
     big = make_ring((17, 17))
     assert big.cardinality > search.MAX_CARDINALITY
     with pytest.raises(ValueError, match="at most"):
         davenport_m(big, 1, 2)
+    ones = MultisetSeq.from_counts(big, {big.one: 3})
+    with pytest.raises(ValueError, match="at most"):
+        find_egz_zero_sub(ones, 3, 1)
+    with pytest.raises(ValueError, match="at most"):
+        find_dav_zero_sub(ones, 1)
     # the precheck and the bounds need no tables
     assert egz_constant(big, 2, 3).kind == search.OUTCOME_INFINITE
     assert default_egz_cap(big, 1, 289) == 321
@@ -525,17 +536,16 @@ def test_array_step_matches_tuple_step(kind, moduli, m, t, cap) -> None:
     # every level of the search, seed levels included, built both ways
     # under the search's group
     ring = make_ring(moduli)
-    engine = search._engine(ring)
-    kit = engine.kit(m == 1)
+    kit = search._kit(ring, m == 1)
     seed = t if kind == KIND_EGZ else m - 1
-    frontier = {(0,) * engine.card}
+    frontier = {(0,) * kit.card}
     for level in range(1, cap + 1):
         closed = level > seed
         em_m = m if (kind == KIND_DAV and closed) or level == t else None
         expect = search._step_tuples(kit, frontier, frontier if closed else None, em_m)
         rows = kit.from_tuples(frontier)
         got = kit.step(rows, kit.orbit_keys(rows) if closed else None, em_m)
-        listed = [tuple(r) for r in got[:, : engine.card].tolist()]
+        listed = [tuple(r) for r in got[:, : kit.card].tolist()]
         assert listed == sorted(expect), (level, len(expect), len(listed))
         if not expect:
             break
@@ -547,24 +557,23 @@ def test_row_keys_follow_tuple_order(moduli, cap) -> None:
     import numpy as np
 
     ring = make_ring(moduli)
-    engine = search._engine(ring)
-    kit = engine.kit(True)
+    kit = search._kit(ring, True)
     rng = np.random.default_rng(cap)
-    vals = rng.integers(0, 4, size=(400, engine.card))
+    vals = rng.integers(0, 4, size=(400, kit.card))
     vals[::7, -1] = rng.integers(0, cap + 1, size=len(vals[::7]))
     tuples = [tuple(v) for v in vals.tolist()]
     rows = kit.from_tuples(tuples)
     order = np.argsort(kit.keys(rows), kind="stable")
     assert [tuples[i] for i in order] == sorted(tuples)
     uniq = kit.unique(rows)
-    assert [tuple(r) for r in uniq[:, : engine.card].tolist()] == sorted(set(tuples))
-    units = search._Rows(engine, unit_index_perms(ring))
+    assert [tuple(r) for r in uniq[:, : kit.card].tolist()] == sorted(set(tuples))
+    units = search._Rows(ring, unit_index_perms(ring))
     canon = units.canonical(rows, units.perm)
-    assert [tuple(r) for r in canon[:, : engine.card].tolist()] == [
+    assert [tuple(r) for r in canon[:, : kit.card].tolist()] == [
         canonical_mult(tp, orbit_perms(ring)) for tp in tuples
     ]
     canon = kit.canonical(rows, kit.perm)
-    assert [tuple(r) for r in canon[:, : engine.card].tolist()] == [
+    assert [tuple(r) for r in canon[:, : kit.card].tolist()] == [
         canonical_mult(tp, symmetry_index_perms(ring, True)) for tp in tuples
     ]
 
@@ -576,9 +585,8 @@ def test_image_weights_key_the_images(moduli) -> None:
     import numpy as np
 
     ring = make_ring(moduli)
-    engine = search._engine(ring)
-    card = engine.card
-    kit = engine.kit(True)
+    kit = search._kit(ring, True)
+    card = kit.card
     rng = np.random.default_rng(card)
     rows = kit.from_tuples(rng.integers(0, 256, size=(300, card)).tolist())
     images = []
@@ -614,7 +622,7 @@ def test_key_collisions_do_not_change_the_answer(moduli, kind, m, t, cap, monkey
     import numpy as np
 
     monkeypatch.setattr(search, "_key_weights", lambda card: np.ones(card, np.uint64))
-    monkeypatch.setattr(search, "_engine", search._Engine)  # fresh kits, uncached
+    monkeypatch.setattr(search, "_kit", search._kit.__wrapped__)  # fresh kits, uncached
     monkeypatch.setattr(search, "_SMALL_LEVEL", 0)  # every level takes the array step
     monkeypatch.setattr(search, "_SMALL_EM_LEVEL", 0)
     runs = []
@@ -665,14 +673,13 @@ def test_array_em_matches_engine(moduli, m, cap) -> None:
     import numpy as np
 
     ring = make_ring(moduli)
-    engine = search._engine(ring)
-    kit = engine.kit(False)
+    kit = search._kit(ring, False)
     rng = np.random.default_rng(m * cap)
-    vals = rng.integers(0, cap + 1, size=(300, engine.card))
+    vals = rng.integers(0, cap + 1, size=(300, kit.card))
     vals[rng.random(vals.shape) < 0.5] = 0  # sparse rows, multiplicities above the exponent
     tuples = [tuple(v) for v in vals.tolist()]
     got = kit.em(kit.from_tuples(tuples), m).tolist()
-    assert got == [engine.em_of_mult(tp, m) for tp in tuples]
+    assert got == [kit.em_mult(tp, m) for tp in tuples]
 
 
 # --- results across the 255 boundary of the uint8 rows ----------------------

@@ -74,8 +74,9 @@ def test_em_three_routes_agree_sampled() -> None:
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_em_three_routes_agree_property(data) -> None:
-    # the sequence route, the multiset route and the search engine's
-    # index-space polynomial route, over Z_n and Z_2 x Z_n
+    # the sequence route, the multiset route and the tuple step's
+    # index-space binomial-factor route (_Rows.em_mult), over Z_n and
+    # Z_2 x Z_n
     n = data.draw(st.integers(2, 7), label="n")
     ring = make_ring(data.draw(st.sampled_from(((n,), (2, n))), label="moduli"))
     seq = data.draw(st.lists(st.sampled_from(elements(ring)), max_size=9), label="seq")
@@ -83,7 +84,7 @@ def test_em_three_routes_agree_property(data) -> None:
     mseq = MultisetSeq.from_elements(ring, seq)
     em = elementary_symmetric(ring, seq, m)
     assert elementary_symmetric_multiset(ring, mseq, m) == em
-    assert search._engine(ring).em_of_mult(mseq.mult, m) == element_index(ring, em)
+    assert search._kit(ring, False).em_mult(mseq.mult, m) == element_index(ring, em)
 
 
 def test_em_prefix_and_edges() -> None:
