@@ -69,11 +69,6 @@ def loads(text: str) -> dict[str, Any]:
     return cert
 
 
-def _is_int(x: Any) -> bool:
-    # JSON true and false load as bools, which Python counts as ints
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _witness_counts(ring: RingSpec, cert: dict[str, Any]) -> dict[int, int]:
     """The witness as {element index: count}, validated entry by entry
     without building a vector of the ring's size."""
@@ -85,7 +80,7 @@ def _witness_counts(ring: RingSpec, cert: dict[str, Any]) -> dict[int, int]:
         idx = int(key)
         if not 0 <= idx < ring.cardinality:
             raise ValueError(f"witness index {idx} out of range for {ring}")
-        if not _is_int(count) or count <= 0:
+        if not numtheory.is_int(count) or count <= 0:
             raise ValueError(f"witness count for index {idx} must be a positive int")
         counts[idx] = count
     return counts
@@ -110,9 +105,9 @@ def verify_certificate(
         return False, [f"malformed certificate: {exc}"]
     if kind not in (search.KIND_EGZ, search.KIND_DAV):
         return False, [f"unknown query kind {kind!r}"]
-    if not _is_int(m) or m < 1:
+    if not numtheory.is_int(m) or m < 1:
         return False, [f"query m must be an integer >= 1, got {m!r}"]
-    if t is not None and not _is_int(t):
+    if t is not None and not numtheory.is_int(t):
         return False, [f"query t must be null or an integer, got {t!r}"]
     if kind == search.KIND_EGZ and (t is None or t < m):
         return False, [f"EGZ query needs t >= m, got t={t}, m={m}"]
@@ -143,7 +138,7 @@ def verify_certificate(
 
     if outcome_kind not in (search.OUTCOME_EXACT, search.OUTCOME_AT_LEAST):
         return False, [f"unknown outcome kind {outcome_kind!r}"]
-    if not _is_int(value) or value < 1:
+    if not numtheory.is_int(value) or value < 1:
         return False, [f"outcome value must be a positive integer, got {value!r}"]
     if ring.cardinality > search.MAX_CARDINALITY:
         return False, [
@@ -181,7 +176,7 @@ def verify_certificate(
         messages.append(f"witness has no length >= {m} sub-multiset with e_{m} = 0")
 
     cap_used = cert.get("cap_used")
-    if not _is_int(cap_used):
+    if not numtheory.is_int(cap_used):
         return False, messages + ["exact/at_least certificates need an integer cap_used"]
     if outcome_kind == search.OUTCOME_AT_LEAST and witness.length != cap_used:
         return False, messages + [

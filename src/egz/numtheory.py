@@ -20,6 +20,12 @@ class CapExceededError(RuntimeError):
     """Raised when a bounded scan exhausts its cap without an answer."""
 
 
+def is_int(x: object) -> bool:
+    """True for an int that is not a bool: JSON true and false load as
+    bools, which Python counts as ints."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False

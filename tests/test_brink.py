@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from typing import Iterable
 
 import pytest
 from hypothesis import given, settings
@@ -65,16 +66,32 @@ def test_numpy_matches_pure_python() -> None:
         assert report.count == _count_pure_python(inst)
 
 
+def _check_counts(inst: BrinkInstance, stops: Iterable[int] = ()) -> None:
+    # exact counts and early stops at every chunk size from one variable to
+    # the whole cube (and past it), against the loop over the cube
+    count = _count_pure_python(inst)
+    for bits in range(1, inst.n + 2):
+        report = count_boolean_solutions(inst, chunk_bits=bits)
+        assert (report.count, report.at_least) == (count, count)
+        for s in {*stops, 1, count, count + 1} - {0}:
+            report = count_boolean_solutions(inst, stop_at=s, chunk_bits=bits)
+            expected = (None, s) if count >= s else (count, count)
+            assert (report.count, report.at_least) == expected
+
+
+# the largest exponent with p^v <= 2^32, so that moduli reach every dtype
+_MAX_V = {2: 32, 3: 20, 5: 13}
+
+
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_chunked_transform_matches_pure_python_property(data) -> None:
-    # every chunk size from one variable to the whole cube (and past it),
-    # so monomials fall on the low side, the high side and across the split
+    # monomials fall on the low side, the high side and across the split
     n = data.draw(st.integers(1, 10), label="n")
     p = data.draw(st.sampled_from((2, 3, 5)), label="p")
     system = []
     for _ in range(data.draw(st.integers(0, 3), label="congruences")):
-        v = data.draw(st.integers(1, 3), label="v")
+        v = data.draw(st.integers(1, _MAX_V[p]), label="v")
         coeff = st.integers(-p**v, 2 * p**v)
         monomials = data.draw(
             st.lists(st.tuples(coeff, st.lists(st.integers(0, n - 1), max_size=4)),
@@ -87,15 +104,33 @@ def test_chunked_transform_matches_pure_python_property(data) -> None:
                       (data.draw(coeff, label="straddling"), (0, n - 1))]
         system.append((v, monomials))
     inst = make_instance(n, p, system)
-    count = _count_pure_python(inst)
-    stop = data.draw(st.integers(1, (1 << n) + 1), label="stop_at")
-    for bits in range(1, n + 2):
-        report = count_boolean_solutions(inst, chunk_bits=bits)
-        assert (report.count, report.at_least) == (count, count)
-        for s in {stop, 1, count, count + 1} - {0}:
-            report = count_boolean_solutions(inst, stop_at=s, chunk_bits=bits)
-            expected = (None, s) if count >= s else (count, count)
-            assert (report.count, report.at_least) == expected
+    _check_counts(inst, [data.draw(st.integers(1, (1 << n) + 1), label="stop_at")])
+
+
+@pytest.mark.parametrize(
+    ("p", "v", "total"),
+    [
+        # coefficient sums on either side of 2^8, 2^16 and 2^32, with p^v
+        # below them: one too narrow a dtype wraps the all-ones value to 0
+        (3, 5, 255), (3, 5, 256),
+        (3, 10, 65535), (3, 10, 65536),
+        (3, 20, 2**32 - 1), (3, 20, 2**32),
+        # p^v above the coefficient sum sets the dtype
+        (2, 32, 1), (3, 20, 1), (2, 8, 255), (2, 16, 3),
+    ],
+)
+def test_narrow_dtype_edges(p: int, v: int, total: int) -> None:
+    pv = p**v
+    coeffs = []
+    while total:
+        coeffs.append(min(total, pv - 1))
+        total -= coeffs[-1]
+    supports = [(), (0,), (1, 2), (3,), (0, 4), (1, 5)]
+    assert len(coeffs) <= len(supports)
+    inst = make_instance(6, p, [(v, list(zip(coeffs, supports))), (1, [(1, (2,))])])
+    _check_counts(inst, [2, 5])
+    # alone, without the second congruence's mask
+    _check_counts(make_instance(6, p, [(v, list(zip(coeffs, supports)))]), [3])
 
 
 @pytest.mark.parametrize(("p", "v"), [(2, 32), (3, 20)])
@@ -177,6 +212,22 @@ def test_make_instance_validation() -> None:
         make_instance(3, 2, [(1, [(1, (5,))])])  # variable out of range
     with pytest.raises(ValueError):
         make_instance(3, 2, [(33, [(1, (0,))])])  # p^v too large
+    with pytest.raises(ValueError):
+        make_instance(3, 3, [(10**400, [(1, (0,))])])  # huge v, no huge power
+    with pytest.raises(ValueError):
+        make_instance(3, 2**61 - 1, [])  # a prime above 2^32
+    # bools, floats and strings are not integers, even with an int's value
+    for bad in (True, 3.0, "3"):
+        with pytest.raises(ValueError, match="n "):
+            make_instance(bad, 2, [])
+        with pytest.raises(ValueError, match="p must be"):
+            make_instance(3, bad, [])
+        with pytest.raises(ValueError, match="v must be"):
+            make_instance(3, 2, [(bad, [(1, (0,))])])
+        with pytest.raises(ValueError, match="coefficients must be"):
+            make_instance(3, 2, [(1, [(bad, (0,))])])
+        with pytest.raises(ValueError, match="variable ids must be"):
+            make_instance(3, 2, [(1, [(1, (bad,))])])
 
 
 def test_egz_instance_shape() -> None:

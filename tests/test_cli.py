@@ -104,6 +104,39 @@ def test_brink_bad_stop_or_chunk_errors(capsys, tmp_path, flag: str, value: str)
     assert err.startswith(f"error: {flag[2:].replace('-', '_')} must be >= 1")
 
 
+@pytest.mark.parametrize(
+    ("n", "p", "v", "coeff", "ids"),
+    [
+        # JSON 1e400 loads as inf, which int() cannot convert
+        ("1e400", "2", "1", "1", "[0]"),
+        ("3", "1e400", "1", "1", "[0]"),
+        ("3", "2", "1e400", "1", "[0]"),
+        ("3", "2", "1", "1e400", "[0]"),
+        # values an int() coercion or a range check would let through
+        ("3", "2", "1", "1", "[0.7]"),
+        ("true", "2", "1", "1", "[0]"),
+        ("3", "2", "1", "1.5", "[0]"),
+        ("3", "2", "1", "1", '["0"]'),
+        # integers too large to raise p to or to test for primality quickly
+        ("3", "2", "1" + "0" * 400, "1", "[0]"),
+        ("3", str(2**61 - 1), "1", "1", "[0]"),
+    ],
+    ids=["n-1e400", "p-1e400", "v-1e400", "coeff-1e400", "id-float", "n-true",
+         "coeff-float", "id-str", "v-huge", "p-huge"],
+)
+def test_brink_bad_instance_fields(capsys, tmp_path, n, p, v, coeff, ids) -> None:
+    path = tmp_path / "inst.json"
+    path.write_text(
+        f'{{"n": {n}, "p": {p}, "system": [{{"v": {v}, "monomials": [[{coeff}, {ids}]]}}]}}',
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "brink", "--instance", str(path))
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
+
+
 def test_brink_missing_file(capsys, tmp_path) -> None:
     code, _, err = run(capsys, "brink", "--instance", str(tmp_path / "nope.json"))
     assert code == 1

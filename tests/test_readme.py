@@ -8,6 +8,9 @@ import re
 import shlex
 from pathlib import Path
 
+from test_brink import _count_pure_python
+
+from egz import brink
 from egz.cli import main
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
@@ -31,3 +34,13 @@ def test_cli_transcripts(capsys) -> None:
     for argv, expected in runs:
         main(shlex.split(argv))
         assert capsys.readouterr().out == expected, argv
+
+
+def test_brink_instance_example(capsys, tmp_path) -> None:
+    section = README.split("## Boolean system instances", 1)[1]
+    text = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    path = tmp_path / "instance.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["brink", "--instance", str(path)]) == 0
+    expected = _count_pure_python(brink.from_json(text))
+    assert capsys.readouterr().out.splitlines()[-1] == f"{expected} solutions"
