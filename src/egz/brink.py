@@ -30,7 +30,8 @@ every value, and every partial sum along the transform, adds each
 monomial's coefficient at most once: it stays within their sum and never
 wraps, and no intermediate reduction mod p^v is needed. (p^v <= 2^32 and at most 2^30 monomials keep the sum below
 2^62, so uint64 always suffices; p^v must fit too, so that the final
-remainder is taken in the same dtype.) A pass over bit i adds blocks of
+remainder is taken in the same dtype. When p = 2 that remainder is a mask
+of the low v bits.) A pass over bit i adds blocks of
 2^i contiguous entries, and small blocks are slow. So the passes over the
 high half of the L bits run first; then one transposed copy of the chunk,
 viewed as a 2^(L-k) x 2^k array with k = L // 2, moves the low k bits to
@@ -168,12 +169,15 @@ def count_boolean_solutions(
         masks = np.array(
             [sum(1 << i for i in vs) for _, vs in cong.monomials], dtype=np.int64
         )
+        # divisibility by p^v: when p = 2 a mask of the low v bits, which
+        # costs about one zeta pass where a remainder costs the transform
+        reduce, arg = (np.bitwise_and, pv - 1) if inst.p == 2 else (np.remainder, pv)
         plans.append((masks & (size - 1), masks >> low_bits,
-                      np.array(coeffs, dtype=dtype), dtype.type(pv)))
+                      np.array(coeffs, dtype=dtype), reduce, dtype.type(arg)))
     found = 0
     for h in range(1 << (inst.n - low_bits)):
         good = np.ones(size, dtype=bool)
-        for low, high, coeffs, pv in plans:
+        for low, high, coeffs, reduce, arg in plans:
             live = (high & ~h) == 0
             acc = np.zeros(size, dtype=coeffs.dtype)
             np.add.at(acc, low[live], coeffs[live])
@@ -183,7 +187,7 @@ def count_boolean_solutions(
             acc = np.ascontiguousarray(acc.reshape(-1, 1 << split).T).reshape(size)
             for i in range(low_bits - split, low_bits):
                 _zeta_pass(acc, i)
-            np.remainder(acc, pv, out=acc)
+            reduce(acc, arg, out=acc)
             good &= acc == 0
             if not good.any():
                 break

@@ -91,7 +91,8 @@ def verify_certificate(
 ) -> tuple[bool, list[str]]:
     """Re-check a certificate. Returns (ok, messages); messages narrate each
     check so failures are attributable. recheck_search re-runs the frontier
-    search at the recorded cap for exact/at_least outcomes."""
+    search at the recorded cap for exact/at_least outcomes, as a new search
+    that neither reads nor fills the search's cache."""
     messages: list[str] = []
     try:
         query = cert["query"]
@@ -193,8 +194,9 @@ def verify_certificate(
             return False, messages + [
                 f"cannot re-run search for method {method!r}"
             ]
-        length, _ = search.max_counterexample_length(
-            kind, ring, m, cap_used, t=t if kind == search.KIND_EGZ else None
+        length, _ = search._max_length(
+            kind, ring, m, cap_used, t if kind == search.KIND_EGZ else None,
+            "frontier", None, cached=False,
         )
         if length != witness.length:
             return False, messages + [

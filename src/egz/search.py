@@ -47,6 +47,20 @@ EGZ kind, from the hypothesis-checked upper-bound calculators in bounds;
 when a bound B applies, the search runs through level B so that exactness
 never rests on the bound itself.
 
+The levels do not depend on the cap, so one BFS answers every cap of one
+(kind, ring, m, t). Each kit (one per ring and search group, see _kit)
+caches up to _SEARCHES of them as _Search: the size, least class and
+hashed-keys flag of every level made so far, and the generator that makes
+the next one, suspended. A query sends the recorded levels up to its cap
+through progress and resumes the generator only for levels past the last
+one; its answer, witness, certificate bytes and progress calls are those
+of a search from the seed, whatever was asked before. A suspended frontier
+stays only while the kit's sum of them is at most _SUSPEND_BYTES (64 KiB,
+so 2 MiB over the 32 kits); past that the generator is closed, and a larger
+cap runs again from the seed. A recorded level costs about 8 |G| + 150
+bytes. A search that raised (MemoryError, KeyboardInterrupt) leaves the
+cache, and verify_certificate's re-check runs a new search outside it.
+
 A level step has two implementations with the same output, and both run in
 the same order: dedupe the raw one-element extensions of the stored
 representatives, keep those whose one-element removals all lie in the
@@ -109,6 +123,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
@@ -179,6 +194,11 @@ _ROW_MAX = 0xFF
 # deterministic.
 _KEY_SEED = 0x243F6A8885A308D3
 _MASK64 = (1 << 64) - 1
+# Kits _kit keeps; searches each kit caches; bytes of suspended frontiers
+# each kit keeps, so _BLOCK_BYTES over the cached kits (see _Search).
+_KITS = 32
+_SEARCHES = 32
+_SUSPEND_BYTES = _BLOCK_BYTES // _KITS
 
 
 def _key_weights(card: int) -> np.ndarray:
@@ -236,7 +256,7 @@ class _Rows:
     __slots__ = (
         "ring", "card", "add_t", "mul_t", "one_idx", "width", "key_dtype",
         "images", "perm", "w", "W", "exact_keys", "eye", "_key_view",
-        "_idx_dtype", "_arith", "_fac", "_factors",
+        "_idx_dtype", "_arith", "_fac", "_factors", "searches",
     )
 
     def __init__(self, ring: RingSpec, sym) -> None:
@@ -258,6 +278,7 @@ class _Rows:
         self._arith = None
         self._fac: dict[int, np.ndarray] = {}
         self._factors: dict[tuple[int, int, int], tuple[int, ...]] = {}
+        self.searches: dict[tuple, _Search] = {}  # by (kind, m, t), least recent first
 
     def from_tuples(self, members) -> np.ndarray:
         vals = np.array(list(members), dtype=np.int64).reshape(-1, self.card)
@@ -432,7 +453,7 @@ class _Rows:
         ] or [out]))
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=_KITS)
 def _kit(ring: RingSpec, additive: bool) -> _Rows:
     """The level-step kit reducing by rings.symmetry_index_perms(ring,
     additive)."""
@@ -635,9 +656,13 @@ def _least(frontier, card: int) -> tuple[int, ...]:
     return min(frontier)
 
 
-def _frontier_max(kit: _Rows, kind: str, m: int, t: int | None, cap: int, progress, arrays: bool):
-    """The frontier BFS to cap: the last nonempty level, its least class,
-    and whether some closure test compared linear keys that are not exact.
+def _frontier_max(kit: _Rows, kind: str, m: int, t: int | None, arrays: bool):
+    """The frontier BFS as a generator of (level, frontier, hashed): the
+    seed level, then each later nonempty level, hashed saying whether some
+    closure test so far compared linear keys that are not exact. It stops
+    at the first empty level: the search closed there. An empty level
+    proves closure whatever keys built it, so the flag of that last step is
+    not reported.
 
     Seed levels skip the closure test: every multiset of length below the
     seed is a counterexample, and at the EGZ seed level t exactly those with
@@ -647,23 +672,99 @@ def _frontier_max(kit: _Rows, kind: str, m: int, t: int | None, cap: int, progre
     for level in range(seed):
         seed_em = m if level + 1 == t else None
         frontier = _advance(kit, frontier, level, False, seed_em, arrays)
-    level = seed
     em_m = m if kind == KIND_DAV else None
-    if not len(frontier):
-        return seed - 1, _vacuous_witness(kit.ring, seed - 1).mult, False
-    if progress:
-        progress(level, len(frontier))
-    hashed = False
-    while level < cap:
-        nxt = _advance(kit, frontier, level, True, em_m, arrays)
-        hashed |= isinstance(nxt, np.ndarray) and not kit.exact_keys
-        if not len(nxt):
-            break
-        frontier = nxt
+    level, hashed = seed, False
+    while len(frontier):
+        yield level, frontier, hashed
+        frontier = _advance(kit, frontier, level, True, em_m, arrays)
+        hashed |= isinstance(frontier, np.ndarray) and not kit.exact_keys
         level += 1
+
+
+def _nbytes(frontier, level: int) -> int:
+    """Bytes a nonempty frontier of multisets of length level holds: an
+    array's buffer, or a set's table and tuples, with 32 bytes for each
+    int past 256 a tuple can hold (smaller ints are shared)."""
+    if isinstance(frontier, np.ndarray):
+        return frontier.nbytes
+    each = sys.getsizeof(next(iter(frontier))) + 32 * (level // 257)
+    return sys.getsizeof(frontier) + len(frontier) * each
+
+
+class _Search:
+    """One frontier BFS of (kind, m, t), resumable to any cap.
+
+    The levels do not depend on the cap, so a search to one cap is a prefix
+    of the search to any larger one. levels[i] is (size, least class,
+    hashed) of level seed + i; gen is the suspended _frontier_max that
+    makes the next level, or None, and nbytes the size of the frontier it
+    holds; done says the level after the last one is empty. A closed gen
+    with done false is re-run from the seed when a larger cap needs more
+    levels, and makes the same levels again. The kit is passed to each
+    call, not kept, so a kit and the searches it caches form no reference
+    cycle unless a generator is suspended."""
+
+    __slots__ = ("kind", "m", "t", "arrays", "seed", "levels", "gen", "nbytes", "done")
+
+    def __init__(self, kind: str, m: int, t: int | None, arrays: bool = True):
+        self.kind, self.m, self.t, self.arrays = kind, m, t, arrays
+        self.seed = t if kind == KIND_EGZ else m - 1
+        self.levels: list[tuple[int, tuple[int, ...], bool]] = []
+        self.gen = None
+        self.nbytes = 0
+        self.done = False
+
+    def close(self) -> None:
+        if self.gen is not None:
+            self.gen.close()
+        self.gen, self.nbytes = None, 0
+
+    def to(self, kit: _Rows, cap: int, progress):
+        """The search on kit to cap, at least the seed level: the last
+        nonempty level up to cap, its least class, and its hashed flag.
+        progress gets every level up to it, recorded or new."""
+        seed = self.seed
         if progress:
-            progress(level, len(frontier))
-    return level, _least(frontier, kit.card), hashed
+            for level, (size, _, _) in enumerate(self.levels[: cap - seed + 1], seed):
+                progress(level, size)
+        while not self.done and seed + len(self.levels) <= cap:
+            if self.gen is None:
+                self.gen = _frontier_max(kit, self.kind, self.m, self.t, arrays=self.arrays)
+                for _ in self.levels:
+                    next(self.gen)
+            step = next(self.gen, None)
+            if step is None:
+                self.done = True
+                self.close()
+                break
+            level, frontier, hashed = step
+            self.levels.append((len(frontier), _least(frontier, kit.card), hashed))
+            self.nbytes = _nbytes(frontier, level)
+            if progress:
+                progress(level, len(frontier))
+        if not self.levels:  # the EGZ seed level is empty
+            return seed - 1, _vacuous_witness(kit.ring, seed - 1).mult, False
+        i = min(cap - seed, len(self.levels) - 1)
+        _, least, hashed = self.levels[i]
+        return seed + i, least, hashed
+
+
+def _cached_search(kit: _Rows, kind: str, m: int, t: int | None, cap: int, progress):
+    """_Search.to on the kit's cached search of (kind, m, t). An exception
+    (a MemoryError, a KeyboardInterrupt) leaves the search out of the
+    cache, since a generator that raised reads as closed. Past _SEARCHES
+    the least recently used search goes, and a suspended frontier that
+    would take the kit past _SUSPEND_BYTES is dropped."""
+    key = (kind, m, t)
+    searches = kit.searches
+    found = searches.pop(key, None) or _Search(kind, m, t)
+    answer = found.to(kit, cap, progress)
+    searches[key] = found
+    if len(searches) > _SEARCHES:
+        searches.pop(next(iter(searches))).close()
+    if sum(s.nbytes for s in searches.values()) > _SUSPEND_BYTES:
+        found.close()
+    return answer
 
 
 def _counterexample_test(ring: RingSpec, kind: str, m: int, t: int | None):
@@ -686,12 +787,21 @@ def max_counterexample_length(
     """Longest counterexample length up to cap, with a lex-least canonical
     witness of that length. Returns cap when the search did not close.
 
-    On rows wider than one word the array step's closure test compares
-    linear keys, so each level is a superset of the true one. When it ran,
-    the witness is checked by the full tester: it passes, and is then the
-    true lex-least counterexample of the true last level, unless a key
-    collision admitted it; in that case the search runs again on the tuple
-    step, whose tests are exact, and progress reports its levels again."""
+    The frontier search answers from the ring's cached search of (kind, m,
+    t), resumed past its recorded levels only when cap needs more (see
+    _Search). On rows wider than one word the array step's closure test
+    compares linear keys, so each level is a superset of the true one. When
+    it ran, the witness is checked by the full tester: it passes, and is
+    then the true lex-least counterexample of the true last level, unless a
+    key collision admitted it; in that case the search runs again, uncached,
+    on the tuple step, whose tests are exact, and progress reports its
+    levels again."""
+    return _max_length(kind, ring, m, cap, t, method, progress, cached=True)
+
+
+def _max_length(kind, ring, m, cap, t, method, progress, cached: bool):
+    """max_counterexample_length; cached=False runs a new search, and
+    neither reads nor fills the cache."""
     if kind not in (KIND_EGZ, KIND_DAV):
         raise ValueError(f"unknown kind {kind!r}")
     _check_method(method)
@@ -711,9 +821,12 @@ def max_counterexample_length(
         return _direct_max(ring, kind, m, cap, t)
 
     kit = _kit(ring, m == 1)
-    level, least, hashed = _frontier_max(kit, kind, m, t, cap, progress, arrays=True)
+    if cached:
+        level, least, hashed = _cached_search(kit, kind, m, t, cap, progress)
+    else:
+        level, least, hashed = _Search(kind, m, t).to(kit, cap, progress)
     if hashed and not _counterexample_test(ring, kind, m, t)(least):
-        level, least, _ = _frontier_max(kit, kind, m, t, cap, progress, arrays=False)
+        level, least, _ = _Search(kind, m, t, arrays=False).to(kit, cap, progress)
     return level, MultisetSeq(ring, least)
 
 

@@ -245,6 +245,22 @@ def test_egz_instance_shape() -> None:
     assert report.count == 16
 
 
+@pytest.mark.parametrize(
+    "g, k, t, m, count",
+    [
+        ((0, 3, 2, 0, 0, 3, 3, 3, 3, 0, 0, 3, 1, 1, 0, 3, 3), 4, 16, 3, 12),
+        ((7, 4, 4, 4, 0, 1, 1, 1, 2, 0, 7, 5, 6, 7, 1, 0, 2), 9, 9, 2, 2777),
+    ],
+    ids=["p2", "p3"],
+)
+def test_recorded_counts_by_mask_and_remainder(g, k, t, m, count) -> None:
+    # p = 2 tests divisibility by a mask of the low bits, p = 3 by a
+    # remainder; the counts were recorded with a remainder for both
+    inst = egz_boolean_instance(g, k, t, m)
+    for bits in (5, 9, brink.DEFAULT_CHUNK_BITS):
+        assert count_boolean_solutions(inst, chunk_bits=bits).count == count
+
+
 def test_egz_instance_zero_entries_drop_from_e2() -> None:
     g = (1,) * 16 + (0,) * 14
     inst = egz_boolean_instance(g, 8, 16, 2)

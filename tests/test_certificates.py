@@ -242,6 +242,30 @@ def test_wide_row_certificate_fails_full_recheck() -> None:
     assert messages[-1] == "re-run found max counterexample length 26, certificate claims 2"
 
 
+def test_full_recheck_bypasses_the_search_cache() -> None:
+    # D_1(Z_5 x Z_5) = 9: with its cached search cut to three levels and
+    # marked closed, a cached query answers 2, but the re-check runs a new
+    # search, which neither reads the cut entry nor stores one of its own
+    ring = make_ring((5, 5))
+    search._kit.cache_clear()
+    cert = _dav_cert((5, 5), 1, 9)
+    search._kit.cache_clear()
+    ok, messages = verify_certificate(cert, recheck_search=True)
+    assert ok, messages
+    assert not search._kit(ring, True).searches
+    search.davenport_m(ring, 1, 9)
+    (entry,) = search._kit(ring, True).searches.values()
+    del entry.levels[3:]
+    entry.close()
+    entry.done = True
+    assert search.max_counterexample_length(search.KIND_DAV, ring, 1, 9)[0] == 2
+    ok, messages = verify_certificate(cert, recheck_search=True)
+    assert ok, messages
+    assert messages[-1] == "search re-run to cap 9 confirms max counterexample length 8"
+    assert len(entry.levels) == 3
+    search._kit.cache_clear()
+
+
 def test_full_recheck_detects_wrong_method() -> None:
     cert = _egz_cert((3,), 2, 3)
     bad = json.loads(dumps(cert))

@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import math
+import random
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from egz import bounds, numtheory, rings, search
+from egz import bounds, certificates, numtheory, rings, search
 from egz.multiset import MultisetSeq, canonical_mult, orbit_perms
 from egz.rings import (
     add,
@@ -34,6 +36,16 @@ from egz.search import (
     is_counterexample_egz,
     max_counterexample_length,
 )
+
+
+@pytest.fixture
+def fresh_kits():
+    # new kits carry new caches of searches: a test that watches which step
+    # ran must not be answered from searches that other tests left
+    kits = search._kit  # a test may patch _kit
+    kits.cache_clear()
+    yield
+    kits.cache_clear()
 
 
 def test_find_egz_zero_sub_examples() -> None:
@@ -532,7 +544,7 @@ def test_davenport_without_cap_raises() -> None:
         (KIND_DAV, (4, 4), 2, None, 7),
     ],
 )
-def test_array_step_matches_tuple_step(kind, moduli, m, t, cap) -> None:
+def test_array_step_matches_tuple_step(kind, moduli, m, t, cap, fresh_kits) -> None:
     # every level of the search, seed levels included, built both ways
     # under the search's group
     ring = make_ring(moduli)
@@ -613,7 +625,9 @@ def test_image_weights_key_the_images(moduli) -> None:
         ((2, 2, 2, 2), KIND_DAV, 2, None, 7),
     ],
 )
-def test_key_collisions_do_not_change_the_answer(moduli, kind, m, t, cap, monkeypatch) -> None:
+def test_key_collisions_do_not_change_the_answer(
+    moduli, kind, m, t, cap, monkeypatch, fresh_kits
+) -> None:
     # all-ones weights give every multiset of one length the same linear
     # key, so the closure test keeps every candidate: each level is a
     # superset of the true one, the search runs to the cap, its witness
@@ -709,7 +723,143 @@ def test_egz_z2_past_255_matches_calculator(t, m) -> None:
     assert (out.kind, out.value) == ("exact", want.value)
 
 
-def test_levels_from_255_take_the_tuple_step() -> None:
+def test_levels_from_255_take_the_tuple_step(fresh_kits) -> None:
     # E(258, Z_3, 1) seeds at level 258: levels 255 to 258 run on tuples
     out = egz_constant(make_ring((3,)), 1, 258)
     assert (out.kind, out.value, out.witness.mult) == ("exact", 260, (0, 2, 257))
+
+
+# --- resumable searches: one BFS answers every cap --------------------------
+
+
+def _answer(kind, ring, m, t, cap):
+    """The outcome, its certificate bytes and every progress call."""
+    seen = []
+
+    def progress(level, size):
+        seen.append((level, size))
+
+    if kind == KIND_EGZ:
+        out = egz_constant(ring, m, t, cap=cap, progress=progress)
+    else:
+        out = davenport_m(ring, m, cap, progress=progress)
+    cert = certificates.dumps(certificates.build_certificate(kind, ring, m, t, out))
+    return out, cert, seen
+
+
+def _uncached(kind, ring, m, t, cap):
+    search._kit.cache_clear()  # a new kit, whose cache holds nothing yet
+    return _answer(kind, ring, m, t, cap)
+
+
+@pytest.mark.parametrize(
+    "kind, moduli, m, t, caps",
+    [
+        (KIND_EGZ, (8,), 2, 16, (16, 19, 29, 30)),  # one-word exact keys
+        (KIND_DAV, (5, 5), 1, None, tuple(range(1, 12))),  # hashed keys
+        (KIND_DAV, (7,), 3, None, tuple(range(3, 16))),  # tuple-only levels
+        (KIND_DAV, (27,), 1, None, (27, 255, 256, 300)),  # across _ROW_MAX
+    ],
+    ids=["E16-Z8-2", "D1-Z5xZ5", "D3-Z7", "D1-Z27"],
+)
+def test_cap_sweeps_match_uncached_searches(kind, moduli, m, t, caps, fresh_kits) -> None:
+    # every cap answered in ascending, descending and shuffled order, each
+    # order on new kits: outcome, certificate bytes and progress calls are
+    # those of a search that starts from the seed
+    ring = make_ring(moduli)
+    want = {cap: _uncached(kind, ring, m, t, cap) for cap in caps}
+    shuffled = list(caps)
+    random.Random(len(caps)).shuffle(shuffled)
+    for order in (sorted(caps), sorted(caps, reverse=True), shuffled):
+        search._kit.cache_clear()
+        for cap in order:
+            assert _answer(kind, ring, m, t, cap) == want[cap], (order, cap)
+
+
+def test_a_capped_search_resumes(monkeypatch, fresh_kits) -> None:
+    # D_3(Z_7): a larger cap advances from the last recorded level, and a
+    # smaller one advances nothing
+    ring = make_ring((7,))
+    calls = []
+    advance = search._advance
+
+    def spy(kit, frontier, level, *args):
+        calls.append(level)
+        return advance(kit, frontier, level, *args)
+
+    monkeypatch.setattr(search, "_advance", spy)
+    assert davenport_m(ring, 3, 5).value == 6
+    assert calls == [0, 1, 2, 3, 4]
+    assert davenport_m(ring, 3, 15).value == 13
+    assert calls == list(range(13))
+    assert davenport_m(ring, 3, 9).value == 10
+    assert davenport_m(ring, 3, 20).value == 13
+    assert calls == list(range(13))
+
+
+@pytest.mark.parametrize("error", [MemoryError, KeyboardInterrupt])
+def test_an_interrupted_search_leaves_no_entry(error, monkeypatch, fresh_kits) -> None:
+    # a generator that raised is finished, and its next step would read as
+    # an empty level: D_3(Z_7) would answer Exact 5 instead of Exact 13
+    ring = make_ring((7,))
+    calls = []
+    advance = search._advance
+
+    def failing(*args):
+        calls.append(None)
+        if len(calls) == 5:
+            raise error
+        return advance(*args)
+
+    monkeypatch.setattr(search, "_advance", failing)
+    with pytest.raises(error):
+        davenport_m(ring, 3, 15)
+    monkeypatch.setattr(search, "_advance", advance)
+    again = _answer(KIND_DAV, ring, 3, None, 15)
+    assert again == _uncached(KIND_DAV, ring, 3, None, 15)
+    assert (again[0].kind, again[0].value) == ("exact", 13)
+
+
+def test_a_large_frontier_is_not_kept(fresh_kits) -> None:
+    # E(9, Z_9, 2) at cap 10: its last level, 4 514 classes of 16 bytes, is
+    # past the kit's budget, so only the recorded levels stay; a larger cap
+    # then runs again from the seed and gives the uncached answer
+    ring = make_ring((9,))
+    kit = search._kit(ring, False)
+    egz_constant(ring, 2, 9, cap=10)  # the kit's lazy tables
+    kit.searches.clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = egz_constant(ring, 2, 9, cap=10)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert (out.kind, out.value) == ("at_least", 11)
+    (entry,) = kit.searches.values()
+    assert [size for size, _, _ in entry.levels] == [3631, 4514]
+    assert 4514 * 16 > search._SUSPEND_BYTES
+    assert entry.gen is None and entry.nbytes == 0 and not entry.done
+    assert kept < search._SUSPEND_BYTES, kept
+    assert _answer(KIND_EGZ, ring, 2, 9, 13) == _uncached(KIND_EGZ, ring, 2, 9, 13)
+
+
+def test_suspended_frontiers_stay_within_the_budget(monkeypatch, fresh_kits) -> None:
+    # D_m(Z_9) for m = 2..9 at three caps each, on one kit: at most
+    # _SEARCHES are cached, and their suspended frontiers never sum past
+    # _SUSPEND_BYTES
+    monkeypatch.setattr(search, "_SEARCHES", 6)
+    monkeypatch.setattr(search, "_SUSPEND_BYTES", 4096)
+    ring = make_ring((9,))
+    kit = search._kit(ring, False)
+    for m in range(2, 10):
+        for cap in (m, m + 1, m + 3):
+            davenport_m(ring, m, cap)
+            assert len(kit.searches) <= 6
+            assert sum(s.nbytes for s in kit.searches.values()) <= 4096
+            assert all((s.gen is None) == (s.nbytes == 0) for s in kit.searches.values())
+    assert [key[1] for key in kit.searches] == [4, 5, 6, 7, 8, 9]
+    assert any(s.gen is not None for s in kit.searches.values())
+    assert any(s.gen is None and not s.done for s in kit.searches.values())
