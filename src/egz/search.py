@@ -111,16 +111,23 @@ depth first over the positions of nonzero multiplicity, in lex order, and
 returns the first one in the window with e_m = 0. Along the walk the
 truncated generating product gains one linear factor (1 + g x) per element
 taken, a second route to e_m beside the binomial factors of the tuple
-step's _Rows.em_mult. They are the oracle route used by direct enumeration,
-certificate verification, and the tests that pin the frontier to unpruned
-search. Direct enumeration (method="direct") tests the unit-canonical
-multisets of each length in lex order and stops at the first counterexample,
-the length's lex-least one; only the closing length is swept in full.
+step's _Rows.em_mult. They are the oracle route used by certificate
+verification, by the check of every direct witness, and by the tests that
+pin the frontier to unpruned search.
+
+Direct enumeration (method="direct", _least_counterexample) shares none of
+the frontier's machinery: no rows, no search group, no unit permutations,
+no hashed keys, and nothing carried from one length to the next. For each
+length it walks the multiplicity vectors depth first in lex order, carrying
+the e_1..e_m values and sizes of the prefix's sub-multisets, and cuts a
+count once it completes a zero-sum sub-multiset. Its first leaf is the
+length's lex-least counterexample, unit-canonical because a unit image of a
+counterexample is one; a length with no leaf closes the search. Each
+witness is then confirmed by the full tester, and a disagreement raises.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 import sys
@@ -131,7 +138,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import bounds, numtheory, rings
-from .multiset import MultisetSeq, orbit_perms
+from .multiset import MultisetSeq
 from .rings import RingSpec
 
 KIND_EGZ = "egz"
@@ -553,20 +560,6 @@ def _vacuous_witness(ring: RingSpec, length: int) -> MultisetSeq:
     return MultisetSeq(ring, mult)
 
 
-def _unit_canonical(ring: RingSpec, length: int):
-    """The unit-canonical multiplicity vectors of one length, in increasing
-    lex order: every composition of length over the ring's elements, kept
-    when no unit image of it is smaller. A composition is read off its
-    cuts, a nondecreasing sequence, and cuts and compositions share lex
-    order."""
-    images = [operator.itemgetter(*p) for p in orbit_perms(ring)]
-    cuts_of = itertools.combinations_with_replacement(range(length + 1), ring.cardinality - 1)
-    for cuts in cuts_of:
-        mult = tuple(map(operator.sub, cuts + (length,), (0,) + cuts))
-        if not any(img(mult) < mult for img in images):
-            yield mult
-
-
 def _step_tuples(kit: _Rows, members, prev: set | None, em_m: int | None):
     """The tuple level step: one-element extensions of members, reduced to
     their lex-least images under the kit's group.
@@ -830,19 +823,142 @@ def _max_length(kind, ring, m, cap, t, method, progress, cached: bool):
     return level, MultisetSeq(ring, least)
 
 
+_NEVER = sys.maxsize  # no number of copies makes a hit
+
+
+def _least_counterexample(tables, card: int, kind: str, m: int, t: int | None, length: int):
+    """The lex-least counterexample of one length, as a multiplicity
+    vector, or None; tables are _index_tables of the ring.
+
+    One depth-first walk over the multiplicity vector, positions in index
+    order and each count ascending: lex order. The walk carries the states
+    (size, e_1, ..., e_m) of the prefix's sub-multisets, element indices for
+    the e_j; one more element g maps e_j to e_j + g e_(j-1). The sizes that
+    share (e_1, ..., e_m) are one bit mask, bit j set when j more elements
+    make a size that counts: exactly t for the EGZ kind, at least m for the
+    Davenport kind. One more element shifts the mask down. An EGZ size that
+    reached t, or that can no longer reach it with the elements left, is
+    dropped. A hit is a counting size with e_m = 0; no carried state is one.
+
+    The cut: bit j of zero_mask(g, e) says that j copies of g take e to
+    e_m = 0, so the least set bit of zero_mask & mask is the least number
+    of copies of g that makes a hit from those states. With c* the least of
+    these over the prefix's states, every count c >= c* of g puts a
+    zero-sum sub-multiset in every completion and is cut; a count below
+    keeps the states hit-free. The same bound for each later position h
+    caps what h can take, so counts of g that leave more than those caps
+    hold are cut too. The last position takes the count left. The first
+    leaf is the lex-least counterexample. The memos of after and zero_mask
+    live for this one length."""
+    add_t, mul_t, one_idx = tables
+    egz = kind == KIND_EGZ
+    start = 1 << t if egz else (2 << length) - 1 >> m << m
+    keep = ~1 if egz else -1  # bit 0 of an EGZ mask: size t, and no hit
+    nexts = [{} for _ in range(card)]
+    zeros = [{} for _ in range(card)]
+
+    def after(g: int, e: tuple) -> tuple:
+        # e plus one g, memoized in nexts[g]
+        row = mul_t[g]
+        prev = one_idx
+        out = []
+        for x in e:
+            out.append(add_t[x][row[prev]])
+            prev = x
+        nexts[g][e] = out = tuple(out)
+        return out
+
+    def zero_mask(g: int, e: tuple) -> int:
+        # bit j set when j copies of g take e to e_m = 0, memoized in zeros[g]
+        nxt = nexts[g]
+        z = 0
+        f = e
+        for j in range(1, length + 1):
+            f = nxt.get(f) or after(g, f)
+            if f[-1] == 0:
+                z |= 1 << j
+        zeros[g][e] = z
+        return z
+
+    mult = [0] * card
+
+    def cut(h: int, states: dict) -> int:
+        # least copies of h that make a hit from states, or _NEVER
+        known = zeros[h]
+        hits = 0
+        for e, mask in states.items():
+            z = known.get(e)
+            hits |= (zero_mask(h, e) if z is None else z) & mask
+        return (hits & -hits).bit_length() - 1 if hits else _NEVER
+
+    def walk(g: int, left: int, states: dict):
+        most = min(left, cut(g, states) - 1)
+        if g == card - 1:
+            if left <= most:
+                mult[g] = left
+                return tuple(mult)
+            return None
+        # each later position h takes fewer copies than its cut over these
+        # states, so together they hold at most spare of the elements left
+        spare = 0
+        for h in range(g + 1, card):
+            spare += min(cut(h, states), left + 1) - 1
+            if spare >= left:
+                break
+        least = left - spare
+        nxt = nexts[g]
+        seen = dict(states)
+        layer = states
+        for c in range(most + 1):
+            if c:
+                grown = {}
+                for e, mask in layer.items():
+                    mask = mask >> 1 & keep
+                    if mask:
+                        e = nxt.get(e) or after(g, e)
+                        grown[e] = grown.get(e, 0) | mask
+                layer = grown
+                for e, mask in grown.items():
+                    seen[e] = seen.get(e, 0) | mask
+            if c < least:
+                continue
+            rest = left - c
+            live = seen
+            if egz and rest < t:
+                window = (2 << rest) - 1
+                live = {e: mask & window for e, mask in seen.items() if mask & window}
+            mult[g] = c
+            found = walk(g + 1, rest, live)
+            if found is not None:
+                return found
+        mult[g] = 0
+        return None
+
+    return walk(0, length, {(0,) * m: start})
+
+
 def _direct_max(ring: RingSpec, kind: str, m: int, cap: int, t: int | None):
-    """Unpruned reference search by units only. Each length's unit-canonical
-    multisets are tested in increasing lex order with the full sub-multiset
-    enumeration, and the first counterexample, the length's lex-least one,
-    ends the length and is its witness. A length with none, swept in full,
-    closes the search."""
+    """Reference search, independent of the frontier: for each length,
+    _least_counterexample walks every multiset in lex order, cutting only
+    counts that complete a zero-sum sub-multiset, and stops at the first
+    counterexample, the length's lex-least one and its witness. It is
+    unit-canonical with no unit filter, because a unit image of a
+    counterexample is a counterexample. A length with none closes the
+    search. Each witness is confirmed by the full tester, and a
+    disagreement raises RuntimeError rather than answer."""
+    tables = _index_tables(ring)
     is_counterexample = _counterexample_test(ring, kind, m, t)
     start = t if kind == KIND_EGZ else m
     best = start - 1, _vacuous_witness(ring, start - 1)
     for level in range(start, cap + 1):
-        least = next(filter(is_counterexample, _unit_canonical(ring, level)), None)
+        least = _least_counterexample(tables, ring.cardinality, kind, m, t, level)
         if least is None:
             return best
+        if not is_counterexample(least):
+            raise RuntimeError(
+                f"direct search: the walk found {least} on {ring}, "
+                "which the full tester rejects"
+            )
         best = level, MultisetSeq(ring, least)
     return best
 

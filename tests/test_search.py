@@ -155,19 +155,27 @@ def test_testers_return_the_lex_least_zero_sub(data) -> None:
     assert (None if hit is None else hit.mult) == want
 
 
-@pytest.mark.parametrize(
-    "moduli", [(2,), (3,), (4,), (5,), (6,), (7,), (8,), (2, 4), (3, 3)]
-)
-def test_direct_enumeration_is_the_canonical_forms_in_lex_order(moduli) -> None:
-    # the direct search stops each length at its first counterexample,
-    # which is the lex-least one only if this order holds
+@pytest.mark.parametrize("moduli", _TESTER_RINGS)
+def test_direct_walk_finds_the_first_counterexample_in_lex_order(moduli) -> None:
+    # the walk's leaf is the first composition in lex order with no zero
+    # sub-multiset of a counting size, and None when there is none
     ring = make_ring(moduli)
-    perms = orbit_perms(ring)
-    for length in range(7):
-        got = list(search._unit_canonical(ring, length))
-        assert all(a < b for a, b in zip(got, got[1:]))
-        want = {canonical_mult(c, perms) for c in _compositions(ring.cardinality, length)}
-        assert set(got) == want
+    tables = search._index_tables(ring)
+    for m in (1, 2, 3):
+        kinds = [(KIND_DAV, None, lambda n: n >= m)] + [
+            (KIND_EGZ, t, lambda n, t=t: n == t) for t in (m, m + 1, m + 2)
+        ]
+        for kind, t, size_ok in kinds:
+            for length in range(7):
+                want = next(
+                    (c for c in _compositions(ring.cardinality, length)
+                     if _brute_zero_sub(ring, c, m, size_ok) is None),
+                    None,
+                )
+                got = search._least_counterexample(
+                    tables, ring.cardinality, kind, m, t, length
+                )
+                assert got == want, (kind, m, t, length)
 
 
 @pytest.mark.parametrize("moduli", [(2,), (3,), (4,), (2, 2)])
@@ -202,14 +210,16 @@ def test_downward_closure_exhaustive(moduli) -> None:
 
 
 @pytest.mark.parametrize(
-    "moduli", [(2,), (3,), (4,), (2, 2), (2, 2, 2), (3, 3), (2, 4), (2, 2, 2, 2)]
+    "moduli",
+    [(2,), (3,), (4,), (2, 2), (2, 2, 2), (3, 3), (2, 4), (2, 2, 2, 2),
+     (5,), (6,), (7,), (8,), (9,)],
 )
 def test_frontier_matches_direct(moduli) -> None:
     # the frontier reduces by symmetry_index_perms (GL_3(F_2) on Z_2^3 at
-    # m = 1), the direct search by units only: same lengths and witnesses
+    # m = 1), the direct walk by nothing: same lengths and witnesses
     ring = make_ring(moduli)
     cap = 7
-    for m in (1, 2):
+    for m in (1, 2, 3):
         for t in (m, m + 1, m + 2):
             frontier = max_counterexample_length(KIND_EGZ, ring, m, cap, t=t)
             direct = max_counterexample_length(
@@ -434,6 +444,8 @@ def test_ring_too_large_to_search(monkeypatch) -> None:
     assert big.cardinality > search.MAX_CARDINALITY
     with pytest.raises(ValueError, match="at most"):
         davenport_m(big, 1, 2)
+    with pytest.raises(ValueError, match="at most"):
+        davenport_m(big, 1, 2, method="direct")
     ones = MultisetSeq.from_counts(big, {big.one: 3})
     with pytest.raises(ValueError, match="at most"):
         find_egz_zero_sub(ones, 3, 1)
@@ -520,6 +532,23 @@ def test_witness_is_lex_least_canonical() -> None:
     assert out.witness.mult == (14, 0, 0, 0, 0, 0, 0, 15)
     want = canonical_mult((14, 15, 0, 0, 0, 0, 0, 0), orbit_perms(ring))
     assert out.witness.mult == want
+
+
+@pytest.mark.parametrize("kind, t", [(KIND_EGZ, 4), (KIND_DAV, None)])
+def test_direct_search_raises_when_the_tester_rejects_its_witness(
+    kind, t, monkeypatch
+) -> None:
+    # the walk and the full tester are two routes: a witness the tester
+    # rejects must stop the search, not become an answer
+    checked = []
+
+    def rejects(ring, kind, m, t):
+        return lambda mult: checked.append(mult) or False
+
+    monkeypatch.setattr(search, "_counterexample_test", rejects)
+    with pytest.raises(RuntimeError, match="full tester rejects"):
+        max_counterexample_length(kind, make_ring((5,)), 2, 8, t=t, method="direct")
+    assert len(checked) == 1
 
 
 def test_davenport_without_cap_raises() -> None:
