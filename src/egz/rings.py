@@ -12,6 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 Elem = tuple[int, ...]
@@ -181,8 +182,9 @@ def unit_index_perms(ring: RingSpec) -> tuple[tuple[int, ...], ...]:
 
 
 # Largest |H| * cardinality that symmetry_index_perms enumerates: the search
-# gathers |H| images of a row, so a larger group is retried without shears,
-# then with the units alone.
+# keeps |H| keys per row in its closure test and its canonical pass, so a
+# larger group is retried without shears, then with the units alone.
+# Raising it changes H, and with it the level sizes.
 SYMMETRY_BUDGET = 1 << 17
 
 
@@ -191,12 +193,15 @@ def _coordinate_map_perm(ring: RingSpec, f) -> tuple[int, ...]:
 
 
 def _closure(ident: tuple[int, ...], gens: list[tuple[int, ...]], limit: int):
-    """The group generated by gens, breadth-first; None once it exceeds limit."""
+    """The group generated by gens, breadth-first; None once it exceeds limit.
+
+    itemgetter(*s)(g) is the composition h[i] = g[s[i]] in one C call."""
     seen = {ident}
     queue = [ident]
+    compose = [itemgetter(*s) for s in gens] if len(ident) > 1 else []
     for g in queue:
-        for s in gens:
-            h = tuple(map(g.__getitem__, s))
+        for c in compose:
+            h = c(g)
             if h not in seen:
                 if len(seen) == limit:
                     return None
@@ -218,13 +223,6 @@ def symmetry_index_perms(ring: RingSpec, additive: bool) -> tuple[tuple[int, ...
     alone, so H always contains the units.
     """
     units_h = tuple(sorted(unit_index_perms(ring)))
-    ident = units_h[0]
-    gens: list[tuple[int, ...]] = []  # a few units that generate them all
-    span = {ident}
-    for u in units_h:
-        if u not in span:
-            gens.append(u)
-            span = set(_closure(ident, gens, len(units_h)))
     mods = ring.moduli
     pairs = [(i, j) for i in range(ring.rank) for j in range(ring.rank) if i != j]
 
@@ -237,6 +235,15 @@ def symmetry_index_perms(ring: RingSpec, additive: bool) -> tuple[tuple[int, ...
 
     swaps = [_coordinate_map_perm(ring, swap(i, j)) for i, j in pairs if i < j and mods[i] == mods[j]]
     shears = [_coordinate_map_perm(ring, shear(i, j)) for i, j in pairs] if additive else []
+    if not swaps + shears:
+        return units_h
+    ident = units_h[0]
+    gens: list[tuple[int, ...]] = []  # a few units that generate them all
+    span = {ident}
+    for u in units_h:
+        if u not in span:
+            gens.append(u)
+            span = set(_closure(ident, gens, len(units_h)))
     limit = SYMMETRY_BUDGET // ring.cardinality
     for extra in (swaps + shears, swaps):
         extra = [p for p in extra if p not in span]

@@ -27,14 +27,16 @@ fixed element order. Two facts drive the algorithm:
     value by the unit c^m; coordinate swaps of equal moduli, which are ring
     automorphisms; and for m = 1 the shears, additive automorphisms that
     fix the zero sum) keep counterexample status, so each level keeps one
-    representative per H-orbit, the lex-least member.
+    representative per H-orbit: the lex-least member on the tuple step, the
+    member of least canonical key on the array step (see _Rows).
 
 The witness stays the lex-least counterexample of the final length, as if
 only units reduced: the counterexamples of one length are a union of
-H-orbits, so the least of them is the least member of its own orbit and is
-stored, and the least stored class (row 0 of an array level) is it. It is
+H-orbits, so the least of them is the least member over all images of the
+stored classes. A tuple level keeps lex-least members, so its least tuple
+is it; for an array level _Rows.least finds it among the images. It is
 unit-canonical, because H contains the units, so witnesses and certificate
-bytes do not depend on H.
+bytes do not depend on H or on the representatives a level keeps.
 
 The frontier seeds at level t for the EGZ kind (every shorter multiset is
 vacuously a counterexample; level t keeps those with e_m != 0) and at level
@@ -81,10 +83,13 @@ dedupes them by sorting exact row keys (the row's bytes, whose memcmp order
 is tuple order), looks every one-element removal up with np.searchsorted in
 the sorted linear keys of the previous level's full H-orbits (no
 per-removal canonical form), evaluates e_m only on the rows left through
-index tables, and canonicalizes the survivors by gathering every image and
-taking the least big-endian 8-byte word sequence. Each array level is
-sorted, and its row 0 is the lex-least class. Levels from 255 on, whose
-extensions could hold a multiplicity past 255, take the tuple step.
+index tables, and canonicalizes the survivors: the canonical keys of all
+|H| images of a block of survivors are one matrix product, and
+only the image of least key is gathered (with the lex-least of distinct
+images that tie at it, so the choice is a function of the orbit). Each
+array level is sorted. Levels from 255 on, whose extensions could hold a
+multiplicity past 255, take the tuple step; below them a row holds at most
+255 elements, which keeps every canonical key an exact uint16.
 
 The closure lookups use linear keys h(X) = sum X[i] w[i] mod 2**64
 (universal hashing: Carter and Wegman, JCSS 18, 1979; fingerprints: Karp
@@ -98,11 +103,12 @@ the previous level, never reject one that is, so every array level is a
 superset of the true level (dedupe and canonical forms stay exact on rows),
 and an empty level still proves exactness. When such keys were compared,
 the search then runs the full tester on its witness: if it passes, it is a
-true counterexample and the least class of a superset of the true level, so
-it is the true lex-least one, and the true search ends at the same length.
-If it fails, a collision admitted it, and the whole search runs again on
-the tuple step, whose tests are exact. The fixed weights keep runs
-deterministic.
+true counterexample and the least member of the orbits of a superset of the
+true level, so it is the true lex-least one, and the true search ends at
+the same length. If it fails, a collision admitted it, and the whole search
+runs again on the tuple step, whose tests are exact. The fixed weights keep
+runs deterministic. The canonical keys are another matter: exact integers,
+they only choose one member of an orbit and never test membership.
 
 The independent full testers (is_counterexample_*) are one walk,
 _find_zero_sub, with a window of sizes: exactly t for the EGZ kind, at least
@@ -208,22 +214,39 @@ _SEARCHES = 32
 _SUSPEND_BYTES = _BLOCK_BYTES // _KITS
 
 
+def _splitmix64(n: int) -> list[int]:
+    """The first n splitmix64 outputs from _KEY_SEED; pure Python, because
+    importing numpy.random would cost about 6 MB per process."""
+    out = []
+    x = _KEY_SEED
+    for _ in range(n):
+        x = (x + 0x9E3779B97F4A7C15) & _MASK64
+        z = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        out.append(z ^ (z >> 31))
+    return out
+
+
 def _key_weights(card: int) -> np.ndarray:
     """Weights w (uint64, one per element) of the linear row key
     sum X[i] w[i] mod 2**64. Rows of at most 8 elements take w[i] =
     256**(7 - i), which makes the key the row's big-endian word. Wider rows
-    take splitmix64 outputs, made odd, from a fixed seed; pure Python,
-    because importing numpy.random would cost about 6 MB per process."""
+    take splitmix64 outputs, made odd."""
     if card <= 8:
         return np.array([1 << 8 * (7 - i) for i in range(card)], np.uint64)
-    out = []
-    x = _KEY_SEED
-    for _ in range(card):
-        x = (x + 0x9E3779B97F4A7C15) & _MASK64
-        z = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        out.append((z ^ (z >> 31)) | 1)
-    return np.array(out, np.uint64)
+    return np.array([z | 1 for z in _splitmix64(card)], np.uint64)
+
+
+def _canonical_weights(card: int) -> np.ndarray:
+    """Weights c (uint16) of the canonical key sum X[i] c[i] of a row wider
+    than one word: 1 + the top byte of splitmix64 outputs, so 1 to 256. A
+    row holds at most _ROW_MAX elements, so every key is below 255 * 256 <
+    2**16 and never wraps: the least key puts a row's largest multiplicities
+    on the elements of least weight, so the forms of related rows align, and
+    their extensions overlap and dedupe. (Keys mod 2**16 of wider weights
+    choose forms at random, and about 1.8 times as many survivors reach the
+    canonical pass of E(5, Z_5 x Z_5, 1).)"""
+    return np.array([(z >> 56) + 1 for z in _splitmix64(card)], np.uint16)
 
 
 # Largest ring the search builds tables for: the rings index tables hold
@@ -253,17 +276,23 @@ class _Rows:
     words. keys() is exact, for dedupe: the row's bytes as one void scalar,
     or a one-word row's word as a uint64. The padding is the same in every
     row, so their order (memcmp, what np.sort and np.searchsorted use) is
-    tuple order, and the lex-least image of a row is its least big-endian
-    word sequence. The closure test uses linear keys X @ w instead (see
-    _key_weights): image h of X, X.take(perm_h), has the key X @ W[:, h],
-    where W[perm_h[j], h] = w[j], and exact_keys says whether distinct
-    rows always get distinct linear keys.
+    tuple order. Image h of X is X.take(perm_h), and a linear key
+    X' @ v of an image X' is X @ V[:, h] with V[perm_h[j], h] = v[j], so
+    the keys of all |H| images of a row are one matrix product. The closure
+    test uses linear keys mod 2**64 (w and W, see
+    _key_weights), and exact_keys says whether distinct rows always get
+    distinct ones. A canonical form is the image of least canonical key: on
+    one-word rows that key is the image's word (its W key, read off the
+    gathered words), so the form is the lex-least image; wider rows take
+    the uint16 keys of _canonical_weights, with C as W, from one np.einsum
+    (whose uint16 loop is vectorized: about 7 times faster than a uint64 or
+    int64 np.matmul, which numpy runs without BLAS).
     """
 
     __slots__ = (
         "ring", "card", "add_t", "mul_t", "one_idx", "width", "key_dtype",
-        "images", "perm", "w", "W", "exact_keys", "eye", "_key_view",
-        "_idx_dtype", "_arith", "_fac", "_factors", "searches",
+        "images", "perm", "w", "W", "C", "exact_keys", "eye",
+        "_key_view", "_idx_dtype", "_arith", "_fac", "_factors", "searches",
     )
 
     def __init__(self, ring: RingSpec, sym) -> None:
@@ -277,9 +306,11 @@ class _Rows:
         pad = list(range(card, width))  # padding columns map to themselves
         self.perm = np.array([list(p) + pad for p in sym], dtype=np.intp)
         self.w = _key_weights(card)
-        self.W = np.empty((card, len(sym)), np.uint64)
-        self.W[self.perm[:, :card], np.arange(len(sym))[:, None]] = self.w
+        self.W = self.image_weights(self.w)
         self.exact_keys = width == 8
+        self.C = None  # one-word rows read their keys off the images' words
+        if not self.exact_keys:
+            self.C = self.image_weights(_canonical_weights(card))
         self.eye = np.eye(card, width, dtype=np.uint8)
         self._idx_dtype = np.min_scalar_type(card - 1)  # element indices
         self._arith = None
@@ -314,20 +345,89 @@ class _Rows:
         """All len(rows) * card one-element extensions, parent-major."""
         return (rows[:, None, :] + self.eye).reshape(-1, self.width)
 
-    def block_rows(self, perm: np.ndarray) -> int:
-        """Rows per block whose gather under perm fits _BLOCK_BYTES."""
-        size = len(perm) * self.width
+    def image_weights(self, v: np.ndarray) -> np.ndarray:
+        """V with V[perm_h[j], h] = v[j]: row @ V[:, h] is the key of image
+        h of the row under the weights v."""
+        out = np.empty((self.card, len(self.perm)), v.dtype)
+        out[self.perm[:, : self.card], np.arange(len(self.perm))[:, None]] = v
+        return out
+
+    def block_rows(self) -> int:
+        """Rows per block whose canonical keys (|H| of at most 8 bytes each)
+        and image index (width of 8 bytes) fit _BLOCK_BYTES."""
+        size = 8 * (len(self.perm) + self.width)
         return max(1, min(_BLOCK_ROWS, _BLOCK_BYTES // size))
 
-    def canonical(self, rows: np.ndarray, perm: np.ndarray) -> np.ndarray:
-        """Lex-least image of each row under the permutations perm."""
-        images = rows.take(perm, axis=1)  # (rows, perms, width), C order
-        words = images.view(">u8")
-        tied = np.ones(images.shape[:2], dtype=bool)
-        for j in range(words.shape[2]):
-            w = np.where(tied, words[:, :, j], np.uint64(0xFFFFFFFFFFFFFFFF))
-            tied &= w == w.min(axis=1, keepdims=True)
-        return images[np.arange(len(images)), tied.argmax(axis=1)]
+    def canonical(self, rows: np.ndarray) -> np.ndarray:
+        """The image of least canonical key (see C) of each row, and among
+        distinct images that share it, the lex-least: a function of the
+        row's orbit. One product gives the keys, and one gather the image;
+        only the images that tie at the least key of a row wider than one
+        word are gathered and compared."""
+        n = len(rows)
+        if self.exact_keys:  # the images' words, gathered, are their keys
+            words = rows.take(self.perm, axis=1).view(">u8")[:, :, 0]
+            return words[np.arange(n), words.argmin(axis=1)].view(np.uint8).reshape(n, 8)
+        keys = np.einsum("ij,jk->ik", rows[:, : self.card].astype(np.uint16), self.C)
+        pick = keys.argmin(axis=1)
+        at = np.arange(n)
+        out = rows[at[:, None], self.perm[pick]]
+        low = keys[at, pick]
+        keys[at, pick] = 0xFFFF  # above every key
+        tied = np.flatnonzero(keys.min(axis=1) == low)
+        if not len(tied):
+            return out
+        r, h = np.nonzero(keys[tied] == low[tied, None])
+        r = tied[r]  # with h, the other maps at a row's least key
+        images = rows[r[:, None], self.perm[h]]
+        differ = (images != out[r]).any(axis=1)
+        if differ.any():  # distinct images share the least key
+            r = r[differ]
+            images = np.concatenate((images[differ], out[r]))
+            r = np.concatenate((r, r))
+            order = np.lexsort(tuple(images[:, : self.card].T[::-1]) + (r,))
+            ranked = r[order]  # by row, then image in tuple order
+            first = order[np.concatenate(([True], ranked[1:] != ranked[:-1]))]
+            out[r[first]] = images[first]
+        return out
+
+    def least(self, rows: np.ndarray) -> tuple[int, ...]:
+        """The lex-least member of the union of the rows' orbits. On
+        one-word rows every row is the lex-least member of its orbit, and
+        row 0 of a sorted level is it. Wider rows read an image as chunks
+        of digits consecutive elements, each chunk a number in base b (the
+        rows' largest multiplicity + 1) below 2**16, an exact uint16 (b is
+        at most 256, so digits is at least 2). One np.einsum gives the first
+        chunk of every image of a block of rows; a mask keeps the (row,
+        image) pairs at its least value, and each next chunk, one einsum
+        over the rows still in play, narrows it. A running best spans the
+        blocks."""
+        card, n_h = self.card, len(self.perm)
+        if self.exact_keys:
+            return tuple(rows[0, :card].tolist())
+        base = int(rows[:, :card].max()) + 1
+        digits = 1
+        while digits < card and base ** (digits + 1) <= 1 << 16:
+            digits += 1
+        chunks = -(-card // digits)
+        chunk = np.arange(card) // digits
+        radix = np.array([base ** (digits - 1 - j % digits) for j in range(card)], np.uint16)
+        V = [self.image_weights(np.where(chunk == c, radix, 0)) for c in range(chunks)]
+        per = max(1, _BLOCK_BYTES // (4 * n_h))
+        best = None
+        for lo in range(0, len(rows), per):
+            block = rows[lo : lo + per, :card].astype(np.uint16)
+            mask = np.ones((len(block), n_h), bool)
+            for c in range(chunks):
+                keys = np.einsum("ij,jk->ik", block, V[c])
+                keys[~mask] = 0xFFFF  # below no key in play
+                mask &= keys == keys.min()
+                del keys  # before the next product
+                play = mask.any(axis=1)
+                block, mask = block[play], mask[play]
+            found = tuple(block[0, self.perm[mask[0].argmax(), :card]].tolist())
+            best = found if best is None else min(best, found)
+        return best
 
     def linear_keys(self, rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """rows @ weights mod 2**64: with w the rows' linear keys, with W
@@ -454,9 +554,9 @@ class _Rows:
                 block = block[self.em(block, em_m) != 0]
             out.append(block)
         out = np.concatenate(out)
-        per = self.block_rows(self.perm)
+        per = self.block_rows()
         return self.unique(np.concatenate([
-            self.canonical(out[lo : lo + per], self.perm) for lo in range(0, len(out), per)
+            self.canonical(out[lo : lo + per]) for lo in range(0, len(out), per)
         ] or [out]))
 
 
@@ -643,9 +743,11 @@ def _advance(kit: _Rows, frontier, level: int, closed: bool, em_m, arrays: bool)
     return kit.step(rows, kit.orbit_keys(rows) if closed else None, em_m)
 
 
-def _least(frontier, card: int) -> tuple[int, ...]:
+def _least(kit: _Rows, frontier) -> tuple[int, ...]:
+    """The lex-least member of a level's orbits: of a tuple level, its least
+    tuple, since the tuple step keeps lex-least representatives."""
     if isinstance(frontier, np.ndarray):
-        return tuple(frontier[0, :card].tolist())
+        return kit.least(frontier)
     return min(frontier)
 
 
@@ -731,7 +833,7 @@ class _Search:
                 self.close()
                 break
             level, frontier, hashed = step
-            self.levels.append((len(frontier), _least(frontier, kit.card), hashed))
+            self.levels.append((len(frontier), _least(kit, frontier), hashed))
             self.nbytes = _nbytes(frontier, level)
             if progress:
                 progress(level, len(frontier))

@@ -103,8 +103,10 @@ def test_auto_cap_certificates_are_pinned(moduli, m, t, cap_used, sha256) -> Non
         ((5, 5), 1, 9, "0a735032271e176987f75ee7168adb39d93ffc6a17a336c9bc78cba3f83fe8db"),
         ((3, 9), 1, 11, "a1aaec931a9c68ed6c92dc8a6cffe0d1cfae2a7099e22b475ae8f5d62bd6dd6f"),
         ((3, 3), 1, 6, "cac4fd5c5fd32b2d22b57fe76e249678741ca806582901f7db6554539fc4b8b7"),
+        ((2,) * 5, 1, 6, "6a5dbd05a081c0a13dc3804fec93a4238ef906d190d13d1603aa2a9d16f590f0"),
+        ((3, 3, 3), 1, 7, "0f0edbb891e9800f880553da745a4284bae6a0e0afd814631caac9261643f495"),
     ],
-    ids=["D1-Z5xZ5", "D1-Z3xZ9", "D1-Z3xZ3"],
+    ids=["D1-Z5xZ5", "D1-Z3xZ9", "D1-Z3xZ3", "D1-Z2^5", "D1-Z3^3"],
 )
 def test_davenport_certificates_are_pinned(moduli, m, cap, sha256) -> None:
     # recorded when the search reduced by units only: a larger search group

@@ -577,7 +577,17 @@ def test_array_step_matches_tuple_step(kind, moduli, m, t, cap, fresh_kits) -> N
     # every level of the search, seed levels included, built both ways
     # under the search's group
     ring = make_ring(moduli)
-    kit = search._kit(ring, m == 1)
+    _assert_steps_keep_the_same_orbits(search._kit(ring, m == 1), kind, m, t, cap)
+
+
+def _least_image(kit, mult) -> tuple[int, ...]:
+    return min(img(mult) for img in kit.images)
+
+
+def _assert_steps_keep_the_same_orbits(kit, kind, m, t, cap) -> None:
+    # the array step keeps one row per orbit, and the tuple step the
+    # orbit's lex-least member: the rows' lex-least images, found through
+    # the group itself, must be the tuple step's set, one for one
     seed = t if kind == KIND_EGZ else m - 1
     frontier = {(0,) * kit.card}
     for level in range(1, cap + 1):
@@ -586,11 +596,135 @@ def test_array_step_matches_tuple_step(kind, moduli, m, t, cap, fresh_kits) -> N
         expect = search._step_tuples(kit, frontier, frontier if closed else None, em_m)
         rows = kit.from_tuples(frontier)
         got = kit.step(rows, kit.orbit_keys(rows) if closed else None, em_m)
-        listed = [tuple(r) for r in got[:, : kit.card].tolist()]
-        assert listed == sorted(expect), (level, len(expect), len(listed))
+        least = sorted(_least_image(kit, tuple(r)) for r in got[:, : kit.card].tolist())
+        assert least == sorted(expect), (level, len(expect), len(got))
         if not expect:
             break
         frontier = expect
+
+
+@pytest.mark.parametrize("weights", ["equal", "repeated"])
+@pytest.mark.parametrize(
+    "kind, moduli, m, t, cap",
+    [
+        (KIND_DAV, (3, 3), 1, None, 6),
+        (KIND_DAV, (5, 5), 1, None, 6),
+        (KIND_EGZ, (3, 3), 1, 3, 7),
+        (KIND_DAV, (2, 2, 2, 2), 2, None, 7),
+    ],
+)
+def test_canonical_key_ties_keep_the_orbits(kind, moduli, m, t, cap, weights) -> None:
+    # equal canonical weights give every image of a row one key, and
+    # repeated ones give distinct images of many rows the same least key:
+    # the lex-least of the tied images must still keep one row per orbit
+    import numpy as np
+
+    ring = make_ring(moduli)
+    kit = search._Rows(ring, symmetry_index_perms(ring, m == 1))
+    assert not kit.exact_keys
+    c = np.ones(kit.card, kit.C.dtype)
+    if weights == "repeated":
+        c += np.arange(kit.card, dtype=c.dtype) % 3
+    kit.C = kit.image_weights(c)
+    if weights == "equal":
+        assert (kit.C == kit.C[:, :1]).all()
+    _assert_steps_keep_the_same_orbits(kit, kind, m, t, cap)
+
+
+def test_canonical_keys_never_wrap() -> None:
+    # a row holds at most _ROW_MAX elements, so its uint16 canonical keys
+    # stay below the 0xFFFF that canonical writes over a row's least key
+    for card in (9, 27, 49, 64):
+        c = search._canonical_weights(card)
+        assert c.dtype.name == "uint16" and c.min() >= 1
+        assert search._ROW_MAX * int(c.max()) < 0xFFFF
+
+
+@pytest.mark.parametrize("moduli, cap", [((5, 5), 9), ((3, 9), 11)])
+def test_array_levels_record_the_tuple_steps_least_classes(moduli, cap, fresh_kits) -> None:
+    # the least class of every level, read from the array levels by
+    # _Rows.least, is the one the tuple step records
+    kit = search._kit(make_ring(moduli), True)
+    arrays = search._Search(KIND_DAV, 1, None)
+    arrays.to(kit, cap, None)
+    tuples = search._Search(KIND_DAV, 1, None, arrays=False)
+    tuples.to(kit, cap, None)
+    assert any(hashed for _, _, hashed in arrays.levels)  # some level took the array step
+    assert [lv[:2] for lv in arrays.levels] == [lv[:2] for lv in tuples.levels]
+
+
+def _random_level(kit, rng, n: int, length: int, heavy: int):
+    # n multisets of one length, each with heavy copies of one element
+    import numpy as np
+
+    vals = np.array([
+        np.bincount(rng.integers(0, kit.card, length - heavy), minlength=kit.card)
+        for _ in range(n)
+    ])
+    vals[np.arange(n), rng.integers(0, kit.card, n)] += heavy
+    return vals
+
+
+@pytest.mark.parametrize("heavy", [0, 150])
+@pytest.mark.parametrize("moduli", [(3, 3), (5, 5), (3, 9), (2, 2, 2, 2, 2)])
+def test_least_is_the_least_image(moduli, heavy, monkeypatch) -> None:
+    # _Rows.least against the minimum over every image of every row, with
+    # rows whose best images agree up to near the last nonzero element
+    # placed in different blocks; heavy multiplicities take a smaller base, so
+    # fewer elements per exact chunk and a refinement past the first
+    import numpy as np
+
+    ring = make_ring(moduli)
+    kit = search._kit(ring, True)
+    card = kit.card
+    rng = np.random.default_rng(card + heavy)
+    vals = _random_level(kit, rng, 40, heavy + 6, heavy)
+    best = min(_least_image(kit, tuple(v)) for v in vals.tolist())
+    j = max(i for i, c in enumerate(best) if c)
+    near = []
+    for b in (j - 1, j + 1):  # one element moved from j to b: the same up to j - 2
+        if 0 <= b < card:
+            moved = list(best)
+            moved[j] -= 1
+            moved[b] += 1
+            near.append(moved)
+    perms = kit.perm[:, :card]
+    spread = np.array([np.array(x)[perms[rng.integers(len(perms))]] for x in near + [best] * 2])
+    vals = np.concatenate([spread[:1], vals[:20], spread[1:2], vals[20:], spread[2:]])
+    tuples = [tuple(v) for v in vals.tolist()]
+    expect = min(_least_image(kit, tp) for tp in tuples)
+    rows = kit.from_tuples(tuples)
+    assert kit.least(rows) == expect
+    monkeypatch.setattr(search, "_BLOCK_BYTES", 1)  # one row per block
+    assert kit.least(rows) == expect
+    assert kit.least(rows[::-1]) == expect
+
+
+def test_canonical_pass_and_least_stay_within_blocks(fresh_kits) -> None:
+    # the canonical pass over the extensions of the largest D_1(Z_5 x Z_5)
+    # level, and least on them, under a group of 480 maps: unblocked, their
+    # keys would take several _BLOCK_BYTES
+    ring = make_ring((5, 5))
+    kit = search._kit(ring, True)
+    assert len(kit.perm) == 480
+    for level, frontier, _ in search._frontier_max(kit, KIND_DAV, 1, None, arrays=True):
+        if level == 6:
+            break
+    rows = frontier if not isinstance(frontier, set) else kit.from_tuples(frontier)
+    assert len(rows) == 107
+    cands = kit.unique(kit.extend(rows))
+    assert len(cands) * len(kit.perm) * 8 > 4 * search._BLOCK_BYTES
+    per = kit.block_rows()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for lo in range(0, len(cands), per):
+            kit.canonical(cands[lo : lo + per])
+        kit.least(cands)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * search._BLOCK_BYTES, peak / search._BLOCK_BYTES
 
 
 @pytest.mark.parametrize("moduli, cap", [((8,), 30), ((3, 3), 255)])
@@ -609,14 +743,26 @@ def test_row_keys_follow_tuple_order(moduli, cap) -> None:
     uniq = kit.unique(rows)
     assert [tuple(r) for r in uniq[:, : kit.card].tolist()] == sorted(set(tuples))
     units = search._Rows(ring, unit_index_perms(ring))
-    canon = units.canonical(rows, units.perm)
-    assert [tuple(r) for r in canon[:, : kit.card].tolist()] == [
-        canonical_mult(tp, orbit_perms(ring)) for tp in tuples
-    ]
-    canon = kit.canonical(rows, kit.perm)
-    assert [tuple(r) for r in canon[:, : kit.card].tolist()] == [
-        canonical_mult(tp, symmetry_index_perms(ring, True)) for tp in tuples
-    ]
+    if kit.exact_keys:  # one word: the canonical form is the lex-least image
+        canon = units.canonical(rows)
+        assert [tuple(r) for r in canon[:, : kit.card].tolist()] == [
+            canonical_mult(tp, orbit_perms(ring)) for tp in tuples
+        ]
+        canon = kit.canonical(rows)
+        assert [tuple(r) for r in canon[:, : kit.card].tolist()] == [
+            canonical_mult(tp, symmetry_index_perms(ring, True)) for tp in tuples
+        ]
+        return
+    # wider rows, of at most _ROW_MAX elements as in the search: the form
+    # lies in the row's orbit and is the same for every image of the row
+    rows = rows[vals.sum(axis=1) <= search._ROW_MAX]
+    for group in (units, kit):
+        canon = group.canonical(rows)
+        for row, form in zip(rows[:, : kit.card].tolist(), canon[:, : kit.card].tolist()):
+            assert tuple(form) in {img(tuple(row)) for img in group.images}
+        images = np.concatenate([rows.take(perm, axis=1) for perm in group.perm])
+        again = group.canonical(images).reshape(len(group.perm), *rows.shape)
+        assert (again == canon).all()
 
 
 @pytest.mark.parametrize("moduli", [(8,), (2, 2, 2), (3, 3), (5, 5), (2, 2, 2, 2)])
