@@ -15,6 +15,8 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Iterable, Sequence
 
+from . import numtheory
+
 Elem = tuple[int, ...]
 
 
@@ -192,6 +194,17 @@ def _coordinate_map_perm(ring: RingSpec, f) -> tuple[int, ...]:
     return tuple(element_index(ring, element(ring, f(e))) for e in elements(ring))
 
 
+def _general_linear_order(ring: RingSpec) -> int | None:
+    """|GL_n(F_p)| = prod_{i<n} (p^n - p^i) on Z_p^n with p prime and n >= 2,
+    else None. There the shears are the elementary transvections, which
+    generate SL_n(F_p), and the unit scalings diag(u_1, ..., u_n) take
+    every determinant, so units and shears generate GL_n(F_p)."""
+    p, n = ring.moduli[0], ring.rank
+    if n < 2 or set(ring.moduli) != {p} or not numtheory.is_prime(p):
+        return None
+    return math.prod(p**n - p**i for i in range(n))
+
+
 def _closure(ident: tuple[int, ...], gens: list[tuple[int, ...]], limit: int):
     """The group generated by gens, breadth-first; None once it exceeds limit.
 
@@ -245,7 +258,10 @@ def symmetry_index_perms(ring: RingSpec, additive: bool) -> tuple[tuple[int, ...
             gens.append(u)
             span = set(_closure(ident, gens, len(units_h)))
     limit = SYMMETRY_BUDGET // ring.cardinality
-    for extra in (swaps + shears, swaps):
+    tries = (swaps + shears, swaps)
+    if shears and (_general_linear_order(ring) or 0) > limit:
+        tries = (swaps,)  # known to pass the budget: not enumerated
+    for extra in tries:
         extra = [p for p in extra if p not in span]
         if extra:
             group = _closure(ident, gens + extra, limit)

@@ -63,12 +63,15 @@ cap runs again from the seed. A recorded level costs about 8 |G| + 150
 bytes. A search that raised (MemoryError, KeyboardInterrupt) leaves the
 cache, and verify_certificate's re-check runs a new search outside it.
 
-A level step has two implementations with the same output, and both run in
-the same order: dedupe the raw one-element extensions of the stored
-representatives, keep those whose one-element removals all lie in the
-previous level's H-orbits and (Davenport kind, and the EGZ seed) whose e_m
-is nonzero, and only then map the survivors to their H-representatives and
-dedupe again. Both tests are H-invariant, and no orbit is missed: if X is a
+A level step has two implementations with the same output. Each makes the
+raw one-element extensions of the stored representatives, keeps the
+distinct ones whose one-element removals all lie in the previous level's
+H-orbits and (Davenport kind, and the EGZ seed) whose e_m is nonzero, and
+only then maps the survivors to their H-representatives and dedupes again.
+Both tests are H-invariant properties of the candidate alone, so the order
+they run in does not change the survivors: the tuple step dedupes, then
+tests closure, then e_m; the array step tests e_m first, on the raw
+extensions, then dedupes and tests closure. No orbit is missed: if X is a
 counterexample of length L+1 and a is in X, then X - a lies in h(R) for a
 stored R and some h in H, so h^-1(X) = R + h^-1(a) extends R. Canonicalizing
 every candidate first would cost |H| images per candidate, most of which the
@@ -78,18 +81,25 @@ _tuple_cost, is below _SMALL_LEVEL (_SMALL_EM_LEVEL when e_m is tested),
 where numpy's fixed cost per call would dominate. The array step
 (_Rows.step) keeps the level as an (N, width) uint8 array, one byte per
 element, and works in blocks (_Rows.block_rows: at most _BLOCK_ROWS rows
-and _BLOCK_BYTES of images): it makes all N * |G| extensions at once,
-dedupes them by sorting exact row keys (the row's bytes, whose memcmp order
-is tuple order), looks every one-element removal up with np.searchsorted in
-the sorted linear keys of the previous level's full H-orbits (no
-per-removal canonical form), evaluates e_m only on the rows left through
-index tables, and canonicalizes the survivors: the canonical keys of all
-|H| images of a block of survivors are one matrix product, and
-only the image of least key is gathered (with the lex-least of distinct
-images that tie at it, so the choice is a function of the orbit). Each
-array level is sorted. Levels from 255 on, whose extensions could hold a
-multiplicity past 255, take the tuple step; below them a row holds at most
-255 elements, which keeps every canonical key an exact uint16.
+and _BLOCK_BYTES of images). It computes each extension R + g from its
+parent R: the truncated product of each block of parents once
+(_Rows.products), then e_m(R + g) = e_m(R) + g e_{m-1}(R), two table
+lookups per extension, and the extensions with e_m = 0 go before any
+dedupe. It dedupes the rest by sorting exact row keys (the row's bytes,
+whose memcmp order is tuple order). A row of at most 8 elements stays its
+uint64 key until the canonical pass: an extension's key is its parent's
+plus w[g] = 256**(7 - g), which adds one to byte g and never carries below
+_ROW_MAX, and the closure test reuses it. Wider rows are extended and
+deduped as rows. The step then looks every one-element removal up with
+np.searchsorted in the sorted linear keys of the previous level's full
+H-orbits (no per-removal canonical form), and canonicalizes the
+survivors: the canonical keys of all |H| images of a block of survivors
+are one matrix product, and only the image of least key is gathered (with
+the lex-least of distinct images that tie at it, so the choice is a
+function of the orbit). Each array level is sorted. Levels from 255 on,
+whose extensions could hold a multiplicity past 255, take the tuple step;
+below them a row holds at most 255 elements, which keeps every canonical
+key an exact uint16.
 
 The closure lookups use linear keys h(X) = sum X[i] w[i] mod 2**64
 (universal hashing: Carter and Wegman, JCSS 18, 1979; fingerprints: Karp
@@ -287,6 +297,15 @@ class _Rows:
     the uint16 keys of _canonical_weights, with C as W, from one np.einsum
     (whose uint16 loop is vectorized: about 7 times faster than a uint64 or
     int64 np.matmul, which numpy runs without BLAS).
+
+    The step derives each extension R + g from its parent R. products()
+    gives each parent's e_0..e_m, and e_m(R + g) is one linear factor on
+    them. On one-word rows the key is also the linear key, so
+    extension_keys() are the parent's key plus w[g], and those keys are
+    deduped as uint64, looked up in the closure test, and turned back into
+    rows (from_keys) only for the canonical pass. Wider rows are extended
+    and deduped as rows, by exact void keys, so no hash ever merges two
+    candidates.
     """
 
     __slots__ = (
@@ -336,14 +355,21 @@ class _Rows:
         """Distinct rows in tuple order."""
         k = self.keys(rows)
         k = k.copy() if np.may_share_memory(k, rows) else k  # void keys view rows
-        k.sort()  # in place: one copy of the keys, not two
-        k = k[np.concatenate(([True], k[1:] != k[:-1]))] if len(k) else k
-        raw = k.astype(self._key_view, copy=False)
+        return self.from_keys(_distinct(k))
+
+    def from_keys(self, keys: np.ndarray) -> np.ndarray:
+        """The rows of keys() values, as a view of their big-endian bytes."""
+        raw = keys.astype(self._key_view, copy=False)
         return raw.view(np.uint8).reshape(-1, self.width)
 
     def extend(self, rows: np.ndarray) -> np.ndarray:
         """All len(rows) * card one-element extensions, parent-major."""
         return (rows[:, None, :] + self.eye).reshape(-1, self.width)
+
+    def extension_keys(self, rows: np.ndarray) -> np.ndarray:
+        """keys(extend(rows)) of one-word rows below _ROW_MAX: the parent's
+        key plus w[g], which adds one to byte g and never carries."""
+        return (self.keys(rows)[:, None] + self.w).ravel()
 
     def image_weights(self, v: np.ndarray) -> np.ndarray:
         """V with V[perm_h[j], h] = v[j]: row @ V[:, h] is the key of image
@@ -447,11 +473,10 @@ class _Rows:
         keys.sort()
         return keys
 
-    def closed(self, rows: np.ndarray, prev_keys: np.ndarray) -> np.ndarray:
-        """Mask of rows whose one-element removals all have linear keys in
-        prev_keys. A key shared by a removal and some other image can only
-        keep a row, never drop one."""
-        k = self.linear_keys(rows, self.w)
+    def closed(self, rows: np.ndarray, k: np.ndarray, prev_keys: np.ndarray) -> np.ndarray:
+        """Mask of the rows whose one-element removals all have linear keys
+        in prev_keys; k are the rows' own linear keys. A key shared by a
+        removal and some other image can only keep a row, never drop one."""
         ok = np.ones(len(rows), dtype=bool)
         for i, wi in enumerate(self.w):  # wi a np.uint64: the arithmetic stays uint64
             sel = np.flatnonzero(ok & (rows[:, i] > 0))
@@ -485,20 +510,23 @@ class _Rows:
             fac = self._fac[m] = scal[comb[None, :, :], pw[:, None, :]]
         return add, mul, fac
 
-    def em(self, rows: np.ndarray, m: int) -> np.ndarray:
-        """Element index of e_m of each row (0 is the ring zero)."""
-        add, mul, fac = self._tables(m, int(rows[:, : self.card].max()))
-        poly = np.zeros((len(rows), m + 1), self._idx_dtype)
-        poly[:, 0] = self.one_idx
+    def products(self, rows: np.ndarray, m: int) -> np.ndarray:
+        """Element indices of each row's truncated product prod_g (1 + g
+        x)^X[g], an (N, m + 1) array whose column j is e_j of the row.
+        Coefficient 0 of the product and of every factor f is one, so
+        multiplying by f is out_k = p_k + f_k + sum_{i=1}^{k-1} p_i f_{k-i},
+        in place from k = m down to 1: m**2 lookups per element."""
+        add, mul, fac = self._tables(m, int(rows[:, : self.card].max(initial=0)))
+        p = [np.full(len(rows), self.one_idx, self._idx_dtype)]
+        p += [np.zeros(len(rows), self._idx_dtype)] * m
         for g in range(1, self.card):  # element 0 is the ring zero: identity factor
-            f = fac[g][rows[:, g]]
-            out = np.zeros_like(poly)
-            for i in range(m + 1):
-                a = poly[:, i]
-                for j in range(m + 1 - i):
-                    out[:, i + j] = add[out[:, i + j], mul[a, f[:, j]]]
-            poly = out
-        return poly[:, m]
+            f = fac[g].T[:, rows[:, g]]
+            for k in range(m, 0, -1):
+                acc = add[p[k], f[k]]
+                for i in range(1, k):
+                    acc = add[acc, mul[p[i], f[k - i]]]
+                p[k] = acc
+        return np.stack(p, axis=1)
 
     def _factor(self, g: int, c: int, m: int) -> tuple[int, ...]:
         # (1 + g x)^c truncated at degree m, coefficient j equal to C(c, j)
@@ -540,24 +568,45 @@ class _Rows:
 
     def step(self, rows: np.ndarray, prev_keys: np.ndarray | None, em_m: int | None):
         """The array level step: as _step_tuples, on sorted distinct rows;
-        prev_keys are the previous level's orbit_keys."""
+        prev_keys are the previous level's orbit_keys. Each raw extension
+        R + g takes its e_m, e_m(R) + g e_{m-1}(R), and on one-word rows its
+        key, key(R) + w[g], from its parent R."""
+        exact, g = self.exact_keys, np.arange(self.card)
         per = max(1, _BLOCK_ROWS // self.card)
-        cands = self.unique(np.concatenate([
-            self.unique(self.extend(rows[lo : lo + per])) for lo in range(0, len(rows), per)
-        ]))
+        dedupe = _distinct if exact else self.unique
+        blocks = []
+        for lo in range(0, len(rows), _BLOCK_ROWS):
+            parents = rows[lo : lo + _BLOCK_ROWS]
+            if em_m is not None:
+                prod = self.products(parents, em_m)
+                add, mul, _ = self._tables(em_m, 0)  # as products built them
+            for sub in range(0, len(parents), per):
+                block = parents[sub : sub + per]
+                ext = self.extension_keys(block) if exact else self.extend(block)
+                if em_m is not None:
+                    p = prod[sub : sub + per]
+                    ext = ext[(add[p[:, em_m, None], mul[p[:, em_m - 1, None], g]] != 0).ravel()]
+                blocks.append(dedupe(ext))
+        cands = dedupe(np.concatenate(blocks))
         out = []
         for lo in range(0, len(cands), _BLOCK_ROWS):
             block = cands[lo : lo + _BLOCK_ROWS]
+            found = self.from_keys(block) if exact else block
             if prev_keys is not None:
-                block = block[self.closed(block, prev_keys)]
-            if em_m is not None and len(block):
-                block = block[self.em(block, em_m) != 0]
-            out.append(block)
+                k = block if exact else self.linear_keys(block, self.w)
+                found = found[self.closed(found, k, prev_keys)]
+            out.append(found)
         out = np.concatenate(out)
         per = self.block_rows()
         return self.unique(np.concatenate([
             self.canonical(out[lo : lo + per]) for lo in range(0, len(out), per)
         ] or [out]))
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of a key array, sorted in place."""
+    keys.sort()
+    return keys[np.concatenate(([True], keys[1:] != keys[:-1]))] if len(keys) else keys
 
 
 @lru_cache(maxsize=_KITS)

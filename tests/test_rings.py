@@ -136,6 +136,24 @@ def test_symmetry_group_orders(moduli, additive, order) -> None:
 
 
 @pytest.mark.parametrize(
+    "moduli", [(2, 2, 2), (2, 2, 2, 2), (2,) * 5, (3, 3), (3, 3, 3), (5, 5), (7, 7)]
+)
+def test_general_linear_order_skips_only_groups_past_the_budget(moduli, monkeypatch) -> None:
+    # on Z_p^n the units and shears generate GL_n(F_p), whose order is known
+    # in closed form: a group past the budget is not enumerated, and the
+    # group returned is the one the enumeration would give
+    from egz import rings
+
+    ring = make_ring(moduli)
+    order = rings._general_linear_order(ring)
+    shortcut = rings.symmetry_index_perms.__wrapped__(ring, True)
+    monkeypatch.setattr(rings, "_general_linear_order", lambda ring: None)
+    assert rings.symmetry_index_perms.__wrapped__(ring, True) == shortcut
+    if order * ring.cardinality <= rings.SYMMETRY_BUDGET:
+        assert len(shortcut) == order
+
+
+@pytest.mark.parametrize(
     "moduli", [(2, 2), (2, 4), (3, 3), (4, 4), (3, 9), (2, 2, 2), (2, 2, 4), (5, 5)]
 )
 def test_symmetry_perms_respect_the_ring(moduli) -> None:

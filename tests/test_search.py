@@ -571,6 +571,8 @@ def test_davenport_without_cap_raises() -> None:
         (KIND_DAV, (3, 9), 1, None, 5),
         (KIND_EGZ, (3, 3), 1, 3, 7),
         (KIND_DAV, (4, 4), 2, None, 7),
+        (KIND_EGZ, (7,), 2, 7, 20),  # one-word keys, e_m tested at the seed level t
+        (KIND_DAV, (2, 4), 2, None, 10),  # one-word keys, e_m tested at every level
     ],
 )
 def test_array_step_matches_tuple_step(kind, moduli, m, t, cap, fresh_kits) -> None:
@@ -765,6 +767,24 @@ def test_row_keys_follow_tuple_order(moduli, cap) -> None:
         assert (again == canon).all()
 
 
+@pytest.mark.parametrize("moduli", [(2,), (5,), (8,), (2, 2, 2), (2, 4)])
+def test_extension_keys_are_the_extensions_keys(moduli) -> None:
+    # a one-word row's extension keys are its key plus one in byte g, with
+    # no carry into the next byte even at the largest multiplicity a level
+    # below _ROW_MAX holds, and none into the padding of a ring of fewer
+    # than 8 elements
+    import numpy as np
+
+    kit = search._kit(make_ring(moduli), True)
+    assert kit.exact_keys
+    rng = np.random.default_rng(kit.card)
+    vals = rng.integers(0, search._ROW_MAX, size=(50, kit.card))
+    rows = kit.from_tuples([(search._ROW_MAX - 1,) * kit.card] + vals.tolist())
+    ext = kit.extend(rows)
+    assert (ext[:, kit.card :] == 0).all()
+    assert (kit.extension_keys(rows) == kit.keys(ext)).all()
+
+
 @pytest.mark.parametrize("moduli", [(8,), (2, 2, 2), (3, 3), (5, 5), (2, 2, 2, 2)])
 def test_image_weights_key_the_images(moduli) -> None:
     # W[perm_h[j], h] = w[j]: row @ W[:, h] is the key of the image
@@ -859,6 +879,8 @@ def test_answering_leaves_numpy_random_unimported() -> None:
     [((9,), 2, 40), ((2, 2, 2), 3, 12), ((5, 5), 1, 20), ((5, 5), 2, 255), ((2, 4), 4, 30)],
 )
 def test_array_em_matches_engine(moduli, m, cap) -> None:
+    # column m of the array products is the tuple step's e_m, multiplicities
+    # up to a full uint8 row included
     import numpy as np
 
     ring = make_ring(moduli)
@@ -867,8 +889,33 @@ def test_array_em_matches_engine(moduli, m, cap) -> None:
     vals = rng.integers(0, cap + 1, size=(300, kit.card))
     vals[rng.random(vals.shape) < 0.5] = 0  # sparse rows, multiplicities above the exponent
     tuples = [tuple(v) for v in vals.tolist()]
-    got = kit.em(kit.from_tuples(tuples), m).tolist()
+    got = kit.products(kit.from_tuples(tuples), m)[:, m].tolist()
     assert got == [kit.em_mult(tp, m) for tp in tuples]
+
+
+@pytest.mark.parametrize(
+    "moduli", [(9,), (2, 2, 2), (5, 5), (2, 4)], ids=["Z9", "Z2^3", "Z5xZ5", "Z2xZ4"]
+)
+def test_products_match_the_tuple_steps_em(moduli) -> None:
+    # every coefficient j <= m of the truncated product is e_j, and one
+    # linear factor gives e_m of each one-element extension from its parent
+    import numpy as np
+
+    ring = make_ring(moduli)
+    kit = search._kit(ring, False)
+    rng = np.random.default_rng(kit.card)
+    vals = rng.integers(0, 255, size=(200, kit.card))  # room for one more element
+    vals[rng.random(vals.shape) < 0.5] = 0  # sparse rows, multiplicities above the exponent
+    tuples = [tuple(v) for v in vals.tolist()]
+    rows = kit.from_tuples(tuples)
+    add, mul = kit.add_t, kit.mul_t
+    for m in range(1, 5):
+        prod = kit.products(rows, m)
+        assert prod.shape == (len(rows), m + 1)
+        assert prod.tolist() == [[kit.em_mult(tp, j) for j in range(m + 1)] for tp in tuples]
+        for g in range(kit.card):
+            ext = kit.products(rows + kit.eye[g], m)[:, m].tolist()
+            assert ext == [add[p[m]][mul[p[m - 1]][g]] for p in prod.tolist()], (m, g)
 
 
 # --- results across the 255 boundary of the uint8 rows ----------------------
