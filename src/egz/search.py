@@ -51,12 +51,12 @@ never rests on the bound itself.
 
 The levels do not depend on the cap, so one BFS answers every cap of one
 (kind, ring, m, t). Each kit (one per ring and search group, see _kit)
-caches up to _SEARCHES of them as _Search: the size, least class and
-hashed-keys flag of every level made so far, and the generator that makes
-the next one, suspended. A query sends the recorded levels up to its cap
-through progress and resumes the generator only for levels past the last
-one; its answer, witness, certificate bytes and progress calls are those
-of a search from the seed, whatever was asked before. A suspended frontier
+caches up to _SEARCHES of them as _Search: the size and least class of
+every level made so far, and the generator that makes the next one,
+suspended. A query sends the recorded levels up to its cap through
+progress and resumes the generator only for levels past the last one; its
+answer, witness, certificate bytes and progress calls are those of a
+search from the seed, whatever was asked before. A suspended frontier
 stays only while the kit's sum of them is at most _SUSPEND_BYTES (64 KiB,
 so 2 MiB over the 32 kits); past that the generator is closed, and a larger
 cap runs again from the seed. A recorded level costs about 8 |G| + 150
@@ -111,8 +111,9 @@ linear key that word: exact. Wider rows take fixed odd weights, and two
 rows may share a key. A shared key can only admit a removal that is not in
 the previous level, never reject one that is, so every array level is a
 superset of the true level (dedupe and canonical forms stay exact on rows),
-and an empty level still proves exactness. When such keys were compared,
-the search then runs the full tester on its witness: if it passes, it is a
+and an empty level still proves exactness. On such a ring every answer's
+witness then goes through the full tester, whichever step built the levels
+(a tuple level is exact, so a superset of itself): if it passes, it is a
 true counterexample and the least member of the orbits of a superset of the
 true level, so it is the true lex-least one, and the true search ends at
 the same length. If it fails, a collision admitted it, and the whole search
@@ -133,7 +134,7 @@ pin the frontier to unpruned search.
 
 Direct enumeration (method="direct", _least_counterexample) shares none of
 the frontier's machinery: no rows, no search group, no unit permutations,
-no hashed keys, and nothing carried from one length to the next. For each
+no linear keys, and nothing carried from one length to the next. For each
 length it walks the multiplicity vectors depth first in lex order, carrying
 the e_1..e_m values and sizes of the prefix's sub-multisets, and cuts a
 count once it completes a zero-sum sub-multiset. Its first leaf is the
@@ -176,6 +177,14 @@ def _check_method(method: str) -> None:
         raise ValueError(f"unknown method {method!r}")
 
 
+def _check_ints(**values) -> None:
+    """Raise ValueError on a value given (not None) that is not an int: a
+    bool is not one (JSON true loads as one), nor is a float or a string."""
+    for name, value in values.items():
+        if value is not None and not numtheory.is_int(value):
+            raise ValueError(f"{name} must be an int, not {value!r}")
+
+
 class MissingCapError(ValueError):
     """No usable search cap: no checked bound applies and none was given."""
 
@@ -200,8 +209,9 @@ class EgzOutcome:
 
 # Rows per numpy block, and bytes per block of gathered images (rows x
 # perms x row bytes) or of uint64 row casts: the first bounds the extension
-# copies, the second the canonical gathers under large groups and the casts
-# of the linear keys.
+# copies (extension rows of wider rows; parents of one-word rows, whose at
+# most 8 extension keys take 64 bytes), the second the canonical gathers
+# under large groups and the casts of the linear keys.
 _BLOCK_ROWS = 4096
 _BLOCK_BYTES = 1 << 21
 # Levels whose estimated tuple-step cost (_tuple_cost) is below these take
@@ -570,23 +580,22 @@ class _Rows:
         """The array level step: as _step_tuples, on sorted distinct rows;
         prev_keys are the previous level's orbit_keys. Each raw extension
         R + g takes its e_m, e_m(R) + g e_{m-1}(R), and on one-word rows its
-        key, key(R) + w[g], from its parent R."""
+        key, key(R) + w[g], from its parent R. One pass over blocks of
+        parents makes, tests and dedupes them: blocks of _BLOCK_ROWS parents
+        on one-word rows, of _BLOCK_ROWS extension rows on wider ones."""
         exact, g = self.exact_keys, np.arange(self.card)
-        per = max(1, _BLOCK_ROWS // self.card)
+        per = _BLOCK_ROWS if exact else max(1, _BLOCK_ROWS // self.card)
         dedupe = _distinct if exact else self.unique
         blocks = []
-        for lo in range(0, len(rows), _BLOCK_ROWS):
-            parents = rows[lo : lo + _BLOCK_ROWS]
-            if em_m is not None:
-                prod = self.products(parents, em_m)
+        for lo in range(0, len(rows), per):
+            block = rows[lo : lo + per]
+            keep = None
+            if em_m is not None:  # before the extensions: products' temporaries go first
+                p = self.products(block, em_m)
                 add, mul, _ = self._tables(em_m, 0)  # as products built them
-            for sub in range(0, len(parents), per):
-                block = parents[sub : sub + per]
-                ext = self.extension_keys(block) if exact else self.extend(block)
-                if em_m is not None:
-                    p = prod[sub : sub + per]
-                    ext = ext[(add[p[:, em_m, None], mul[p[:, em_m - 1, None], g]] != 0).ravel()]
-                blocks.append(dedupe(ext))
+                keep = (add[p[:, em_m, None], mul[p[:, em_m - 1, None], g]] != 0).ravel()
+            ext = self.extension_keys(block) if exact else self.extend(block)
+            blocks.append(dedupe(ext if keep is None else ext[keep]))
         cands = dedupe(np.concatenate(blocks))
         out = []
         for lo in range(0, len(cands), _BLOCK_ROWS):
@@ -801,12 +810,9 @@ def _least(kit: _Rows, frontier) -> tuple[int, ...]:
 
 
 def _frontier_max(kit: _Rows, kind: str, m: int, t: int | None, arrays: bool):
-    """The frontier BFS as a generator of (level, frontier, hashed): the
-    seed level, then each later nonempty level, hashed saying whether some
-    closure test so far compared linear keys that are not exact. It stops
-    at the first empty level: the search closed there. An empty level
-    proves closure whatever keys built it, so the flag of that last step is
-    not reported.
+    """The frontier BFS as a generator of (level, frontier): the seed level,
+    then each later nonempty level. It stops at the first empty level: the
+    search closed there.
 
     Seed levels skip the closure test: every multiset of length below the
     seed is a counterexample, and at the EGZ seed level t exactly those with
@@ -817,11 +823,10 @@ def _frontier_max(kit: _Rows, kind: str, m: int, t: int | None, arrays: bool):
         seed_em = m if level + 1 == t else None
         frontier = _advance(kit, frontier, level, False, seed_em, arrays)
     em_m = m if kind == KIND_DAV else None
-    level, hashed = seed, False
+    level = seed
     while len(frontier):
-        yield level, frontier, hashed
+        yield level, frontier
         frontier = _advance(kit, frontier, level, True, em_m, arrays)
-        hashed |= isinstance(frontier, np.ndarray) and not kit.exact_keys
         level += 1
 
 
@@ -839,12 +844,12 @@ class _Search:
     """One frontier BFS of (kind, m, t), resumable to any cap.
 
     The levels do not depend on the cap, so a search to one cap is a prefix
-    of the search to any larger one. levels[i] is (size, least class,
-    hashed) of level seed + i; gen is the suspended _frontier_max that
-    makes the next level, or None, and nbytes the size of the frontier it
-    holds; done says the level after the last one is empty. A closed gen
-    with done false is re-run from the seed when a larger cap needs more
-    levels, and makes the same levels again. The kit is passed to each
+    of the search to any larger one. levels[i] is (size, least class) of
+    level seed + i; gen is the suspended _frontier_max that makes the next
+    level, or None, and nbytes the size of the frontier it holds; done says
+    the level after the last one is empty. A closed gen with done false is
+    re-run from the seed when a larger cap needs more levels, and makes the
+    same levels again. The kit is passed to each
     call, not kept, so a kit and the searches it caches form no reference
     cycle unless a generator is suspended."""
 
@@ -853,7 +858,7 @@ class _Search:
     def __init__(self, kind: str, m: int, t: int | None, arrays: bool = True):
         self.kind, self.m, self.t, self.arrays = kind, m, t, arrays
         self.seed = t if kind == KIND_EGZ else m - 1
-        self.levels: list[tuple[int, tuple[int, ...], bool]] = []
+        self.levels: list[tuple[int, tuple[int, ...]]] = []
         self.gen = None
         self.nbytes = 0
         self.done = False
@@ -865,11 +870,11 @@ class _Search:
 
     def to(self, kit: _Rows, cap: int, progress):
         """The search on kit to cap, at least the seed level: the last
-        nonempty level up to cap, its least class, and its hashed flag.
-        progress gets every level up to it, recorded or new."""
+        nonempty level up to cap and its least class. progress gets every
+        level up to it, recorded or new."""
         seed = self.seed
         if progress:
-            for level, (size, _, _) in enumerate(self.levels[: cap - seed + 1], seed):
+            for level, (size, _) in enumerate(self.levels[: cap - seed + 1], seed):
                 progress(level, size)
         while not self.done and seed + len(self.levels) <= cap:
             if self.gen is None:
@@ -881,16 +886,15 @@ class _Search:
                 self.done = True
                 self.close()
                 break
-            level, frontier, hashed = step
-            self.levels.append((len(frontier), _least(kit, frontier), hashed))
+            level, frontier = step
+            self.levels.append((len(frontier), _least(kit, frontier)))
             self.nbytes = _nbytes(frontier, level)
             if progress:
                 progress(level, len(frontier))
         if not self.levels:  # the EGZ seed level is empty
-            return seed - 1, _vacuous_witness(kit.ring, seed - 1).mult, False
+            return seed - 1, _vacuous_witness(kit.ring, seed - 1).mult
         i = min(cap - seed, len(self.levels) - 1)
-        _, least, hashed = self.levels[i]
-        return seed + i, least, hashed
+        return seed + i, self.levels[i][1]
 
 
 def _cached_search(kit: _Rows, kind: str, m: int, t: int | None, cap: int, progress):
@@ -934,12 +938,12 @@ def max_counterexample_length(
     The frontier search answers from the ring's cached search of (kind, m,
     t), resumed past its recorded levels only when cap needs more (see
     _Search). On rows wider than one word the array step's closure test
-    compares linear keys, so each level is a superset of the true one. When
-    it ran, the witness is checked by the full tester: it passes, and is
-    then the true lex-least counterexample of the true last level, unless a
-    key collision admitted it; in that case the search runs again, uncached,
-    on the tuple step, whose tests are exact, and progress reports its
-    levels again."""
+    compares linear keys, so each level is a superset of the true one, and
+    on those rings every witness is checked by the full tester: it passes,
+    and is then the true lex-least counterexample of the true last level,
+    unless a key collision admitted it; in that case the search runs again,
+    uncached, on the tuple step, whose tests are exact, and progress reports
+    its levels again. m, cap and t must be ints (not bools)."""
     return _max_length(kind, ring, m, cap, t, method, progress, cached=True)
 
 
@@ -949,6 +953,7 @@ def _max_length(kind, ring, m, cap, t, method, progress, cached: bool):
     if kind not in (KIND_EGZ, KIND_DAV):
         raise ValueError(f"unknown kind {kind!r}")
     _check_method(method)
+    _check_ints(m=m, cap=cap, t=t)
     if m < 1:
         raise ValueError("m must be >= 1")
     if cap < m:
@@ -966,11 +971,11 @@ def _max_length(kind, ring, m, cap, t, method, progress, cached: bool):
 
     kit = _kit(ring, m == 1)
     if cached:
-        level, least, hashed = _cached_search(kit, kind, m, t, cap, progress)
+        level, least = _cached_search(kit, kind, m, t, cap, progress)
     else:
-        level, least, hashed = _Search(kind, m, t).to(kit, cap, progress)
-    if hashed and not _counterexample_test(ring, kind, m, t)(least):
-        level, least, _ = _Search(kind, m, t, arrays=False).to(kit, cap, progress)
+        level, least = _Search(kind, m, t).to(kit, cap, progress)
+    if not kit.exact_keys and not _counterexample_test(ring, kind, m, t)(least):
+        level, least = _Search(kind, m, t, arrays=False).to(kit, cap, progress)
     return level, MultisetSeq(ring, least)
 
 
@@ -1174,6 +1179,7 @@ def egz_constant(
     search is serial.
     """
     _check_method(method)
+    _check_ints(m=m, t=t, cap=cap)
     if m < 1 or t < m:
         raise ValueError("need t >= m >= 1")
     if infinite_obstruction(ring, m, t) is not None:
@@ -1190,6 +1196,7 @@ def davenport_m(
     to cap, as egz_constant. There is no automatic cap, so the caller must
     give one; raises MissingCapError without it."""
     _check_method(method)
+    _check_ints(m=m, cap=cap)
     if m < 1:
         raise ValueError("m must be >= 1")
     return _constant(KIND_DAV, ring, m, None, cap, method, progress)

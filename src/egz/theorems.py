@@ -12,8 +12,9 @@ their computed, expected or detail strings have a shape of their own.
 Informational fixtures (asserting=False) report comparisons, e.g. against
 the open t + q^2 - q prediction, and cannot fail the suite.
 
-Computed constants are memoized process-wide (computed_egz/computed_dav),
-so fixtures and acceptance checks that share parameters share the work.
+Computed constants come from search's cached searches (computed_egz and
+computed_dav make the ring and ask search), so fixtures and acceptance
+checks that share a (kind, ring, m, t) share one BFS, whatever the caps.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import operator
 import random
 import time
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from typing import Callable, Iterable, Optional
 
 from . import brink, numtheory, search, symfun
@@ -33,35 +34,16 @@ from .multiset import MultisetSeq
 from .rings import make_ring
 from .search import EgzOutcome
 
-# --- memoized computed constants -------------------------------------------
-
-# The public wrappers pass every argument positionally, so that one query
-# is one cache entry however its caller spells it (lru_cache keys on the
-# spelling: cap=None and an omitted cap would be two entries). A full
-# check-theorems --tier all makes 457 EGZ and 70 Davenport entries, so
-# COMPUTED_CACHE keeps every hit of the suite and bounds library use.
-COMPUTED_CACHE = 1024
+# --- computed constants ----------------------------------------------------
 
 
 def computed_egz(
     moduli: tuple[int, ...], m: int, t: int, cap: int | None = None
 ) -> EgzOutcome:
-    return _computed_egz(moduli, m, t, cap)
-
-
-def computed_dav(moduli: tuple[int, ...], m: int, cap: int) -> EgzOutcome:
-    return _computed_dav(moduli, m, cap)
-
-
-@lru_cache(maxsize=COMPUTED_CACHE)
-def _computed_egz(
-    moduli: tuple[int, ...], m: int, t: int, cap: int | None
-) -> EgzOutcome:
     return search.egz_constant(make_ring(moduli), m, t, cap=cap)
 
 
-@lru_cache(maxsize=COMPUTED_CACHE)
-def _computed_dav(moduli: tuple[int, ...], m: int, cap: int) -> EgzOutcome:
+def computed_dav(moduli: tuple[int, ...], m: int, cap: int) -> EgzOutcome:
     return search.davenport_m(make_ring(moduli), m, cap)
 
 
@@ -120,7 +102,7 @@ def _register_rows(claim: str, runner: Callable[..., FixtureResult], rows) -> No
 
 
 def _closed(kind: str, moduli, m: int, t: int | None, cap: int | None) -> EgzOutcome:
-    """E(t, G, m) for kind "E", D_m(G) for kind "D" (t is None), memoized."""
+    """E(t, G, m) for kind "E", D_m(G) for kind "D" (t is None)."""
     if kind == "D":
         return computed_dav(moduli, m, cap)
     return computed_egz(moduli, m, t, cap=cap)
@@ -899,7 +881,7 @@ def run_suite(
     """Run the selected fixtures and return outcomes in fixture-id order.
 
     With jobs=1 and no timeout, fixtures run in-process (sharing the
-    memoized constants). Otherwise each fixture runs in its own forked
+    cached searches). Otherwise each fixture runs in its own forked
     process; one that exceeds the timeout is terminated and reported as
     TIMEOUT rather than a failure. Raises ValueError for jobs < 1, for a
     timeout that is not a finite number > 0, and for subprocess mode where

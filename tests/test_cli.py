@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -201,6 +202,22 @@ def test_check_theorems_json(capsys) -> None:
     payload = json.loads(out)
     assert payload[0]["id"] == "egz-3-3-2"
     assert payload[0]["status"] == "PASS"
+
+
+def test_fixture_reports_match_the_checked_in_data(capsys) -> None:
+    # the reports that CI diffs, so that a local run sees a status change:
+    # check-theorems --tier all --json without its seconds fields, and
+    # list-theorems --verbose
+    data = Path(__file__).parent / "data"
+    code, out, _ = run(capsys, "check-theorems", "--tier", "all", "--json")
+    assert code == 0
+    rows = json.loads(out)
+    for row in rows:
+        row.pop("seconds")
+    assert json.dumps(rows, indent=2) + "\n" == (data / "check-theorems-all.json").read_text()
+    code, out, _ = run(capsys, "list-theorems", "--verbose")
+    assert code == 0
+    assert out == (data / "list-theorems.txt").read_text()
 
 
 def test_list_theorems(capsys) -> None:

@@ -524,6 +524,34 @@ def test_unknown_method_raises_before_any_answer(call) -> None:
         call()
 
 
+@pytest.mark.parametrize("bad", [True, 2.0, 7.5, "8"], ids=["bool", "2.0", "7.5", "str"])
+@pytest.mark.parametrize(
+    "slot, call",
+    [
+        ("m", lambda x: egz_constant(make_ring((3,)), x, 3)),
+        ("t", lambda x: egz_constant(make_ring((3,)), 2, x)),
+        ("cap", lambda x: egz_constant(make_ring((3,)), 2, 3, cap=x)),
+        ("m", lambda x: davenport_m(make_ring((3,)), x, 7)),
+        ("cap", lambda x: davenport_m(make_ring((3,)), 2, x)),
+        ("m", lambda x: max_counterexample_length(KIND_DAV, make_ring((3,)), x, 7)),
+        ("cap", lambda x: max_counterexample_length(KIND_DAV, make_ring((3,)), 2, x)),
+        ("t", lambda x: max_counterexample_length(KIND_EGZ, make_ring((3,)), 2, 8, t=x)),
+    ],
+    ids=["egz-m", "egz-t", "egz-cap", "dav-m", "dav-cap", "max-m", "max-cap", "max-t"],
+)
+def test_queries_that_are_not_ints_raise_before_any_search(slot, call, bad, monkeypatch) -> None:
+    # a bool, a float or a string is no query: True would read as 1, 7.5
+    # would give a certificate its own verifier rejects, and 2.0 or "8"
+    # would end in a TypeError
+    def no_search(*args, **kwargs):
+        raise AssertionError("a search ran")
+
+    monkeypatch.setattr(search, "_frontier_max", no_search)
+    monkeypatch.setattr(search, "_direct_max", no_search)
+    with pytest.raises(ValueError, match=f"^{slot} must be an int"):
+        call(bad)
+
+
 def test_witness_is_lex_least_canonical() -> None:
     # the reported witness is canonical and minimal among the final frontier
     ring = make_ring((8,))
@@ -643,16 +671,26 @@ def test_canonical_keys_never_wrap() -> None:
 
 
 @pytest.mark.parametrize("moduli, cap", [((5, 5), 9), ((3, 9), 11)])
-def test_array_levels_record_the_tuple_steps_least_classes(moduli, cap, fresh_kits) -> None:
+def test_array_levels_record_the_tuple_steps_least_classes(
+    moduli, cap, fresh_kits, monkeypatch
+) -> None:
     # the least class of every level, read from the array levels by
     # _Rows.least, is the one the tuple step records
+    steps = []
+    step = search._Rows.step
+
+    def spy(self, *args):
+        steps.append(len(args[0]))
+        return step(self, *args)
+
+    monkeypatch.setattr(search._Rows, "step", spy)
     kit = search._kit(make_ring(moduli), True)
     arrays = search._Search(KIND_DAV, 1, None)
     arrays.to(kit, cap, None)
     tuples = search._Search(KIND_DAV, 1, None, arrays=False)
     tuples.to(kit, cap, None)
-    assert any(hashed for _, _, hashed in arrays.levels)  # some level took the array step
-    assert [lv[:2] for lv in arrays.levels] == [lv[:2] for lv in tuples.levels]
+    assert steps  # some level took the array step
+    assert arrays.levels == tuples.levels
 
 
 def _random_level(kit, rng, n: int, length: int, heavy: int):
@@ -709,7 +747,7 @@ def test_canonical_pass_and_least_stay_within_blocks(fresh_kits) -> None:
     ring = make_ring((5, 5))
     kit = search._kit(ring, True)
     assert len(kit.perm) == 480
-    for level, frontier, _ in search._frontier_max(kit, KIND_DAV, 1, None, arrays=True):
+    for level, frontier in search._frontier_max(kit, KIND_DAV, 1, None, arrays=True):
         if level == 6:
             break
     rows = frontier if not isinstance(frontier, set) else kit.from_tuples(frontier)
@@ -805,6 +843,45 @@ def test_image_weights_key_the_images(moduli) -> None:
     assert kit.exact_keys == (card <= 8)
     if kit.exact_keys:
         assert (kit.linear_keys(rows, kit.w) == kit.keys(rows)).all()
+
+
+def test_wider_rings_check_every_witness(monkeypatch, fresh_kits) -> None:
+    # D_1(Z_3 x Z_3) cap 6: every closure level takes the tuple step, whose
+    # tests are exact, yet the ring is wider than one word, so the full
+    # tester still checks the witness, of a cached repeat too; a one-word
+    # ring's witness needs no check
+    calls = []
+    counterexample_test = search._counterexample_test
+
+    def spy_test(*args):
+        check = counterexample_test(*args)
+
+        def counted(mult):
+            calls.append(tuple(mult))
+            return check(mult)
+
+        return counted
+
+    steps = []
+    step = search._Rows.step
+
+    def spy_step(self, *args):
+        steps.append(len(args[0]))
+        return step(self, *args)
+
+    monkeypatch.setattr(search, "_counterexample_test", spy_test)
+    monkeypatch.setattr(search._Rows, "step", spy_step)
+    ring = make_ring((3, 3))
+    out = davenport_m(ring, 1, 6)
+    assert (out.kind, out.value) == ("exact", 5)
+    assert steps == []
+    assert calls == [out.witness.mult]
+    assert davenport_m(ring, 1, 6) == out
+    assert calls == [out.witness.mult] * 2
+    calls.clear()
+    out = davenport_m(make_ring((7,)), 3, 15)
+    assert (out.kind, out.value) == ("exact", 13)
+    assert calls == []
 
 
 @pytest.mark.parametrize(
@@ -978,7 +1055,7 @@ def _uncached(kind, ring, m, t, cap):
     "kind, moduli, m, t, caps",
     [
         (KIND_EGZ, (8,), 2, 16, (16, 19, 29, 30)),  # one-word exact keys
-        (KIND_DAV, (5, 5), 1, None, tuple(range(1, 12))),  # hashed keys
+        (KIND_DAV, (5, 5), 1, None, tuple(range(1, 12))),  # inexact linear keys
         (KIND_DAV, (7,), 3, None, tuple(range(3, 16))),  # tuple-only levels
         (KIND_DAV, (27,), 1, None, (27, 255, 256, 300)),  # across _ROW_MAX
     ],
@@ -1061,7 +1138,7 @@ def test_a_large_frontier_is_not_kept(fresh_kits) -> None:
         tracemalloc.stop()
     assert (out.kind, out.value) == ("at_least", 11)
     (entry,) = kit.searches.values()
-    assert [size for size, _, _ in entry.levels] == [3631, 4514]
+    assert [size for size, _ in entry.levels] == [3631, 4514]
     assert 4514 * 16 > search._SUSPEND_BYTES
     assert entry.gen is None and entry.nbytes == 0 and not entry.done
     assert kept < search._SUSPEND_BYTES, kept

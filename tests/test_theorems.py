@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import ast
-from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -120,41 +119,26 @@ def test_calculator_unknown_id() -> None:
     assert "egz-general-upper" in calculator_ids()
 
 
-def test_computed_wrappers_are_cached() -> None:
-    a = computed_egz((3,), 2, 3)
-    b = computed_egz((3,), 2, 3)
-    assert a is b
-    c = computed_dav((3,), 2, 10)
-    assert c is computed_dav((3,), 2, 10)
+def test_a_repeated_computed_query_runs_no_level_step(monkeypatch) -> None:
+    # computed_egz and computed_dav keep no cache of their own: a repeat is
+    # answered from the search cache of the ring's kit, with no level step
+    steps = []
+    advance = search._advance
 
+    def spy(*args, **kwargs):
+        steps.append(args[2])
+        return advance(*args, **kwargs)
 
-def test_computed_wrappers_share_one_entry_per_query(monkeypatch) -> None:
-    # however a query is spelled, the search behind it runs once
-    searches = []
-
-    def fake(*args, **kwargs):
-        searches.append((args, kwargs))
-        return len(searches)
-
-    monkeypatch.setattr(search, "egz_constant", fake)
-    monkeypatch.setattr(search, "davenport_m", fake)
-    for name in ("_computed_egz", "_computed_dav"):
-        fresh = lru_cache(maxsize=None)(getattr(theorems, name).__wrapped__)
-        monkeypatch.setattr(theorems, name, fresh)
-
-    egz = {
-        computed_egz((3,), 2, 3),
-        computed_egz((3,), 2, 3, None),
-        computed_egz((3,), 2, 3, cap=None),
-        computed_egz(moduli=(3,), m=2, t=3),
-        computed_egz((3,), t=3, m=2, cap=None),
-    }
-    assert egz == {1}
-    assert computed_egz((3,), 2, 3, cap=6) == computed_egz((3,), 2, 3, 6) == 2
-    dav = {computed_dav((3,), 2, 10), computed_dav((3,), 2, cap=10),
-           computed_dav(cap=10, m=2, moduli=(3,))}
-    assert dav == {3}
-    assert len(searches) == 3
+    monkeypatch.setattr(search, "_advance", spy)
+    search._kit.cache_clear()
+    first = computed_egz((9,), 2, 9)
+    dav = computed_dav((9,), 2, 12)
+    assert steps
+    steps.clear()
+    assert computed_egz((9,), 2, 9) == first
+    assert computed_egz((9,), 2, 9, cap=None) == first
+    assert computed_dav((9,), 2, 12) == dav
+    assert steps == []
 
 
 _FAST_IDS = {
@@ -269,20 +253,3 @@ def test_value_grid_fails_a_row_whose_calculator_hypotheses_fail() -> None:
     res = theorems._run_value_grid(lambda: [("(3,4)", "E", (3,), 2, 3, None, want)], "x")
     assert not res.ok
     assert "hypothesis fails: 3 | 4" in res.detail
-
-
-def test_computed_caches_stay_bounded() -> None:
-    # instant queries: E(t, Z_2, 1) for odd t is Infinite by the all-ones
-    # family, and D_1(Z_2) closes at level 1 whatever the cap
-    n = theorems.COMPUTED_CACHE + 50
-    try:
-        for i in range(n):
-            computed_egz((2,), 1, 2 * i + 1)
-            computed_dav((2,), 1, i + 1)
-        for cached in (theorems._computed_egz, theorems._computed_dav):
-            info = cached.cache_info()
-            assert info.misses >= n
-            assert info.currsize <= theorems.COMPUTED_CACHE
-    finally:
-        theorems._computed_egz.cache_clear()
-        theorems._computed_dav.cache_clear()
