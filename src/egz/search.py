@@ -64,62 +64,67 @@ bytes. A search that raised (MemoryError, KeyboardInterrupt) leaves the
 cache, and verify_certificate's re-check runs a new search outside it.
 
 A level step has two implementations with the same output. Each makes the
-raw one-element extensions of the stored representatives, keeps the
-distinct ones whose one-element removals all lie in the previous level's
-H-orbits and (Davenport kind, and the EGZ seed) whose e_m is nonzero, and
-only then maps the survivors to their H-representatives and dedupes again.
-Both tests are H-invariant properties of the candidate alone, so the order
-they run in does not change the survivors: the tuple step dedupes, then
-tests closure, then e_m; the array step tests e_m first, on the raw
-extensions, then dedupes and tests closure. No orbit is missed: if X is a
-counterexample of length L+1 and a is in X, then X - a lies in h(R) for a
-stored R and some h in H, so h^-1(X) = R + h^-1(a) extends R. Canonicalizing
-every candidate first would cost |H| images per candidate, most of which the
-closure test then rejects. The tuple step (_step_tuples) does this in Python
-on sets of tuples; it serves levels whose estimated Python cost,
-_tuple_cost, is below _SMALL_LEVEL (_SMALL_EM_LEVEL when e_m is tested),
-where numpy's fixed cost per call would dominate. The array step
-(_Rows.step) keeps the level as an (N, width) uint8 array, one byte per
-element, and works in blocks (_Rows.block_rows: at most _BLOCK_ROWS rows
-and _BLOCK_BYTES of images). It computes each extension R + g from its
-parent R: the truncated product of each block of parents once
-(_Rows.products), then e_m(R + g) = e_m(R) + g e_{m-1}(R), two table
-lookups per extension, and the extensions with e_m = 0 go before any
-dedupe. It dedupes the rest by sorting exact row keys (the row's bytes,
-whose memcmp order is tuple order). A row of at most 8 elements stays its
-uint64 key until the canonical pass: an extension's key is its parent's
-plus w[g] = 256**(7 - g), which adds one to byte g and never carries below
-_ROW_MAX, and the closure test reuses it. Wider rows are extended and
-deduped as rows. The step then looks every one-element removal up with
-np.searchsorted in the sorted linear keys of the previous level's full
-H-orbits (no per-removal canonical form), and canonicalizes the
-survivors: the canonical keys of all |H| images of a block of survivors
-are one matrix product, and only the image of least key is gathered (with
-the lex-least of distinct images that tie at it, so the choice is a
-function of the orbit). Each array level is sorted. Levels from 255 on,
-whose extensions could hold a multiplicity past 255, take the tuple step;
-below them a row holds at most 255 elements, which keeps every canonical
-key an exact uint16.
+raw one-element extensions of the stored representatives, keeps the distinct
+ones whose one-element removals all lie in the previous level's H-orbits and
+(Davenport kind, and the EGZ seed) whose e_m is nonzero, and only then maps
+the survivors to their H-representatives and dedupes again. Both tests are
+H-invariant properties of the candidate alone, so the order they run in does
+not change the survivors: the tuple step dedupes, then tests closure, then
+e_m; the array step tests e_m first, on the raw extensions, then dedupes and
+tests closure. No orbit is missed: if X is a counterexample of length L+1
+and a is in X, then X - a lies in h(R) for a stored R and some h in H, so
+h^-1(X) = R + h^-1(a) extends R. Canonicalizing every candidate first would
+cost |H| images per candidate, most of which the closure test then rejects.
+The tuple step (_step_tuples) does this in Python on sets of tuples; it
+serves levels whose estimated Python cost, _tuple_cost (candidates, and
+images charged by their width), is below _SMALL_LEVEL (_SMALL_EM_LEVEL when
+e_m is tested), where numpy's fixed cost per call would dominate. The array
+step (_Rows.step) keeps the level as an (N, width) uint8 array, one byte per
+element, and works in blocks (_Rows.block_rows: at most _BLOCK_ROWS rows and
+_BLOCK_BYTES of images). It computes each extension R + g from its parent R:
+e_{m-1} and e_m of a block of parents once, from their power sums by
+Newton's identities (_Rows.elementary; I. G. Macdonald, Symmetric Functions
+and Hall Polynomials, 2nd ed., 1995, I.2), then e_m(R + g) = e_m(R) + g
+e_{m-1}(R) in integers mod each coordinate modulus n, and the extensions
+with e_m = 0 go before any dedupe. The power sums are residues mod m! n,
+exact in int64 only while (m! n)**2 < 2**63 (_em_fits); a level past that
+which tests e_m takes the tuple step. It dedupes the rest by sorting exact
+row keys (the row's bytes, whose memcmp order is tuple order). A row of at
+most 8 elements stays its uint64 key until the canonical pass: an
+extension's key is its parent's plus w[g] = 256**(7 - g), which adds one to
+byte g and never carries below _ROW_MAX, and the closure test reuses it.
+Wider rows are extended and deduped as rows. The step then looks every
+one-element removal up with np.searchsorted in the sorted linear keys of the
+previous level's full H-orbits (no per-removal canonical form), the removals
+of a block in ascending key order, and canonicalizes the survivors: the
+canonical keys of all |H| images of a block of survivors are one np.einsum
+product, and only the image of least key is gathered (with the lex-least of
+distinct images that tie at it, so the choice is a function of the orbit).
+Each array level is sorted. Levels from 255 on, whose extensions could hold
+a multiplicity past 255, take the tuple step; below them a row holds at most
+255 elements, which keeps every canonical key an exact uint16.
 
 The closure lookups use linear keys h(X) = sum X[i] w[i] mod 2**64
-(universal hashing: Carter and Wegman, JCSS 18, 1979; fingerprints: Karp
-and Rabin, IBM J. Res. Dev. 31, 1987). The keys of all |H| images of a row
-are one matrix product with an image-weight matrix, so no image is
-gathered, and a removal's key is the row's key minus one weight. A row of
-at most 8 elements is one word, and its weights 256**(7 - i) make the
-linear key that word: exact. Wider rows take fixed odd weights, and two
-rows may share a key. A shared key can only admit a removal that is not in
-the previous level, never reject one that is, so every array level is a
-superset of the true level (dedupe and canonical forms stay exact on rows),
-and an empty level still proves exactness. On such a ring every answer's
-witness then goes through the full tester, whichever step built the levels
-(a tuple level is exact, so a superset of itself): if it passes, it is a
-true counterexample and the least member of the orbits of a superset of the
-true level, so it is the true lex-least one, and the true search ends at
-the same length. If it fails, a collision admitted it, and the whole search
-runs again on the tuple step, whose tests are exact. The fixed weights keep
-runs deterministic. The canonical keys are another matter: exact integers,
-they only choose one member of an orbit and never test membership.
+(universal hashing: Carter and Wegman, JCSS 18, 1979; fingerprints: Karp and
+Rabin, IBM J. Res. Dev. 31, 1987). The keys of all |H| images of a row are
+one uint64 product with an image-weight matrix (np.einsum from _EINSUM_KEYS
+images on, np.matmul below: numpy has no BLAS for integers, and each loop is
+the faster on its side), so no image is gathered, and a removal's key is the
+row's key minus one weight. A row of at most 8 elements is one word, and its
+weights 256**(7 - i) make the linear key that word: exact. Wider rows take
+fixed odd weights, and two rows may share a key. A shared key can only admit
+a removal that is not in the previous level, never reject one that is, so
+every array level is a superset of the true level (dedupe and canonical
+forms stay exact on rows), and an empty level still proves exactness. On
+such a ring every answer's witness then goes through the full tester,
+whichever step built the levels (a tuple level is exact, so a superset of
+itself): if it passes, it is a true counterexample and the least member of
+the orbits of a superset of the true level, so it is the true lex-least one,
+and the true search ends at the same length. If it fails, a collision
+admitted it, and the whole search runs again on the tuple step, whose tests
+are exact. The fixed weights keep runs deterministic. The canonical keys are
+another matter: exact integers, they only choose one member of an orbit and
+never test membership.
 
 The independent full testers (is_counterexample_*) are one walk,
 _find_zero_sub, with a window of sizes: exactly t for the EGZ kind, at least
@@ -154,7 +159,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import bounds, numtheory, rings
+from . import bounds, numtheory, rings, symfun
 from .multiset import MultisetSeq
 from .rings import RingSpec
 
@@ -177,11 +182,12 @@ def _check_method(method: str) -> None:
         raise ValueError(f"unknown method {method!r}")
 
 
-def _check_ints(**values) -> None:
-    """Raise ValueError on a value given (not None) that is not an int: a
-    bool is not one (JSON true loads as one), nor is a float or a string."""
+def _check_ints(optional: tuple[str, ...] = (), **values) -> None:
+    """Raise ValueError on a value that is not an int, unless it is None and
+    its name is optional: a bool is not one (JSON true loads as one), nor is
+    a float, a string or None."""
     for name, value in values.items():
-        if value is not None and not numtheory.is_int(value):
+        if not (value is None and name in optional or numtheory.is_int(value)):
             raise ValueError(f"{name} must be an int, not {value!r}")
 
 
@@ -216,10 +222,15 @@ _BLOCK_ROWS = 4096
 _BLOCK_BYTES = 1 << 21
 # Levels whose estimated tuple-step cost (_tuple_cost) is below these take
 # the tuple step: below them numpy's fixed cost per call outweighs the work.
-# The array e_m pass costs a few numpy calls per ring element, so levels
-# that test e_m stay on tuples longer.
+# The array e_m pass costs a few numpy calls per power-sum monomial, so
+# levels that test e_m stay on tuples longer.
 _SMALL_LEVEL = 96
 _SMALL_EM_LEVEL = 256
+# Keys per row from which np.einsum computes linear keys faster than
+# np.matmul, which numpy runs without BLAS on integers: with uint64 rows of
+# 9 to 32 elements, einsum takes about 1.3 times as long at 8 keys, as long
+# at 16, and 0.7-0.8 times as long from 32 on, or for one key per row.
+_EINSUM_KEYS = 16
 # Largest multiplicity of a uint8 row. A level's extensions are one longer
 # than the level, so levels from _ROW_MAX on take the tuple step.
 _ROW_MAX = 0xFF
@@ -296,32 +307,33 @@ class _Rows:
     words. keys() is exact, for dedupe: the row's bytes as one void scalar,
     or a one-word row's word as a uint64. The padding is the same in every
     row, so their order (memcmp, what np.sort and np.searchsorted use) is
-    tuple order. Image h of X is X.take(perm_h), and a linear key
-    X' @ v of an image X' is X @ V[:, h] with V[perm_h[j], h] = v[j], so
-    the keys of all |H| images of a row are one matrix product. The closure
-    test uses linear keys mod 2**64 (w and W, see
-    _key_weights), and exact_keys says whether distinct rows always get
-    distinct ones. A canonical form is the image of least canonical key: on
-    one-word rows that key is the image's word (its W key, read off the
-    gathered words), so the form is the lex-least image; wider rows take
-    the uint16 keys of _canonical_weights, with C as W, from one np.einsum
-    (whose uint16 loop is vectorized: about 7 times faster than a uint64 or
-    int64 np.matmul, which numpy runs without BLAS).
+    tuple order. Image h of X is X.take(perm_h), and a linear key X' @ v of
+    an image X' is X @ V[:, h] with V[perm_h[j], h] = v[j], so the keys of
+    all |H| images of a row are one product (linear_keys). The closure test
+    uses linear keys mod 2**64 (w and W, see _key_weights), and exact_keys
+    says whether distinct rows always get distinct ones. A canonical form is
+    the image of least canonical key: on one-word rows that key is the
+    image's word (its W key, read off the gathered words), so the form is
+    the lex-least image; wider rows take the uint16 keys of
+    _canonical_weights, with C as W, from one np.einsum (whose uint16 loop
+    is vectorized: about 7 times faster than a uint64 or int64 np.matmul,
+    which numpy runs without BLAS).
 
-    The step derives each extension R + g from its parent R. products()
-    gives each parent's e_0..e_m, and e_m(R + g) is one linear factor on
-    them. On one-word rows the key is also the linear key, so
-    extension_keys() are the parent's key plus w[g], and those keys are
-    deduped as uint64, looked up in the closure test, and turned back into
-    rows (from_keys) only for the canonical pass. Wider rows are extended
-    and deduped as rows, by exact void keys, so no hash ever merges two
-    candidates.
+    The step derives each extension R + g from its parent R. elementary()
+    gives each parent's e_{m-1} and e_m as residues per coordinate (lifts
+    holds each element's residues, mods the moduli), and e_m(R + g) = e_m(R)
+    + g e_{m-1}(R) is integer arithmetic on them. On one-word rows the key
+    is also the linear key, so extension_keys() are the parent's key plus
+    w[g], and those keys are deduped as uint64, looked up in the closure
+    test, and turned back into rows (from_keys) only for the canonical pass.
+    Wider rows are extended and deduped as rows, by exact void keys, so no
+    hash ever merges two candidates.
     """
 
     __slots__ = (
         "ring", "card", "add_t", "mul_t", "one_idx", "width", "key_dtype",
-        "images", "perm", "w", "W", "C", "exact_keys", "eye",
-        "_key_view", "_idx_dtype", "_arith", "_fac", "_factors", "searches",
+        "images", "perm", "inverse", "w", "W", "C", "exact_keys", "eye", "lifts", "mods",
+        "_key_view", "_factors", "searches",
     )
 
     def __init__(self, ring: RingSpec, sym) -> None:
@@ -334,6 +346,8 @@ class _Rows:
         self.images = [operator.itemgetter(*p) for p in sym]  # img(mult) is an image
         pad = list(range(card, width))  # padding columns map to themselves
         self.perm = np.array([list(p) + pad for p in sym], dtype=np.intp)
+        # inverse[perm_h[j], h] = j: a gather by it is faster than a scatter by perm
+        self.inverse = np.ascontiguousarray(self.perm[:, :card].argsort(axis=1).T)
         self.w = _key_weights(card)
         self.W = self.image_weights(self.w)
         self.exact_keys = width == 8
@@ -341,9 +355,8 @@ class _Rows:
         if not self.exact_keys:
             self.C = self.image_weights(_canonical_weights(card))
         self.eye = np.eye(card, width, dtype=np.uint8)
-        self._idx_dtype = np.min_scalar_type(card - 1)  # element indices
-        self._arith = None
-        self._fac: dict[int, np.ndarray] = {}
+        self.lifts = np.array(rings.elements(ring), np.uint16)  # (card, rank) residues
+        self.mods = np.array(ring.moduli, np.uint16)
         self._factors: dict[tuple[int, int, int], tuple[int, ...]] = {}
         self.searches: dict[tuple, _Search] = {}  # by (kind, m, t), least recent first
 
@@ -384,9 +397,7 @@ class _Rows:
     def image_weights(self, v: np.ndarray) -> np.ndarray:
         """V with V[perm_h[j], h] = v[j]: row @ V[:, h] is the key of image
         h of the row under the weights v."""
-        out = np.empty((self.card, len(self.perm)), v.dtype)
-        out[self.perm[:, : self.card], np.arange(len(self.perm))[:, None]] = v
-        return out
+        return v.take(self.inverse)
 
     def block_rows(self) -> int:
         """Rows per block whose canonical keys (|H| of at most 8 bytes each)
@@ -468,12 +479,17 @@ class _Rows:
     def linear_keys(self, rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """rows @ weights mod 2**64: with w the rows' linear keys, with W
         those of all their images (one column per map of H). The rows are
-        cast to uint64 in blocks of at most _BLOCK_BYTES."""
+        cast to uint64 in blocks of at most _BLOCK_BYTES, and multiplied by
+        np.einsum, or by np.matmul when each row gets fewer than
+        _EINSUM_KEYS keys (both wrap alike)."""
         per = max(1, _BLOCK_BYTES // (8 * self.card))
         out = np.empty((len(rows),) + weights.shape[1:], np.uint64)
         for lo in range(0, len(rows), per):
             block = rows[lo : lo + per, : self.card].astype(np.uint64)
-            np.matmul(block, weights, out=out[lo : lo + per])
+            if weights.ndim == 2 and weights.shape[1] < _EINSUM_KEYS:
+                np.matmul(block, weights, out=out[lo : lo + per])
+            else:
+                np.einsum("ij,j...->i...", block, weights, out=out[lo : lo + per])
         return out
 
     def orbit_keys(self, rows: np.ndarray) -> np.ndarray:
@@ -486,7 +502,16 @@ class _Rows:
     def closed(self, rows: np.ndarray, k: np.ndarray, prev_keys: np.ndarray) -> np.ndarray:
         """Mask of the rows whose one-element removals all have linear keys
         in prev_keys; k are the rows' own linear keys. A key shared by a
-        removal and some other image can only keep a row, never drop one."""
+        removal and some other image can only keep a row, never drop one.
+        np.searchsorted starts each lookup from the last one when its
+        needles ascend, so they run in key order: one-word rows come sorted,
+        and wider rows are sorted by k here and their mask scattered back.
+        A removal's key k - w[i] keeps that order, but for the keys below
+        w[i], which wrap past 2**64 and ascend again after the others."""
+        order = None
+        if not self.exact_keys:
+            order = np.argsort(k)
+            rows, k = rows[order], k[order]
         ok = np.ones(len(rows), dtype=bool)
         for i, wi in enumerate(self.w):  # wi a np.uint64: the arithmetic stays uint64
             sel = np.flatnonzero(ok & (rows[:, i] > 0))
@@ -496,47 +521,41 @@ class _Rows:
             pos = np.searchsorted(prev_keys, sub)
             pos[pos == len(prev_keys)] = 0
             ok[sel[prev_keys[pos] != sub]] = False
-        return ok
+        if order is None:
+            return ok
+        out = np.empty_like(ok)
+        out[order] = ok
+        return out
 
-    def _tables(self, m: int, top: int):
-        # add/mul index tables and fac[g, c, j] = C(c, j) g^j for c <= top
-        if self._arith is None:
-            scal_t = rings.scalar_index_table(self.ring)
-            self._arith = tuple(
-                np.array(tab, self._idx_dtype) for tab in (self.add_t, self.mul_t, scal_t)
-            )
-        add, mul, scal = self._arith
-        fac = self._fac.get(m)
-        if fac is None or fac.shape[1] <= top:
-            exponent = self.ring.exponent
-            comb = np.array(
-                [[math.comb(c, j) % exponent for j in range(m + 1)] for c in range(top + 1)],
-                dtype=np.intp,
-            )
-            pw = np.empty((self.card, m + 1), self._idx_dtype)
-            pw[:, 0] = self.one_idx
-            for j in range(1, m + 1):
-                pw[:, j] = mul[pw[:, j - 1], np.arange(self.card)]
-            fac = self._fac[m] = scal[comb[None, :, :], pw[:, None, :]]
-        return add, mul, fac
+    def elementary(self, rows: np.ndarray, m: int) -> np.ndarray:
+        """e_{m-1} and e_m of each row by Newton's identities, as an (N, 2,
+        rank) uint16 array of residues, one per coordinate. With M = m! n
+        for a coordinate modulus n, the power sums p_1..p_m mod M of a row
+        are one int64 product of the rows with the lifts' powers, j! e_j mod
+        M is symfun.newton_girard(j) evaluated mod M, and e_j mod n is that
+        taken mod j! n and divided by j!. Every product of two residues
+        stays below M**2, exact in int64 when _em_fits."""
+        P, M = _powers(self.ring, m)
+        rank, n = len(M), M // math.factorial(m)
+        p = (rows[:, : self.card].astype(np.int64) @ P).reshape(-1, rank, m) % M[:, None]
+        memo: dict[tuple[int, ...], np.ndarray] = {}
+        out = np.ones((len(rows), 2, rank), np.uint16)  # e_0 = 1, for m = 1
+        for slot, j in enumerate((m - 1, m)):
+            if not j:
+                continue
+            acc = 0
+            for coeff, jvec in symfun.newton_girard(j).terms:
+                acc = (acc + coeff % M * _monomial(p, M, jvec + (0,) * (m - j), memo) % M) % M
+            scale = math.factorial(j)
+            out[:, slot] = acc % (scale * n) // scale
+        return out
 
-    def products(self, rows: np.ndarray, m: int) -> np.ndarray:
-        """Element indices of each row's truncated product prod_g (1 + g
-        x)^X[g], an (N, m + 1) array whose column j is e_j of the row.
-        Coefficient 0 of the product and of every factor f is one, so
-        multiplying by f is out_k = p_k + f_k + sum_{i=1}^{k-1} p_i f_{k-i},
-        in place from k = m down to 1: m**2 lookups per element."""
-        add, mul, fac = self._tables(m, int(rows[:, : self.card].max(initial=0)))
-        p = [np.full(len(rows), self.one_idx, self._idx_dtype)]
-        p += [np.zeros(len(rows), self._idx_dtype)] * m
-        for g in range(1, self.card):  # element 0 is the ring zero: identity factor
-            f = fac[g].T[:, rows[:, g]]
-            for k in range(m, 0, -1):
-                acc = add[p[k], f[k]]
-                for i in range(1, k):
-                    acc = add[acc, mul[p[i], f[k - i]]]
-                p[k] = acc
-        return np.stack(p, axis=1)
+    def extension_em(self, rows: np.ndarray, m: int) -> np.ndarray:
+        """e_m of each one-element extension R + g of the rows, an (N, card,
+        rank) array of residues: e_m(R) + g e_{m-1}(R) per coordinate, at
+        most 255 + 255 * 255 before the reduction, so in uint16."""
+        e = self.elementary(rows, m)
+        return (e[:, None, 1] + e[:, None, 0] * self.lifts) % self.mods
 
     def _factor(self, g: int, c: int, m: int) -> tuple[int, ...]:
         # (1 + g x)^c truncated at degree m, coefficient j equal to C(c, j)
@@ -583,17 +602,15 @@ class _Rows:
         key, key(R) + w[g], from its parent R. One pass over blocks of
         parents makes, tests and dedupes them: blocks of _BLOCK_ROWS parents
         on one-word rows, of _BLOCK_ROWS extension rows on wider ones."""
-        exact, g = self.exact_keys, np.arange(self.card)
+        exact = self.exact_keys
         per = _BLOCK_ROWS if exact else max(1, _BLOCK_ROWS // self.card)
         dedupe = _distinct if exact else self.unique
         blocks = []
         for lo in range(0, len(rows), per):
             block = rows[lo : lo + per]
             keep = None
-            if em_m is not None:  # before the extensions: products' temporaries go first
-                p = self.products(block, em_m)
-                add, mul, _ = self._tables(em_m, 0)  # as products built them
-                keep = (add[p[:, em_m, None], mul[p[:, em_m - 1, None], g]] != 0).ravel()
+            if em_m is not None:
+                keep = self.extension_em(block, em_m).any(axis=2).ravel()
             ext = self.extension_keys(block) if exact else self.extend(block)
             blocks.append(dedupe(ext if keep is None else ext[keep]))
         cands = dedupe(np.concatenate(blocks))
@@ -610,6 +627,31 @@ class _Rows:
         return self.unique(np.concatenate([
             self.canonical(out[lo : lo + per]) for lo in range(0, len(out), per)
         ] or [out]))
+
+
+@lru_cache(maxsize=_KITS)
+def _powers(ring: RingSpec, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(P, M) for degree m: M[k] = m! n_k for each coordinate modulus n_k,
+    and P[g, k m + i - 1] = a**i mod M[k] for the lift a in [0, n_k) of
+    coordinate k of element g, i = 1..m."""
+    M = [math.factorial(m) * n for n in ring.moduli]
+    P = [
+        [pow(a, i, M[k]) for k, a in enumerate(e) for i in range(1, m + 1)]
+        for e in rings.elements(ring)
+    ]
+    return np.array(P, np.int64), np.array(M, np.int64)
+
+
+def _monomial(p: np.ndarray, M: np.ndarray, jvec: tuple[int, ...], memo: dict) -> np.ndarray:
+    """prod_i p[:, :, i]**jvec[i] mod M, from the monomial with one factor
+    less; memo keeps each one made, by its exponents."""
+    found = memo.get(jvec)
+    if found is None:
+        i = next(i for i, c in enumerate(jvec) if c)
+        rest = jvec[:i] + (jvec[i] - 1,) + jvec[i + 1 :]
+        found = p[:, :, i] if not any(rest) else _monomial(p, M, rest, memo) * p[:, :, i] % M
+        memo[jvec] = found
+    return found
 
 
 def _distinct(keys: np.ndarray) -> np.ndarray:
@@ -772,11 +814,24 @@ def _step_tuples(kit: _Rows, members, prev: set | None, em_m: int | None):
 def _tuple_cost(n: int, card: int, group: int) -> int:
     """Estimated Python work of _step_tuples on n members, in candidates:
     n * card of them, plus the orbits of prev and of the survivors, about
-    n * group images. The weight of an image against a candidate, and the
-    two cutoffs, were fitted to timings of both steps on every level of the
-    small searches of perfbench's batch-small and oracle pools (Z_2 to Z_8,
-    Z_2^2, Z_2^3, Z_2xZ_4 and Z_3^2, m <= 3) and checked on D_1(Z_5^2)."""
-    return n * card + n * group // 8
+    n * group images, each charged by its width, max(card, 8) / 64 of a
+    candidate. Up to 8 elements that is 1/8, the weight that, with the two
+    cutoffs, was fitted to timings of both steps on every level of the small
+    searches of perfbench's batch-small and oracle pools (Z_2 to Z_8, Z_2^2,
+    Z_2^3, Z_2xZ_4 and Z_3^2, m <= 3). The divisor 64 keeps it and was
+    checked on timings of both steps on 242 levels of 28 searches, from Z_2
+    up to Z_5^2, Z_3xZ_9, Z_2^5, Z_3^3 and Z_4^2 (|H| up to 480; a shared
+    2-core machine, numpy 2.4). On their 94 levels of more than 8 elements
+    the steps it picks took 0.250 s, the faster step of each level 0.245 s,
+    those of divisors 16 to 128 0.246-0.251 s, and those of a flat 1/8 per
+    image 0.256 s."""
+    return n * card + n * group * max(card, 8) // 64
+
+
+def _em_fits(ring: RingSpec, m: int) -> bool:
+    """Whether _Rows.elementary is exact in int64 for degree m: (m! n)**2 <
+    2**63 for the ring's largest coordinate modulus n."""
+    return (math.factorial(m) * max(ring.moduli)) ** 2 < 1 << 63
 
 
 def _advance(kit: _Rows, frontier, level: int, closed: bool, em_m, arrays: bool):
@@ -792,6 +847,7 @@ def _advance(kit: _Rows, frontier, level: int, closed: bool, em_m, arrays: bool)
     if (
         not arrays
         or level >= _ROW_MAX
+        or (em_m is not None and not _em_fits(kit.ring, em_m))
         or cost < (_SMALL_LEVEL if em_m is None else _SMALL_EM_LEVEL)
     ):
         if isinstance(frontier, np.ndarray):
@@ -953,13 +1009,13 @@ def _max_length(kind, ring, m, cap, t, method, progress, cached: bool):
     if kind not in (KIND_EGZ, KIND_DAV):
         raise ValueError(f"unknown kind {kind!r}")
     _check_method(method)
-    _check_ints(m=m, cap=cap, t=t)
+    _check_ints(() if kind == KIND_EGZ else ("t",), m=m, cap=cap, t=t)
     if m < 1:
         raise ValueError("m must be >= 1")
     if cap < m:
         raise ValueError("cap must be >= m")
     if kind == KIND_EGZ:
-        if t is None or t < m:
+        if t < m:
             raise ValueError("EGZ kind needs t >= m")
         vacuous = t - 1
     else:
@@ -1179,7 +1235,7 @@ def egz_constant(
     search is serial.
     """
     _check_method(method)
-    _check_ints(m=m, t=t, cap=cap)
+    _check_ints(("cap",), m=m, t=t, cap=cap)
     if m < 1 or t < m:
         raise ValueError("need t >= m >= 1")
     if infinite_obstruction(ring, m, t) is not None:
@@ -1196,7 +1252,7 @@ def davenport_m(
     to cap, as egz_constant. There is no automatic cap, so the caller must
     give one; raises MissingCapError without it."""
     _check_method(method)
-    _check_ints(m=m, cap=cap)
+    _check_ints(("cap",), m=m, cap=cap)
     if m < 1:
         raise ValueError("m must be >= 1")
     return _constant(KIND_DAV, ring, m, None, cap, method, progress)

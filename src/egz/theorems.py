@@ -20,7 +20,6 @@ checks that share a (kind, ring, m, t) share one BFS, whatever the caps.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import operator
 import random
 import time
@@ -910,6 +909,7 @@ def run_suite(
             finish(fx, status, time.monotonic() - begin, computed, expected, detail)
         return [outcomes[fx.id] for fx in chosen]
 
+    import multiprocessing  # here, not at the top: it costs every import egz several ms
     if "fork" not in multiprocessing.get_all_start_methods():
         raise ValueError("jobs > 1 and a timeout need the fork start method")
     ctx = multiprocessing.get_context("fork")

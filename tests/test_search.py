@@ -526,20 +526,22 @@ def test_unknown_method_raises_before_any_answer(call) -> None:
 
 @pytest.mark.parametrize("bad", [True, 2.0, 7.5, "8"], ids=["bool", "2.0", "7.5", "str"])
 @pytest.mark.parametrize(
-    "slot, call",
+    "slot, call, none_ok",
     [
-        ("m", lambda x: egz_constant(make_ring((3,)), x, 3)),
-        ("t", lambda x: egz_constant(make_ring((3,)), 2, x)),
-        ("cap", lambda x: egz_constant(make_ring((3,)), 2, 3, cap=x)),
-        ("m", lambda x: davenport_m(make_ring((3,)), x, 7)),
-        ("cap", lambda x: davenport_m(make_ring((3,)), 2, x)),
-        ("m", lambda x: max_counterexample_length(KIND_DAV, make_ring((3,)), x, 7)),
-        ("cap", lambda x: max_counterexample_length(KIND_DAV, make_ring((3,)), 2, x)),
-        ("t", lambda x: max_counterexample_length(KIND_EGZ, make_ring((3,)), 2, 8, t=x)),
+        ("m", lambda x: egz_constant(make_ring((3,)), x, 3), False),
+        ("t", lambda x: egz_constant(make_ring((3,)), 2, x), False),
+        ("cap", lambda x: egz_constant(make_ring((3,)), 2, 3, cap=x), True),
+        ("m", lambda x: davenport_m(make_ring((3,)), x, 7), False),
+        ("cap", lambda x: davenport_m(make_ring((3,)), 2, x), True),
+        ("m", lambda x: max_counterexample_length(KIND_DAV, make_ring((3,)), x, 7), False),
+        ("cap", lambda x: max_counterexample_length(KIND_DAV, make_ring((3,)), 2, x), False),
+        ("t", lambda x: max_counterexample_length(KIND_EGZ, make_ring((3,)), 2, 8, t=x), False),
     ],
     ids=["egz-m", "egz-t", "egz-cap", "dav-m", "dav-cap", "max-m", "max-cap", "max-t"],
 )
-def test_queries_that_are_not_ints_raise_before_any_search(slot, call, bad, monkeypatch) -> None:
+def test_queries_that_are_not_ints_raise_before_any_search(
+    slot, call, none_ok, bad, monkeypatch
+) -> None:
     # a bool, a float or a string is no query: True would read as 1, 7.5
     # would give a certificate its own verifier rejects, and 2.0 or "8"
     # would end in a TypeError
@@ -550,6 +552,9 @@ def test_queries_that_are_not_ints_raise_before_any_search(slot, call, bad, monk
     monkeypatch.setattr(search, "_direct_max", no_search)
     with pytest.raises(ValueError, match=f"^{slot} must be an int"):
         call(bad)
+    if not none_ok:  # nor is None, unless it asks for an automatic cap
+        with pytest.raises(ValueError, match=f"^{slot} must be an int, not None"):
+            call(None)
 
 
 def test_witness_is_lex_least_canonical() -> None:
@@ -951,12 +956,17 @@ def test_answering_leaves_numpy_random_unimported() -> None:
     assert (after, kind, value) == ("False", "exact", "9")
 
 
+def _em_residues(kit, tuples, j: int) -> list[list[int]]:
+    # the tuple step's e_j of each multiplicity vector, as coordinate residues
+    return [list(element_at(kit.ring, kit.em_mult(tp, j))) for tp in tuples]
+
+
 @pytest.mark.parametrize(
     "moduli, m, cap",
     [((9,), 2, 40), ((2, 2, 2), 3, 12), ((5, 5), 1, 20), ((5, 5), 2, 255), ((2, 4), 4, 30)],
 )
 def test_array_em_matches_engine(moduli, m, cap) -> None:
-    # column m of the array products is the tuple step's e_m, multiplicities
+    # e_{m-1} and e_m from power sums are the tuple step's, multiplicities
     # up to a full uint8 row included
     import numpy as np
 
@@ -966,16 +976,19 @@ def test_array_em_matches_engine(moduli, m, cap) -> None:
     vals = rng.integers(0, cap + 1, size=(300, kit.card))
     vals[rng.random(vals.shape) < 0.5] = 0  # sparse rows, multiplicities above the exponent
     tuples = [tuple(v) for v in vals.tolist()]
-    got = kit.products(kit.from_tuples(tuples), m)[:, m].tolist()
-    assert got == [kit.em_mult(tp, m) for tp in tuples]
+    e = kit.elementary(kit.from_tuples(tuples), m)
+    assert e.shape == (len(tuples), 2, ring.rank)
+    assert e[:, 0].tolist() == _em_residues(kit, tuples, m - 1)
+    assert e[:, 1].tolist() == _em_residues(kit, tuples, m)
 
 
 @pytest.mark.parametrize(
     "moduli", [(9,), (2, 2, 2), (5, 5), (2, 4)], ids=["Z9", "Z2^3", "Z5xZ5", "Z2xZ4"]
 )
 def test_products_match_the_tuple_steps_em(moduli) -> None:
-    # every coefficient j <= m of the truncated product is e_j, and one
-    # linear factor gives e_m of each one-element extension from its parent
+    # e_{m-1} and e_m of each row from power sums, and e_m of each
+    # one-element extension as one linear factor on its parent's pair, which
+    # is e_m of the extension's own power sums
     import numpy as np
 
     ring = make_ring(moduli)
@@ -983,16 +996,103 @@ def test_products_match_the_tuple_steps_em(moduli) -> None:
     rng = np.random.default_rng(kit.card)
     vals = rng.integers(0, 255, size=(200, kit.card))  # room for one more element
     vals[rng.random(vals.shape) < 0.5] = 0  # sparse rows, multiplicities above the exponent
+    vals[0] = 254  # the largest multiplicity a parent of the array step holds
     tuples = [tuple(v) for v in vals.tolist()]
     rows = kit.from_tuples(tuples)
-    add, mul = kit.add_t, kit.mul_t
     for m in range(1, 5):
-        prod = kit.products(rows, m)
-        assert prod.shape == (len(rows), m + 1)
-        assert prod.tolist() == [[kit.em_mult(tp, j) for j in range(m + 1)] for tp in tuples]
+        e = kit.elementary(rows, m)
+        assert e[:, 0].tolist() == _em_residues(kit, tuples, m - 1), m
+        assert e[:, 1].tolist() == _em_residues(kit, tuples, m), m
+        ext = kit.extension_em(rows, m)
+        assert ext.shape == (len(rows), kit.card, ring.rank)
         for g in range(kit.card):
-            ext = kit.products(rows + kit.eye[g], m)[:, m].tolist()
-            assert ext == [add[p[m]][mul[p[m - 1]][g]] for p in prod.tolist()], (m, g)
+            grown = [tp[:g] + (tp[g] + 1,) + tp[g + 1 :] for tp in tuples]
+            assert ext[:, g].tolist() == _em_residues(kit, grown, m), (m, g)
+            assert (ext[:, g] == kit.elementary(rows + kit.eye[g], m)[:, 1]).all(), (m, g)
+
+
+def test_closed_looks_removals_up_in_key_order(fresh_kits) -> None:
+    # on rows wider than one word, closed sorts the rows by key and scatters
+    # its mask back: the mask is that of a lookup of every removal, column
+    # by column in row order, though many removal keys k - w[i] wrap below 0
+    import numpy as np
+
+    ring = make_ring((3, 3))
+    kit = search._kit(ring, True)
+    assert not kit.exact_keys
+    rng = np.random.default_rng(9)
+    rows = kit.from_tuples(rng.integers(0, 3, size=(400, kit.card)).tolist())
+    k = kit.linear_keys(rows, kit.w)
+    removals, wraps, count = [], 0, 0
+    for key, row in zip(k.tolist(), rows[:, : kit.card].tolist()):
+        ws = [wi for wi, c in zip(kit.w.tolist(), row) if c]
+        removals.append({key - wi & search._MASK64 for wi in ws})
+        wraps += sum(key < wi for wi in ws)
+        count += len(ws)
+    assert 0 < wraps < count
+    known = set().union(*removals[::2])  # every removal of the even rows
+    known |= set(rng.integers(0, 1 << 63, size=500, dtype=np.uint64).tolist())
+    known |= {x for r in removals[1::4] for x in sorted(r)[1:]}  # all but one
+    prev = np.array(sorted(known), np.uint64)
+    expect = [all(x in known for x in r) for r in removals]
+    assert 200 <= sum(expect) < len(rows)
+    assert kit.closed(rows, k, prev).tolist() == expect
+    order = rng.permutation(len(rows))
+    assert kit.closed(rows[order], k[order], prev).tolist() == [expect[i] for i in order]
+
+
+def test_tuple_cost_charges_images_by_width(monkeypatch, fresh_kits) -> None:
+    # up to 8 elements an image costs what it did before width counted; a
+    # wider one costs card / 64 candidates, so D_1(Z_5 x Z_5), under 480
+    # maps, takes the array step from level 2 (3 classes) on
+    for card in range(1, 9):
+        for n in (1, 3, 7, 100):
+            for group in (1, 2, 3, 16, 48, 480):
+                assert search._tuple_cost(n, card, group) == n * card + n * group // 8
+    levels = []
+    step = search._Rows.step
+
+    def spy(self, rows, *args):
+        levels.append(int(rows[0, : self.card].sum()))
+        return step(self, rows, *args)
+
+    monkeypatch.setattr(search._Rows, "step", spy)
+    out = davenport_m(make_ring((5, 5)), 1, 9)
+    assert (out.kind, out.value) == ("exact", 9)
+    assert levels == list(range(2, 9))
+
+
+@pytest.mark.parametrize(
+    "moduli, m, cap, fits", [((7,), 12, 17, False), ((6,), 12, 22, True)], ids=["D12-Z7", "D12-Z6"]
+)
+def test_power_sums_too_wide_for_int64_take_the_tuple_step(
+    moduli, m, cap, fits, monkeypatch, fresh_kits
+) -> None:
+    # e_m from power sums multiplies residues mod m! n, exact in int64 only
+    # while (m! n)**2 < 2**63: past it (12! 7), no level that tests e_m
+    # takes the array step, even with every size cutoff at 0; just within
+    # it (12! 6), they do, and the levels are those of the tuple step
+    monkeypatch.setattr(search, "_SMALL_LEVEL", 0)
+    monkeypatch.setattr(search, "_SMALL_EM_LEVEL", 0)
+    ring = make_ring(moduli)
+    assert ((math.factorial(m) * max(moduli)) ** 2 < 1 << 63) == fits == search._em_fits(ring, m)
+    calls = []
+    step = search._Rows.step
+
+    def spy(self, rows, prev_keys, em_m):
+        calls.append(em_m)
+        return step(self, rows, prev_keys, em_m)
+
+    monkeypatch.setattr(search._Rows, "step", spy)
+    kit = search._kit(ring, False)
+    arrays = search._Search(KIND_DAV, m, None)
+    answer = arrays.to(kit, cap, None)
+    assert None in calls  # the seed levels test no e_m
+    assert (m in calls) == fits
+    tuples = search._Search(KIND_DAV, m, None, arrays=False)
+    assert tuples.to(kit, cap, None) == answer
+    assert arrays.levels == tuples.levels
+    assert answer[0] < cap  # closed
 
 
 # --- results across the 255 boundary of the uint8 rows ----------------------

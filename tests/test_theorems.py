@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import multiprocessing
 from pathlib import Path
 
 import pytest
@@ -223,7 +224,7 @@ def test_run_suite_rejects_bad_jobs_and_timeout(kwargs) -> None:
 
 
 def test_run_suite_without_fork_refuses_subprocess_mode(monkeypatch) -> None:
-    monkeypatch.setattr(theorems.multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
     for kwargs in ({"jobs": 2}, {"timeout": 5}):
         with pytest.raises(ValueError, match="fork"):
             run_suite(tier="fast", name_filter="bound-", **kwargs)
