@@ -53,67 +53,94 @@ The levels do not depend on the cap, so one BFS answers every cap of one
 (kind, ring, m, t). Each kit (one per ring and search group, see _kit)
 caches up to _SEARCHES of them as _Search: the size and least class of
 every level made so far, and the generator that makes the next one,
-suspended. A query sends the recorded levels up to its cap through
-progress and resumes the generator only for levels past the last one; its
-answer, witness, certificate bytes and progress calls are those of a
-search from the seed, whatever was asked before. A suspended frontier
-stays only while the kit's sum of them is at most _SUSPEND_BYTES (64 KiB,
-so 2 MiB over the 32 kits); past that the generator is closed, and a larger
-cap runs again from the seed. A recorded level costs about 8 |G| + 150
-bytes. A search that raised (MemoryError, KeyboardInterrupt) leaves the
-cache, and verify_certificate's re-check runs a new search outside it.
+suspended (on one-word rows it also holds the previous level and its
+extension masks, for the next closure table). A query sends the recorded
+levels up to its cap through progress and resumes the generator only for
+levels past the last one; its answer, witness, certificate bytes and
+progress calls are those of a search from the seed, whatever was asked
+before. A suspended frontier stays only while the kit's sum of them is at
+most _SUSPEND_BYTES (64 KiB, so 2 MiB over the 32 kits); past that the
+generator is closed, and a larger cap runs again from the seed. A
+recorded level costs about 8 |G| + 150 bytes. A search that raised
+(MemoryError, KeyboardInterrupt) leaves the cache, and
+verify_certificate's re-check runs a new search outside it.
 
-A level step has two implementations with the same output. Each makes the
-raw one-element extensions of the stored representatives, keeps the distinct
-ones whose one-element removals all lie in the previous level's H-orbits and
-(Davenport kind, and the EGZ seed) whose e_m is nonzero, and only then maps
-the survivors to their H-representatives and dedupes again. Both tests are
-H-invariant properties of the candidate alone, so the order they run in does
-not change the survivors: the tuple step dedupes, then tests closure, then
-e_m; the array step tests e_m first, on the raw extensions, then dedupes and
-tests closure. No orbit is missed: if X is a counterexample of length L+1
-and a is in X, then X - a lies in h(R) for a stored R and some h in H, so
+A level step has two implementations with the same output. Each keeps the
+one-element extensions of the stored representatives whose one-element
+removals all lie in the previous level's H-orbits and (Davenport kind, and
+the EGZ seed) whose e_m is nonzero, and only then maps the survivors to
+their H-representatives and dedupes. Both tests are H-invariant properties
+of the candidate alone, so the order they run in does not change the
+survivors. No orbit is missed: if X is a counterexample of length L+1 and a
+is in X, then X - a lies in h(R) for a stored R and some h in H, so
 h^-1(X) = R + h^-1(a) extends R. Canonicalizing every candidate first would
 cost |H| images per candidate, most of which the closure test then rejects.
-The tuple step (_step_tuples) does this in Python on sets of tuples; it
-serves levels whose estimated Python cost, _tuple_cost (candidates, and
-images charged by their width), is below _SMALL_LEVEL (_SMALL_EM_LEVEL when
-e_m is tested), where numpy's fixed cost per call would dominate. The array
-step (_Rows.step) keeps the level as an (N, width) uint8 array, one byte per
-element, and works in blocks (_Rows.block_rows: at most _BLOCK_ROWS rows and
-_BLOCK_BYTES of images). It computes each extension R + g from its parent R:
-e_{m-1} and e_m of a block of parents once, from their power sums by
-Newton's identities (_Rows.elementary; I. G. Macdonald, Symmetric Functions
-and Hall Polynomials, 2nd ed., 1995, I.2), then e_m(R + g) = e_m(R) + g
-e_{m-1}(R) in integers mod each coordinate modulus n, and the extensions
-with e_m = 0 go before any dedupe. The power sums are residues mod m! n,
-exact in int64 only while (m! n)**2 < 2**63 (_em_fits); a level past that
-which tests e_m takes the tuple step. It dedupes the rest by sorting exact
-row keys (the row's bytes, whose memcmp order is tuple order). A row of at
-most 8 elements stays its uint64 key until the canonical pass: an
-extension's key is its parent's plus w[g] = 256**(7 - g), which adds one to
-byte g and never carries below _ROW_MAX, and the closure test reuses it.
-Wider rows are extended and deduped as rows. The step then looks every
-one-element removal up with np.searchsorted in the sorted linear keys of the
-previous level's full H-orbits (no per-removal canonical form), the removals
-of a block in ascending key order, and canonicalizes the survivors: the
-canonical keys of all |H| images of a block of survivors are one np.einsum
-product, and only the image of least key is gathered (with the lex-least of
-distinct images that tie at it, so the choice is a function of the orbit).
-Each array level is sorted. Levels from 255 on, whose extensions could hold
-a multiplicity past 255, take the tuple step; below them a row holds at most
+The tuple step (_step_tuples) makes the raw extensions in Python on sets of
+tuples, dedupes them, then tests closure, then e_m; it serves levels whose
+estimated Python cost, _tuple_cost (candidates, and images charged by their
+width), is below _SMALL_LEVEL (_SMALL_EM_LEVEL when e_m is tested), where
+numpy's fixed cost per call would dominate. The array step (_Rows.step)
+keeps the level as a sorted (N, width) uint8 array, one byte per element,
+and works in blocks (_Rows.block_rows: at most _BLOCK_ROWS rows and
+_BLOCK_BYTES of images). It takes e_m of each extension R + g from its
+parent R: e_{m-1} and e_m of a block of parents once, from their power sums
+by Newton's identities (_Rows.elementary; I. G. Macdonald, Symmetric
+Functions and Hall Polynomials, 2nd ed., 1995, I.2), then e_m(R + g) =
+e_m(R) + g e_{m-1}(R) in integers mod each coordinate modulus n. The power
+sums are residues mod m! n, exact in int64 only while (m! n)**2 < 2**63
+(_em_fits); a level past that which tests e_m takes the tuple step. Each
+array level is sorted. Levels from 255 on, whose extensions could hold a
+multiplicity past 255, take the tuple step; below them a row holds at most
 255 elements, which keeps every canonical key an exact uint16.
 
-The closure lookups use linear keys h(X) = sum X[i] w[i] mod 2**64
-(universal hashing: Carter and Wegman, JCSS 18, 1979; fingerprints: Karp and
-Rabin, IBM J. Res. Dev. 31, 1987). The keys of all |H| images of a row are
-one uint64 product with an image-weight matrix (np.einsum from _EINSUM_KEYS
+On rows of at most 8 elements the array step tests an extension before it
+makes it, levelwise (the pruning of R. Agrawal and R. Srikant, "Fast
+algorithms for mining association rules", VLDB 1994). A row is one uint64
+word, its key, whose order is tuple order. Each parent R gets one byte, its
+extension mask: bit g set when R + g lies in the next level. It is the e_m
+mask, ANDed on a closed level with the masks of R's removals, since
+R + g - i = (R - i) + g must lie in R's own level, and the step that made
+that level knew which extensions of R - i do. A step hands its parents and
+their masks on, and the next closed step builds from them its closure
+table: the keys of all |H| images of those parents, each with its low byte
+replaced by the image's mask (bit j is bit perm_h[j] of the parent's, since
+image h of R + perm_h[j] is h(R) + j), sorted. The low byte is X[7], or
+padding below 8 elements, and the multisets of a level have one length, so
+the other 7 bytes name the image. The removals R - i of a block of parents
+are one np.searchsorted there, column by column, so they come in ascending
+runs, and each lookup must hit: a miss raises RuntimeError. The table is
+dropped before any extension is made. After a tuple step that tested
+closure or e_m, the parents' masks are found once by looking their
+extensions up among the sorted keys of all images of the level they made;
+the first closed Davenport level follows an untested seed level and needs
+no lookups. The step then makes only the extensions the masks allow,
+key(R) + w[g] with w[g] = 256**(7 - g), which adds one to byte g and never
+carries below _ROW_MAX, one sorted run per g; dedupes them as uint64 keys,
+per block of parents and over the level; and maps each to its image of
+least word, the lex-least image.
+
+Rows wider than 8 elements are extended as rows, and their extensions with
+e_m = 0 go first. The rest are deduped by sorting exact row keys (the row's
+bytes as one void scalar, whose memcmp order is tuple order), and every
+one-element removal is looked up with np.searchsorted in the sorted linear
+keys of the previous level's full H-orbits (no per-removal canonical form),
+the removals of a block in ascending key order. The survivors are then
+canonicalized: the canonical keys of all |H| images of a block of
+survivors are one np.einsum product, and only the image of least key is
+gathered (with the lex-least of distinct images that tie at it, so the
+choice is a function of the orbit).
+
+Those lookups use linear keys h(X) = sum X[i] w[i] mod 2**64 (universal
+hashing: Carter and Wegman, JCSS 18, 1979; fingerprints: Karp and Rabin,
+IBM J. Res. Dev. 31, 1987). The keys of all |H| images of a row are one
+uint64 product with an image-weight matrix (np.einsum from _EINSUM_KEYS
 images on, np.matmul below: numpy has no BLAS for integers, and each loop is
 the faster on its side), so no image is gathered, and a removal's key is the
-row's key minus one weight. A row of at most 8 elements is one word, and its
-weights 256**(7 - i) make the linear key that word: exact. Wider rows take
-fixed odd weights, and two rows may share a key. A shared key can only admit
-a removal that is not in the previous level, never reject one that is, so
+row's key minus one weight. A row of at most 8 elements is one word, and
+its weights 256**(7 - i) make the linear key that word: exact, so the
+closure tables of one-word rows can carry a payload. Wider rows take fixed
+odd weights, and two rows may share a key. A shared key can only admit a
+removal that is not in the previous level, never reject one that is, so
 every array level is a superset of the true level (dedupe and canonical
 forms stay exact on rows), and an empty level still proves exactness. On
 such a ring every answer's witness then goes through the full tester,
@@ -238,6 +265,9 @@ _ROW_MAX = 0xFF
 # deterministic.
 _KEY_SEED = 0x243F6A8885A308D3
 _MASK64 = (1 << 64) - 1
+# A one-word key but its low byte, which a closure table entry replaces by
+# an extension mask.
+_HIGH_BYTES = np.uint64(_MASK64 ^ 0xFF)
 # Kits _kit keeps; searches each kit caches; bytes of suspended frontiers
 # each kit keeps, so _BLOCK_BYTES over the cached kits (see _Search).
 _KITS = 32
@@ -323,17 +353,18 @@ class _Rows:
     gives each parent's e_{m-1} and e_m as residues per coordinate (lifts
     holds each element's residues, mods the moduli), and e_m(R + g) = e_m(R)
     + g e_{m-1}(R) is integer arithmetic on them. On one-word rows the key
-    is also the linear key, so extension_keys() are the parent's key plus
-    w[g], and those keys are deduped as uint64, looked up in the closure
-    test, and turned back into rows (from_keys) only for the canonical pass.
-    Wider rows are extended and deduped as rows, by exact void keys, so no
-    hash ever merges two candidates.
+    is also the linear key: masks() gives each parent the extensions that
+    reach the next level, from the e_m mask and the previous level's
+    table(), and extension_keys() makes only those, the parent's key plus
+    w[g], deduped as uint64 and turned back into rows (from_keys) only for
+    the canonical pass. Wider rows are extended and deduped as rows, by
+    exact void keys, so no hash ever merges two candidates.
     """
 
     __slots__ = (
         "ring", "card", "add_t", "mul_t", "one_idx", "width", "key_dtype",
         "images", "perm", "inverse", "w", "W", "C", "exact_keys", "eye", "lifts", "mods",
-        "_key_view", "_factors", "searches",
+        "_key_view", "_factors", "_em_bits", "_image_masks", "searches",
     )
 
     def __init__(self, ring: RingSpec, sym) -> None:
@@ -358,6 +389,15 @@ class _Rows:
         self.lifts = np.array(rings.elements(ring), np.uint16)  # (card, rank) residues
         self.mods = np.array(ring.moduli, np.uint16)
         self._factors: dict[tuple[int, int, int], tuple[int, ...]] = {}
+        self._image_masks = None  # (256, |H|): a mask's image under each map, made by table()
+        # one-word rows: _em_bits[k][a, b] has bit g set when a + b g != 0 in
+        # coordinate k, for residues a, b mod its modulus
+        self._em_bits = []
+        if self.exact_keys:
+            for k, n in enumerate(self.mods):
+                a = np.arange(n, dtype=np.uint16)
+                nonzero = ((a[:, None, None] + a[:, None] * self.lifts[:, k]) % n).astype(bool)
+                self._em_bits.append(np.packbits(nonzero, axis=2, bitorder="little")[:, :, 0])
         self.searches: dict[tuple, _Search] = {}  # by (kind, m, t), least recent first
 
     def from_tuples(self, members) -> np.ndarray:
@@ -389,10 +429,14 @@ class _Rows:
         """All len(rows) * card one-element extensions, parent-major."""
         return (rows[:, None, :] + self.eye).reshape(-1, self.width)
 
-    def extension_keys(self, rows: np.ndarray) -> np.ndarray:
-        """keys(extend(rows)) of one-word rows below _ROW_MAX: the parent's
-        key plus w[g], which adds one to byte g and never carries."""
-        return (self.keys(rows)[:, None] + self.w).ravel()
+    def extension_keys(self, keys: np.ndarray, masks: np.ndarray) -> np.ndarray:
+        """The keys of the extensions R + g of one-word rows below _ROW_MAX
+        with bit g set in R's mask, one run per g: R's key plus w[g], which
+        adds one to byte g and never carries. Sorted keys give sorted runs."""
+        grown = keys + self.w[:, None]  # (card, N), one row per g
+        if (masks == (1 << self.card) - 1).all():  # a seed level's: every extension
+            return grown.ravel()
+        return grown[(masks >> np.arange(self.card, dtype=np.uint8)[:, None] & 1).view(bool)]
 
     def image_weights(self, v: np.ndarray) -> np.ndarray:
         """V with V[perm_h[j], h] = v[j]: row @ V[:, h] is the key of image
@@ -412,9 +456,8 @@ class _Rows:
         only the images that tie at the least key of a row wider than one
         word are gathered and compared."""
         n = len(rows)
-        if self.exact_keys:  # the images' words, gathered, are their keys
-            words = rows.take(self.perm, axis=1).view(">u8")[:, :, 0]
-            return words[np.arange(n), words.argmin(axis=1)].view(np.uint8).reshape(n, 8)
+        if self.exact_keys:
+            return self.from_keys(self.canonical_keys(rows))
         keys = np.einsum("ij,jk->ik", rows[:, : self.card].astype(np.uint16), self.C)
         pick = keys.argmin(axis=1)
         at = np.arange(n)
@@ -437,6 +480,18 @@ class _Rows:
             first = order[np.concatenate(([True], ranked[1:] != ranked[:-1]))]
             out[r[first]] = images[first]
         return out
+
+    def image_words(self, rows: np.ndarray) -> np.ndarray:
+        """The words of all |H| images of one-word rows, (N, |H|) big-endian:
+        their keys, gathered."""
+        return rows.take(self.perm, axis=1).view(">u8")[:, :, 0]
+
+    def canonical_keys(self, rows: np.ndarray) -> np.ndarray:
+        """keys() of canonical(rows) on one-word rows: the least of the
+        words of their images (by argmin and a gather: a min over big-endian
+        words takes about twice as long)."""
+        words = self.image_words(rows)
+        return words[np.arange(len(rows)), words.argmin(axis=1)].astype(np.uint64)
 
     def least(self, rows: np.ndarray) -> tuple[int, ...]:
         """The lex-least member of the union of the rows' orbits. On
@@ -500,18 +555,16 @@ class _Rows:
         return keys
 
     def closed(self, rows: np.ndarray, k: np.ndarray, prev_keys: np.ndarray) -> np.ndarray:
-        """Mask of the rows whose one-element removals all have linear keys
-        in prev_keys; k are the rows' own linear keys. A key shared by a
-        removal and some other image can only keep a row, never drop one.
-        np.searchsorted starts each lookup from the last one when its
-        needles ascend, so they run in key order: one-word rows come sorted,
-        and wider rows are sorted by k here and their mask scattered back.
-        A removal's key k - w[i] keeps that order, but for the keys below
-        w[i], which wrap past 2**64 and ascend again after the others."""
-        order = None
-        if not self.exact_keys:
-            order = np.argsort(k)
-            rows, k = rows[order], k[order]
+        """Mask of the rows wider than one word whose one-element removals
+        all have linear keys in prev_keys; k are the rows' own linear keys.
+        A key shared by a removal and some other image can only keep a row,
+        never drop one. np.searchsorted starts each lookup from the last one
+        when its needles ascend, so they run in key order: the rows are
+        sorted by k here and their mask scattered back. A removal's key
+        k - w[i] keeps that order, but for the keys below w[i], which wrap
+        past 2**64 and ascend again after the others."""
+        order = np.argsort(k)
+        rows, k = rows[order], k[order]
         ok = np.ones(len(rows), dtype=bool)
         for i, wi in enumerate(self.w):  # wi a np.uint64: the arithmetic stays uint64
             sel = np.flatnonzero(ok & (rows[:, i] > 0))
@@ -521,8 +574,6 @@ class _Rows:
             pos = np.searchsorted(prev_keys, sub)
             pos[pos == len(prev_keys)] = 0
             ok[sel[prev_keys[pos] != sub]] = False
-        if order is None:
-            return ok
         out = np.empty_like(ok)
         out[order] = ok
         return out
@@ -556,6 +607,16 @@ class _Rows:
         most 255 + 255 * 255 before the reduction, so in uint16."""
         e = self.elementary(rows, m)
         return (e[:, None, 1] + e[:, None, 0] * self.lifts) % self.mods
+
+    def em_masks(self, rows: np.ndarray, m: int) -> np.ndarray:
+        """The e_m masks of one-word rows: bit g set when e_m(R + g) =
+        e_m(R) + g e_{m-1}(R) is nonzero, the OR over coordinates k of
+        _em_bits[k] at R's residues (e_m, e_{m-1}) mod n_k."""
+        e = self.elementary(rows, m)
+        out = np.zeros(len(rows), np.uint8)
+        for k, bits in enumerate(self._em_bits):
+            out |= bits[e[:, 1, k], e[:, 0, k]]
+        return out
 
     def _factor(self, g: int, c: int, m: int) -> tuple[int, ...]:
         # (1 + g x)^c truncated at degree m, coefficient j equal to C(c, j)
@@ -595,38 +656,128 @@ class _Rows:
             poly = out
         return poly[m]
 
-    def step(self, rows: np.ndarray, prev_keys: np.ndarray | None, em_m: int | None):
-        """The array level step: as _step_tuples, on sorted distinct rows;
-        prev_keys are the previous level's orbit_keys. Each raw extension
-        R + g takes its e_m, e_m(R) + g e_{m-1}(R), and on one-word rows its
-        key, key(R) + w[g], from its parent R. One pass over blocks of
-        parents makes, tests and dedupes them: blocks of _BLOCK_ROWS parents
-        on one-word rows, of _BLOCK_ROWS extension rows on wider ones."""
-        exact = self.exact_keys
-        per = _BLOCK_ROWS if exact else max(1, _BLOCK_ROWS // self.card)
-        dedupe = _distinct if exact else self.unique
+    def step(self, rows: np.ndarray, closed: bool, em_m: int | None, prev=None):
+        """The array level step: as _step_tuples, on sorted distinct rows,
+        with closed asking for the closure test and em_m for the e_m test.
+        Returns the next level, sorted, and what the next step's closure
+        test needs of this one: on one-word rows after a step that tested
+        either, the pair (rows, their extension masks); else None. prev is
+        that value of the step before: after a tuple step, (its parents,
+        None); None when rows hold every multiset of their length (a seed
+        level), and on rows wider than one word, which look their removals
+        up in orbit_keys(rows) instead."""
+        if self.exact_keys:
+            return self._step_words(rows, closed, em_m, prev)
+        return self._step_wide(rows, self.orbit_keys(rows) if closed else None, em_m), None
+
+    def _step_wide(self, rows: np.ndarray, prev_keys: np.ndarray | None, em_m: int | None):
+        """The step on rows wider than one word: extend blocks of parents,
+        drop the extensions with e_m = 0, dedupe by exact void keys, look
+        every removal of the rest up in prev_keys (the previous level's
+        orbit_keys), and canonicalize the survivors."""
+        per = max(1, _BLOCK_ROWS // self.card)
         blocks = []
         for lo in range(0, len(rows), per):
             block = rows[lo : lo + per]
-            keep = None
+            ext = self.extend(block)
             if em_m is not None:
-                keep = self.extension_em(block, em_m).any(axis=2).ravel()
-            ext = self.extension_keys(block) if exact else self.extend(block)
-            blocks.append(dedupe(ext if keep is None else ext[keep]))
-        cands = dedupe(np.concatenate(blocks))
-        out = []
-        for lo in range(0, len(cands), _BLOCK_ROWS):
-            block = cands[lo : lo + _BLOCK_ROWS]
-            found = self.from_keys(block) if exact else block
-            if prev_keys is not None:
-                k = block if exact else self.linear_keys(block, self.w)
-                found = found[self.closed(found, k, prev_keys)]
-            out.append(found)
-        out = np.concatenate(out)
+                ext = ext[self.extension_em(block, em_m).any(axis=2).ravel()]
+            blocks.append(self.unique(ext))
+        cands = self.unique(np.concatenate(blocks))
+        if prev_keys is not None:
+            found = []
+            for lo in range(0, len(cands), _BLOCK_ROWS):
+                block = cands[lo : lo + _BLOCK_ROWS]
+                found.append(block[self.closed(block, self.linear_keys(block, self.w), prev_keys)])
+            cands = np.concatenate(found or [cands])
         per = self.block_rows()
         return self.unique(np.concatenate([
-            self.canonical(out[lo : lo + per]) for lo in range(0, len(out), per)
-        ] or [out]))
+            self.canonical(cands[lo : lo + per]) for lo in range(0, len(cands), per)
+        ] or [cands]))
+
+    def _step_words(self, rows: np.ndarray, closed: bool, em_m: int | None, prev):
+        """The step on one-word rows: each parent's extension mask (masks),
+        then only the extensions it allows, deduped as uint64 keys per block
+        of parents and over the level, and canonicalized. The previous
+        level's table lives only for the lookups, before any survivor is
+        made."""
+        table = None
+        if closed and prev is not None:
+            table = self.table(*prev, rows)
+        keys = self.keys(rows)
+        parts = [slice(lo, lo + _BLOCK_ROWS) for lo in range(0, len(rows), _BLOCK_ROWS)]
+        allowed = np.concatenate([self.masks(rows[p], keys[p], table, em_m) for p in parts])
+        del table
+        cands = _distinct(np.concatenate([
+            _distinct(self.extension_keys(keys[p], allowed[p])) for p in parts
+        ]))
+        per = self.block_rows()
+        out = _distinct(np.concatenate([
+            self.canonical_keys(self.from_keys(cands[lo : lo + per]))
+            for lo in range(0, len(cands), per)
+        ] or [cands]))
+        return self.from_keys(out), ((rows, allowed) if closed or em_m is not None else None)
+
+    def masks(self, rows: np.ndarray, keys: np.ndarray, table: np.ndarray | None, em_m):
+        """Extension masks of one-word rows (keys their keys): bit g set when
+        R + g is in the next level. That is the e_m mask (every bit when
+        em_m is None), and with a table, the AND of the masks it stores for
+        each removal R - i, since R + g - i = (R - i) + g must lie in R's own
+        level. All removals of the rows are one np.searchsorted, column by
+        column, so sorted rows give ascending runs. Each removal of a stored
+        class lies in the previous level, so every lookup must hit; a miss
+        raises RuntimeError. A row whose e_m mask is empty looks nothing up."""
+        if em_m is None:
+            out = np.full(len(rows), (1 << self.card) - 1, np.uint8)
+        else:
+            out = self.em_masks(rows, em_m)
+        if table is None:
+            return out
+        held = (rows[:, : self.card] > 0).T & (out > 0)  # (card, N): the removals to look up
+        removals = (keys - self.w[:, None] & _HIGH_BYTES)[held]
+        found = table[table.searchsorted(removals).clip(max=len(table) - 1)]
+        if (found & _HIGH_BYTES != removals).any():
+            raise RuntimeError(
+                f"search on {self.ring}: a removal of a stored class is missing "
+                "from the previous level's table"
+            )
+        got = np.full(held.shape, 0xFF, np.uint8)
+        got[held] = found.astype(np.uint8)  # the masks, in the low byte
+        return out & np.bitwise_and.reduce(got, axis=0)
+
+    def table(self, parents, masks: np.ndarray | None, rows: np.ndarray) -> np.ndarray:
+        """The closure table of a level of one-word parents: the key of each
+        image h(R) of each parent R, its low byte replaced by the image's
+        extension mask (bit j is bit perm_h[j] of R's mask), sorted. The low
+        byte is X[7], or padding below 8 elements, and all multisets of a
+        level have one length, so the other 7 bytes name the image. masks is
+        None after a tuple step: each parent's mask is then found by looking
+        its extensions up among the image keys of rows, the level the
+        parents made. Built in blocks into one array."""
+        if not isinstance(parents, np.ndarray):
+            parents = self.from_tuples(parents)
+        if masks is None:
+            masks = self.reached(parents, rows)
+        if self._image_masks is None:  # bit k of a mask is bit inverse[k, h] of its image h
+            bits = (np.arange(256)[:, None] >> np.arange(self.card) & 1).astype(np.uint64)
+            self._image_masks = bits @ (np.uint64(1) << self.inverse.astype(np.uint64))
+        out = np.empty((len(parents), len(self.perm)), np.uint64)
+        for lo in range(0, len(parents), _BLOCK_ROWS):
+            part = out[lo : lo + _BLOCK_ROWS]
+            part[:] = self.image_words(parents[lo : lo + _BLOCK_ROWS])
+            part &= _HIGH_BYTES
+            part |= self._image_masks[masks[lo : lo + _BLOCK_ROWS]]
+        out = out.ravel()
+        out.sort()
+        return out
+
+    def reached(self, parents: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Extension masks of one-word parents whose next level is rows: bit
+        g set when the parent plus g is an image of a row."""
+        orbit = self.orbit_keys(rows)
+        grown = self.keys(parents) + self.w[:, None]  # (card, N)
+        hit = orbit[orbit.searchsorted(grown).clip(max=len(orbit) - 1)] == grown
+        return np.packbits(hit, axis=0, bitorder="little")[0]
 
 
 @lru_cache(maxsize=_KITS)
@@ -834,27 +985,38 @@ def _em_fits(ring: RingSpec, m: int) -> bool:
     return (math.factorial(m) * max(ring.moduli)) ** 2 < 1 << 63
 
 
-def _advance(kit: _Rows, frontier, level: int, closed: bool, em_m, arrays: bool):
-    """The level after frontier, a set of tuples or a sorted row array of
-    multisets of length level, under the kit's group.
-
-    closed asks for the closure test against frontier itself; em_m for the
-    e_m != 0 test. Small levels, levels whose extensions could hold a
-    multiplicity past a uint8, and every level when arrays is false take
-    the tuple step and return a set; the others take the array step.
-    """
-    cost = _tuple_cost(len(frontier), kit.card, len(kit.images))
-    if (
+def _on_tuples(kit: _Rows, n: int, level: int, em_m, arrays: bool) -> bool:
+    """Whether the step from a level of n classes of length level takes the
+    tuple step: every step when arrays is false, levels whose extensions
+    could hold a multiplicity past a uint8, levels that test an e_m the
+    power sums cannot hold, and small levels."""
+    cost = _tuple_cost(n, kit.card, len(kit.images))
+    return (
         not arrays
         or level >= _ROW_MAX
         or (em_m is not None and not _em_fits(kit.ring, em_m))
         or cost < (_SMALL_LEVEL if em_m is None else _SMALL_EM_LEVEL)
-    ):
-        if isinstance(frontier, np.ndarray):
-            frontier = kit.to_tuples(frontier)
-        return _step_tuples(kit, frontier, frontier if closed else None, em_m)
-    rows = frontier if isinstance(frontier, np.ndarray) else kit.from_tuples(frontier)
-    return kit.step(rows, kit.orbit_keys(rows) if closed else None, em_m)
+    )
+
+
+def _advance(kit: _Rows, frontier, level: int, closed: bool, em_m, arrays: bool, prev=None):
+    """The level after frontier, a set of tuples or a sorted row array of
+    multisets of length level, under the kit's group, and what the step
+    after it needs of this one (see _Rows.step); prev is that of the step
+    before.
+
+    closed asks for the closure test against frontier itself; em_m for the
+    e_m != 0 test. The tuple step (see _on_tuples) returns a set, the array
+    step a sorted array. After a tuple step that tested either on one-word
+    rows, the array step finds the masks of frontier itself.
+    """
+    if _on_tuples(kit, len(frontier), level, em_m, arrays):
+        tuples = kit.to_tuples(frontier) if isinstance(frontier, np.ndarray) else frontier
+        out = _step_tuples(kit, tuples, tuples if closed else None, em_m)
+        tested = closed or em_m is not None
+        return out, ((frontier, None) if tested and kit.exact_keys else None)
+    rows = frontier if isinstance(frontier, np.ndarray) else kit.from_tuples(sorted(frontier))
+    return kit.step(rows, closed, em_m, prev)
 
 
 def _least(kit: _Rows, frontier) -> tuple[int, ...]:
@@ -874,22 +1036,29 @@ def _frontier_max(kit: _Rows, kind: str, m: int, t: int | None, arrays: bool):
     seed is a counterexample, and at the EGZ seed level t exactly those with
     e_m != 0 are. arrays=False keeps every level on the tuple step."""
     seed = t if kind == KIND_EGZ else m - 1
-    frontier = {(0,) * kit.card}
+    frontier, prev = {(0,) * kit.card}, None
     for level in range(seed):
         seed_em = m if level + 1 == t else None
-        frontier = _advance(kit, frontier, level, False, seed_em, arrays)
+        frontier, prev = _advance(kit, frontier, level, False, seed_em, arrays)
     em_m = m if kind == KIND_DAV else None
     level = seed
     while len(frontier):
-        yield level, frontier
-        frontier = _advance(kit, frontier, level, True, em_m, arrays)
+        if _on_tuples(kit, len(frontier), level, em_m, arrays):
+            prev = None  # the tuple step needs nothing of the level before
+        yield level, frontier, prev
+        frontier, prev = _advance(kit, frontier, level, True, em_m, arrays, prev)
         level += 1
 
 
-def _nbytes(frontier, level: int) -> int:
+def _nbytes(frontier, level: int, prev=None) -> int:
     """Bytes a nonempty frontier of multisets of length level holds: an
     array's buffer, or a set's table and tuples, with 32 bytes for each
-    int past 256 a tuple can hold (smaller ints are shared)."""
+    int past 256 a tuple can hold (smaller ints are shared); with prev, the
+    previous level and its masks, carried for the next step, too."""
+    if prev is not None:
+        parents, masks = prev
+        held = _nbytes(parents, level - 1) + (0 if masks is None else masks.nbytes)
+        return held + _nbytes(frontier, level)
     if isinstance(frontier, np.ndarray):
         return frontier.nbytes
     each = sys.getsizeof(next(iter(frontier))) + 32 * (level // 257)
@@ -902,7 +1071,8 @@ class _Search:
     The levels do not depend on the cap, so a search to one cap is a prefix
     of the search to any larger one. levels[i] is (size, least class) of
     level seed + i; gen is the suspended _frontier_max that makes the next
-    level, or None, and nbytes the size of the frontier it holds; done says
+    level, or None, and nbytes the size of the frontier it holds (with the
+    previous level and its masks on one-word rows, see _nbytes); done says
     the level after the last one is empty. A closed gen with done false is
     re-run from the seed when a larger cap needs more levels, and makes the
     same levels again. The kit is passed to each
@@ -942,9 +1112,9 @@ class _Search:
                 self.done = True
                 self.close()
                 break
-            level, frontier = step
+            level, frontier, prev = step
             self.levels.append((len(frontier), _least(kit, frontier)))
-            self.nbytes = _nbytes(frontier, level)
+            self.nbytes = _nbytes(frontier, level, prev)
             if progress:
                 progress(level, len(frontier))
         if not self.levels:  # the EGZ seed level is empty

@@ -606,6 +606,8 @@ def test_davenport_without_cap_raises() -> None:
         (KIND_DAV, (4, 4), 2, None, 7),
         (KIND_EGZ, (7,), 2, 7, 20),  # one-word keys, e_m tested at the seed level t
         (KIND_DAV, (2, 4), 2, None, 10),  # one-word keys, e_m tested at every level
+        (KIND_EGZ, (7,), 3, 14, 30),  # the seed's e_m masks, then closed levels
+        (KIND_DAV, (2, 4), 2, None, 14),  # to the empty level
     ],
 )
 def test_array_step_matches_tuple_step(kind, moduli, m, t, cap, fresh_kits) -> None:
@@ -622,19 +624,26 @@ def _least_image(kit, mult) -> tuple[int, ...]:
 def _assert_steps_keep_the_same_orbits(kit, kind, m, t, cap) -> None:
     # the array step keeps one row per orbit, and the tuple step the
     # orbit's lex-least member: the rows' lex-least images, found through
-    # the group itself, must be the tuple step's set, one for one
+    # the group itself, must be the tuple step's set, one for one. Each
+    # level is made twice on arrays: from the array level before, with what
+    # that step handed on (on one-word rows, its masks), and from the tuple
+    # level before, whose masks the step finds from scratch
     seed = t if kind == KIND_EGZ else m - 1
-    frontier = {(0,) * kit.card}
+    frontier, before = {(0,) * kit.card}, None
+    rows, prev = kit.from_tuples(frontier), None
     for level in range(1, cap + 1):
         closed = level > seed
         em_m = m if (kind == KIND_DAV and closed) or level == t else None
         expect = search._step_tuples(kit, frontier, frontier if closed else None, em_m)
-        rows = kit.from_tuples(frontier)
-        got = kit.step(rows, kit.orbit_keys(rows) if closed else None, em_m)
-        least = sorted(_least_image(kit, tuple(r)) for r in got[:, : kit.card].tolist())
-        assert least == sorted(expect), (level, len(expect), len(got))
+        scratch, _ = kit.step(kit.from_tuples(sorted(frontier)), closed, em_m, before)
+        rows, prev = kit.step(rows, closed, em_m, prev)
+        assert (prev is not None) == (kit.exact_keys and bool(closed or em_m))
+        for got in (rows, scratch):
+            least = sorted(_least_image(kit, tuple(r)) for r in got[:, : kit.card].tolist())
+            assert least == sorted(expect), (level, len(expect), len(got))
         if not expect:
             break
+        before = (frontier, None) if closed or em_m else None
         frontier = expect
 
 
@@ -752,7 +761,7 @@ def test_canonical_pass_and_least_stay_within_blocks(fresh_kits) -> None:
     ring = make_ring((5, 5))
     kit = search._kit(ring, True)
     assert len(kit.perm) == 480
-    for level, frontier in search._frontier_max(kit, KIND_DAV, 1, None, arrays=True):
+    for level, frontier, _ in search._frontier_max(kit, KIND_DAV, 1, None, arrays=True):
         if level == 6:
             break
     rows = frontier if not isinstance(frontier, set) else kit.from_tuples(frontier)
@@ -815,17 +824,22 @@ def test_extension_keys_are_the_extensions_keys(moduli) -> None:
     # a one-word row's extension keys are its key plus one in byte g, with
     # no carry into the next byte even at the largest multiplicity a level
     # below _ROW_MAX holds, and none into the padding of a ring of fewer
-    # than 8 elements
+    # than 8 elements; the step makes those its mask allows, one run per g
     import numpy as np
 
     kit = search._kit(make_ring(moduli), True)
     assert kit.exact_keys
-    rng = np.random.default_rng(kit.card)
-    vals = rng.integers(0, search._ROW_MAX, size=(50, kit.card))
-    rows = kit.from_tuples([(search._ROW_MAX - 1,) * kit.card] + vals.tolist())
+    card = kit.card
+    rng = np.random.default_rng(card)
+    vals = rng.integers(0, search._ROW_MAX, size=(50, card))
+    rows = kit.from_tuples([(search._ROW_MAX - 1,) * card] + vals.tolist())
     ext = kit.extend(rows)
-    assert (ext[:, kit.card :] == 0).all()
-    assert (kit.extension_keys(rows) == kit.keys(ext)).all()
+    assert (ext[:, card:] == 0).all()
+    masks = rng.integers(0, 1 << card, size=len(rows), dtype=np.uint8)
+    masks[0] = (1 << card) - 1
+    allowed = (masks[:, None] >> np.arange(card) & 1).astype(bool)  # (row, g)
+    expect = kit.keys(ext).reshape(len(rows), card).T[allowed.T]  # g-major
+    assert (kit.extension_keys(kit.keys(rows), masks) == expect).all()
 
 
 @pytest.mark.parametrize("moduli", [(8,), (2, 2, 2), (3, 3), (5, 5), (2, 2, 2, 2)])
@@ -985,7 +999,7 @@ def test_array_em_matches_engine(moduli, m, cap) -> None:
 @pytest.mark.parametrize(
     "moduli", [(9,), (2, 2, 2), (5, 5), (2, 4)], ids=["Z9", "Z2^3", "Z5xZ5", "Z2xZ4"]
 )
-def test_products_match_the_tuple_steps_em(moduli) -> None:
+def test_power_sums_match_the_tuple_steps_em(moduli) -> None:
     # e_{m-1} and e_m of each row from power sums, and e_m of each
     # one-element extension as one linear factor on its parent's pair, which
     # is e_m of the extension's own power sums
@@ -1009,6 +1023,9 @@ def test_products_match_the_tuple_steps_em(moduli) -> None:
             grown = [tp[:g] + (tp[g] + 1,) + tp[g + 1 :] for tp in tuples]
             assert ext[:, g].tolist() == _em_residues(kit, grown, m), (m, g)
             assert (ext[:, g] == kit.elementary(rows + kit.eye[g], m)[:, 1]).all(), (m, g)
+        if kit.exact_keys:  # one-word rows take the nonzero ones as bit masks
+            bits = (kit.em_masks(rows, m)[:, None] >> np.arange(kit.card) & 1).astype(bool)
+            assert (bits == ext.any(axis=2)).all(), m
 
 
 def test_closed_looks_removals_up_in_key_order(fresh_kits) -> None:
@@ -1039,6 +1056,77 @@ def test_closed_looks_removals_up_in_key_order(fresh_kits) -> None:
     assert kit.closed(rows, k, prev).tolist() == expect
     order = rng.permutation(len(rows))
     assert kit.closed(rows[order], k[order], prev).tolist() == [expect[i] for i in order]
+
+
+@pytest.mark.parametrize(
+    "kind, moduli, m, t, level",
+    [
+        (KIND_DAV, (2, 2, 2), 1, None, 3),  # |H| = 168
+        (KIND_EGZ, (8,), 2, 8, 10),  # byte 7 an element's count
+        (KIND_DAV, (2, 4), 2, None, 6),
+    ],
+)
+def test_table_masks_name_the_surviving_extensions(kind, moduli, m, t, level, fresh_kits) -> None:
+    # each table entry is the key of an image of a class of one level, its
+    # low byte replaced by that image's mask: bit g set exactly when the
+    # image plus g lies in the next level's orbits. The masks an array step
+    # hands on are the ones found from scratch
+    kit = search._kit(make_ring(moduli), m == 1)
+    card = kit.card
+    levels = {}
+    for at, frontier, _ in search._frontier_max(kit, kind, m, t, arrays=False):
+        levels[at] = frontier
+        if at == level:
+            break
+    parents, grown = levels[level - 1], levels[level]
+    orbits = {img(x) for x in grown for img in kit.images}
+    rows = kit.from_tuples(sorted(grown))
+    table = kit.table(parents, None, rows)
+    assert (table[1:] >= table[:-1]).all()
+    images = set()
+    for entry in table.tolist():
+        word = entry.to_bytes(8, "big")
+        image = list(word[:card])
+        if card == 8:
+            image[7] = level - 1 - sum(word[:7])
+        images.add(tuple(image))
+        expect = 0
+        for g in range(card):
+            image[g] += 1
+            expect |= (tuple(image) in orbits) << g
+            image[g] -= 1
+        assert word[7] == expect, (image, word[7], expect)
+    assert images == {img(x) for x in parents for img in kit.images}
+    before = None
+    if level - 2 in levels:
+        before = (levels[level - 2], None)
+    em_m = m if kind == KIND_DAV else None
+    parent_rows = kit.from_tuples(sorted(parents))
+    got, (held, masks) = kit.step(parent_rows, True, em_m, before)
+    assert (held == parent_rows).all() and (got == rows).all()
+    assert (masks == kit.reached(parent_rows, rows)).all()
+
+
+def test_a_table_missing_a_removal_raises(monkeypatch, fresh_kits) -> None:
+    # E(16, Z_8, 2): each closed level's table loses the entries of one
+    # removal of the level's first class; the lookup misses, and the search
+    # raises rather than answer, and leaves no cached search
+    import numpy as np
+
+    table = search._Rows.table
+
+    def lossy(self, parents, masks, rows):
+        out = table(self, parents, masks, rows)
+        i = int(np.flatnonzero(rows[0, : self.card])[0])
+        gone = self.keys(rows[:1])[0] - self.w[i] & search._HIGH_BYTES
+        assert (out & search._HIGH_BYTES == gone).any()
+        return out[out & search._HIGH_BYTES != gone]
+
+    monkeypatch.setattr(search._Rows, "table", lossy)
+    ring = make_ring((8,))
+    with pytest.raises(RuntimeError, match="missing"):
+        egz_constant(ring, 2, 16)
+    assert not search._kit(ring, False).searches
 
 
 def test_tuple_cost_charges_images_by_width(monkeypatch, fresh_kits) -> None:
@@ -1079,9 +1167,9 @@ def test_power_sums_too_wide_for_int64_take_the_tuple_step(
     calls = []
     step = search._Rows.step
 
-    def spy(self, rows, prev_keys, em_m):
+    def spy(self, rows, closed, em_m, *args):
         calls.append(em_m)
-        return step(self, rows, prev_keys, em_m)
+        return step(self, rows, closed, em_m, *args)
 
     monkeypatch.setattr(search._Rows, "step", spy)
     kit = search._kit(ring, False)
@@ -1262,3 +1350,24 @@ def test_suspended_frontiers_stay_within_the_budget(monkeypatch, fresh_kits) -> 
     assert [key[1] for key in kit.searches] == [4, 5, 6, 7, 8, 9]
     assert any(s.gen is not None for s in kit.searches.values())
     assert any(s.gen is None and not s.done for s in kit.searches.values())
+    # D_2(Z_2 x Z_4): a one-word search whose next step is an array step
+    # also holds the previous level and its extension masks for the next
+    # closure test (levels 4 to 7), and counts them; before a tuple step
+    # (levels 8 and 9, of 13 and 7 classes) it holds the frontier alone
+    ring = make_ring((2, 4))
+    kit = search._kit(ring, False)
+    for cap in (4, 5, 6, 7, 8, 9):
+        davenport_m(ring, 2, cap)
+        (held,) = kit.searches.values()
+        assert held.gen is not None and held.nbytes <= 4096
+        last = held.seed + len(held.levels) - 1
+        for level, frontier, prev in search._frontier_max(kit, KIND_DAV, 2, None, arrays=True):
+            if level == last:
+                break
+        assert held.nbytes == search._nbytes(frontier, level, prev)
+        if cap < 8:
+            parents, masks = prev
+            assert masks.shape == (len(parents),)
+            assert held.nbytes == frontier.nbytes + parents.nbytes + masks.nbytes
+        else:
+            assert prev is None and held.nbytes == search._nbytes(frontier, level)
