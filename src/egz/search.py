@@ -78,8 +78,8 @@ cost |H| images per candidate, most of which the closure test then rejects.
 The tuple step (_step_tuples) makes the raw extensions in Python on sets of
 tuples, dedupes them, then tests closure, then e_m; it serves levels whose
 estimated Python cost, _tuple_cost (candidates, and images charged by their
-width), is below _SMALL_LEVEL (_SMALL_EM_LEVEL when e_m is tested), where
-numpy's fixed cost per call would dominate. The array step (_Rows.step)
+width), is below _SMALL_LEVEL, whether or not e_m is tested, where numpy's
+fixed cost per call would dominate. The array step (_Rows.step)
 keeps the level as a sorted (N, width) uint8 array, one byte per element,
 and works in blocks (_Rows.block_rows: at most _BLOCK_ROWS rows and
 _BLOCK_BYTES of images). It takes e_m of each extension R + g from its
@@ -131,27 +131,25 @@ gathered (with the lex-least of distinct images that tie at it, so the
 choice is a function of the orbit).
 
 Those lookups use linear keys h(X) = sum X[i] w[i] mod 2**64 (universal
-hashing: Carter and Wegman, JCSS 18, 1979; fingerprints: Karp and Rabin,
-IBM J. Res. Dev. 31, 1987). The keys of all |H| images of a row are one
-uint64 product with an image-weight matrix (np.einsum from _EINSUM_KEYS
-images on, np.matmul below: numpy has no BLAS for integers, and each loop is
-the faster on its side), so no image is gathered, and a removal's key is the
-row's key minus one weight. A row of at most 8 elements is one word, and
-its weights 256**(7 - i) make the linear key that word: exact, so the
-closure tables of one-word rows can carry a payload. Wider rows take fixed
-odd weights, and two rows may share a key. A shared key can only admit a
-removal that is not in the previous level, never reject one that is, so
-every array level is a superset of the true level (dedupe and canonical
-forms stay exact on rows), and an empty level still proves exactness. On
-such a ring every answer's witness then goes through the full tester,
-whichever step built the levels (a tuple level is exact, so a superset of
-itself): if it passes, it is a true counterexample and the least member of
-the orbits of a superset of the true level, so it is the true lex-least one,
-and the true search ends at the same length. If it fails, a collision
-admitted it, and the whole search runs again on the tuple step, whose tests
-are exact. The fixed weights keep runs deterministic. The canonical keys are
-another matter: exact integers, they only choose one member of an orbit and
-never test membership.
+hashing: Carter and Wegman, JCSS 18, 1979; fingerprints: Karp and Rabin, IBM
+J. Res. Dev. 31, 1987). The keys of all |H| images of a row are one uint64
+np.einsum product with an image-weight matrix, so no image is gathered, and
+a removal's key is the row's key minus one weight. A row of at most 8
+elements is one word, and its weights 256**(7 - i) make the linear key that
+word: exact, so the closure tables of one-word rows can carry a payload.
+Wider rows take fixed odd weights, and two rows may share a key. A shared
+key can only admit a removal that is not in the previous level, never reject
+one that is, so every array level is a superset of the true level (dedupe
+and canonical forms stay exact on rows), and an empty level still proves
+exactness. On such a ring every answer's witness then goes through the full
+tester, whichever step built the levels (a tuple level is exact, so a
+superset of itself): if it passes, it is a true counterexample and the least
+member of the orbits of a superset of the true level, so it is the true
+lex-least one, and the true search ends at the same length. If it fails, a
+collision admitted it, and the whole search runs again on the tuple step,
+whose tests are exact. The fixed weights keep runs deterministic. The
+canonical keys are another matter: exact integers, they only choose one
+member of an orbit and never test membership.
 
 The independent full testers (is_counterexample_*) are one walk,
 _find_zero_sub, with a window of sizes: exactly t for the EGZ kind, at least
@@ -247,17 +245,10 @@ class EgzOutcome:
 # under large groups and the casts of the linear keys.
 _BLOCK_ROWS = 4096
 _BLOCK_BYTES = 1 << 21
-# Levels whose estimated tuple-step cost (_tuple_cost) is below these take
-# the tuple step: below them numpy's fixed cost per call outweighs the work.
-# The array e_m pass costs a few numpy calls per power-sum monomial, so
-# levels that test e_m stay on tuples longer.
+# Levels whose estimated tuple-step cost (_tuple_cost) is below this take
+# the tuple step, whether or not they test e_m: below it numpy's fixed cost
+# per call outweighs the work.
 _SMALL_LEVEL = 96
-_SMALL_EM_LEVEL = 256
-# Keys per row from which np.einsum computes linear keys faster than
-# np.matmul, which numpy runs without BLAS on integers: with uint64 rows of
-# 9 to 32 elements, einsum takes about 1.3 times as long at 8 keys, as long
-# at 16, and 0.7-0.8 times as long from 32 on, or for one key per row.
-_EINSUM_KEYS = 16
 # Largest multiplicity of a uint8 row. A level's extensions are one longer
 # than the level, so levels from _ROW_MAX on take the tuple step.
 _ROW_MAX = 0xFF
@@ -346,8 +337,8 @@ class _Rows:
     image's word (its W key, read off the gathered words), so the form is
     the lex-least image; wider rows take the uint16 keys of
     _canonical_weights, with C as W, from one np.einsum (whose uint16 loop
-    is vectorized: about 7 times faster than a uint64 or int64 np.matmul,
-    which numpy runs without BLAS).
+    is vectorized: about 7 times faster than a uint64 or int64 matrix
+    product, which numpy runs without BLAS).
 
     The step derives each extension R + g from its parent R. elementary()
     gives each parent's e_{m-1} and e_m as residues per coordinate (lifts
@@ -534,17 +525,13 @@ class _Rows:
     def linear_keys(self, rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """rows @ weights mod 2**64: with w the rows' linear keys, with W
         those of all their images (one column per map of H). The rows are
-        cast to uint64 in blocks of at most _BLOCK_BYTES, and multiplied by
-        np.einsum, or by np.matmul when each row gets fewer than
-        _EINSUM_KEYS keys (both wrap alike)."""
+        cast to uint64 in blocks of at most _BLOCK_BYTES, each one np.einsum
+        product."""
         per = max(1, _BLOCK_BYTES // (8 * self.card))
         out = np.empty((len(rows),) + weights.shape[1:], np.uint64)
         for lo in range(0, len(rows), per):
             block = rows[lo : lo + per, : self.card].astype(np.uint64)
-            if weights.ndim == 2 and weights.shape[1] < _EINSUM_KEYS:
-                np.matmul(block, weights, out=out[lo : lo + per])
-            else:
-                np.einsum("ij,j...->i...", block, weights, out=out[lo : lo + per])
+            np.einsum("ij,j...->i...", block, weights, out=out[lo : lo + per])
         return out
 
     def orbit_keys(self, rows: np.ndarray) -> np.ndarray:
@@ -966,10 +953,11 @@ def _tuple_cost(n: int, card: int, group: int) -> int:
     """Estimated Python work of _step_tuples on n members, in candidates:
     n * card of them, plus the orbits of prev and of the survivors, about
     n * group images, each charged by its width, max(card, 8) / 64 of a
-    candidate. Up to 8 elements that is 1/8, the weight that, with the two
-    cutoffs, was fitted to timings of both steps on every level of the small
-    searches of perfbench's batch-small and oracle pools (Z_2 to Z_8, Z_2^2,
-    Z_2^3, Z_2xZ_4 and Z_3^2, m <= 3). The divisor 64 keeps it and was
+    candidate. Up to 8 elements that is 1/8, the weight fitted to timings of
+    both steps on every level of the small searches of perfbench's
+    batch-small and oracle pools (Z_2 to Z_8, Z_2^2, Z_2^3, Z_2xZ_4 and
+    Z_3^2, m <= 3). With it one cutoff, _SMALL_LEVEL, serves levels that
+    test e_m and levels that do not. The divisor 64 keeps the weight and was
     checked on timings of both steps on 242 levels of 28 searches, from Z_2
     up to Z_5^2, Z_3xZ_9, Z_2^5, Z_3^3 and Z_4^2 (|H| up to 480; a shared
     2-core machine, numpy 2.4). On their 94 levels of more than 8 elements
@@ -990,12 +978,11 @@ def _on_tuples(kit: _Rows, n: int, level: int, em_m, arrays: bool) -> bool:
     tuple step: every step when arrays is false, levels whose extensions
     could hold a multiplicity past a uint8, levels that test an e_m the
     power sums cannot hold, and small levels."""
-    cost = _tuple_cost(n, kit.card, len(kit.images))
     return (
         not arrays
         or level >= _ROW_MAX
         or (em_m is not None and not _em_fits(kit.ring, em_m))
-        or cost < (_SMALL_LEVEL if em_m is None else _SMALL_EM_LEVEL)
+        or _tuple_cost(n, kit.card, len(kit.images)) < _SMALL_LEVEL
     )
 
 

@@ -44,3 +44,21 @@ def test_brink_instance_example(capsys, tmp_path) -> None:
     assert main(["brink", "--instance", str(path)]) == 0
     expected = _count_pure_python(brink.from_json(text))
     assert capsys.readouterr().out.splitlines()[-1] == f"{expected} solutions"
+
+
+def test_quick_reference_values(capsys) -> None:
+    # every "egz ..." line of the subcommand list whose comment states a
+    # value ("= value" or ": value") prints that value at the end of its
+    # first output line
+    block = README.split("Other subcommands:", 1)[1].split("```")[1]
+    runs = re.findall(r"^egz (.*?)\s+#.*?[=:]\s*([^=:\n]+?)\s*$", block, re.M)
+    assert [argv.split()[0] for argv, _ in runs] == [
+        "davenport",
+        "lconst",
+        "smembers",
+        "newton-girard",
+    ]
+    for argv, value in runs:
+        assert main(shlex.split(argv)) == 0, argv
+        first = capsys.readouterr().out.splitlines()[0]
+        assert first == value or first.endswith(" " + value), (argv, first)

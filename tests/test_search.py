@@ -842,26 +842,29 @@ def test_extension_keys_are_the_extensions_keys(moduli) -> None:
     assert (kit.extension_keys(kit.keys(rows), masks) == expect).all()
 
 
-@pytest.mark.parametrize("moduli", [(8,), (2, 2, 2), (3, 3), (5, 5), (2, 2, 2, 2)])
+@pytest.mark.parametrize("moduli", [(8,), (2, 2, 2), (3, 3), (5, 5), (2, 2, 2, 2), (2, 6)])
 def test_image_weights_key_the_images(moduli) -> None:
     # W[perm_h[j], h] = w[j]: row @ W[:, h] is the key of the image
-    # row.take(perm_h), not of its inverse image; one-word keys are exact
+    # row.take(perm_h), not of its inverse image; one-word keys are exact.
+    # Both groups of each ring, so wide rows under few maps are covered
+    # too: Z_3 x Z_3 under its 8 unit maps, Z_2 x Z_6 under 2 (12 additive)
     import numpy as np
 
     ring = make_ring(moduli)
-    kit = search._kit(ring, True)
-    card = kit.card
-    rng = np.random.default_rng(card)
-    rows = kit.from_tuples(rng.integers(0, 256, size=(300, card)).tolist())
-    images = []
-    for h, perm in enumerate(kit.perm):
-        image = rows.take(perm, axis=1)[:, :card]
-        assert (image @ kit.w == rows[:, :card] @ kit.W[:, h]).all()
-        images.append(image @ kit.w)
-    assert (kit.orbit_keys(rows) == np.sort(np.concatenate(images))).all()
-    assert kit.exact_keys == (card <= 8)
-    if kit.exact_keys:
-        assert (kit.linear_keys(rows, kit.w) == kit.keys(rows)).all()
+    for additive in (True, False):
+        kit = search._kit(ring, additive)
+        card = kit.card
+        rng = np.random.default_rng(card)
+        rows = kit.from_tuples(rng.integers(0, 256, size=(300, card)).tolist())
+        images = []
+        for h, perm in enumerate(kit.perm):
+            image = rows.take(perm, axis=1)[:, :card]
+            assert (image @ kit.w == rows[:, :card] @ kit.W[:, h]).all()
+            images.append(image @ kit.w)
+        assert (kit.orbit_keys(rows) == np.sort(np.concatenate(images))).all()
+        assert kit.exact_keys == (card <= 8)
+        if kit.exact_keys:
+            assert (kit.linear_keys(rows, kit.w) == kit.keys(rows)).all()
 
 
 def test_wider_rings_check_every_witness(monkeypatch, fresh_kits) -> None:
@@ -929,7 +932,6 @@ def test_key_collisions_do_not_change_the_answer(
     monkeypatch.setattr(search, "_key_weights", lambda card: np.ones(card, np.uint64))
     monkeypatch.setattr(search, "_kit", search._kit.__wrapped__)  # fresh kits, uncached
     monkeypatch.setattr(search, "_SMALL_LEVEL", 0)  # every level takes the array step
-    monkeypatch.setattr(search, "_SMALL_EM_LEVEL", 0)
     runs = []
     frontier_max = search._frontier_max
 
@@ -1132,7 +1134,7 @@ def test_a_table_missing_a_removal_raises(monkeypatch, fresh_kits) -> None:
 def test_tuple_cost_charges_images_by_width(monkeypatch, fresh_kits) -> None:
     # up to 8 elements an image costs what it did before width counted; a
     # wider one costs card / 64 candidates, so D_1(Z_5 x Z_5), under 480
-    # maps, takes the array step from level 2 (3 classes) on
+    # maps, takes the array step from level 0 (1 class, cost 212) on
     for card in range(1, 9):
         for n in (1, 3, 7, 100):
             for group in (1, 2, 3, 16, 48, 480):
@@ -1147,7 +1149,7 @@ def test_tuple_cost_charges_images_by_width(monkeypatch, fresh_kits) -> None:
     monkeypatch.setattr(search._Rows, "step", spy)
     out = davenport_m(make_ring((5, 5)), 1, 9)
     assert (out.kind, out.value) == ("exact", 9)
-    assert levels == list(range(2, 9))
+    assert levels == list(range(0, 9))
 
 
 @pytest.mark.parametrize(
@@ -1161,7 +1163,6 @@ def test_power_sums_too_wide_for_int64_take_the_tuple_step(
     # takes the array step, even with every size cutoff at 0; just within
     # it (12! 6), they do, and the levels are those of the tuple step
     monkeypatch.setattr(search, "_SMALL_LEVEL", 0)
-    monkeypatch.setattr(search, "_SMALL_EM_LEVEL", 0)
     ring = make_ring(moduli)
     assert ((math.factorial(m) * max(moduli)) ** 2 < 1 << 63) == fits == search._em_fits(ring, m)
     calls = []
@@ -1181,6 +1182,27 @@ def test_power_sums_too_wide_for_int64_take_the_tuple_step(
     assert tuples.to(kit, cap, None) == answer
     assert arrays.levels == tuples.levels
     assert answer[0] < cap  # closed
+
+
+@pytest.mark.parametrize("moduli", [(8,), (2, 4), (3, 3), (5, 5)])
+@pytest.mark.parametrize("additive", [False, True])
+def test_testing_e_m_does_not_move_a_level_off_the_array_step(moduli, additive) -> None:
+    # one size cutoff for every level: wherever the power sums hold e_m,
+    # a level takes the step it would take without the e_m test, including
+    # the levels of tuple cost in [_SMALL_LEVEL, 256), which a second cutoff
+    # once kept on tuples when they tested e_m; where the power sums do not
+    # hold e_m (12! 8 on Z_8), it takes the tuple step
+    kit = search._kit(make_ring(moduli), additive)
+    costs = set()
+    for n in range(1, 120):
+        costs.add(search._tuple_cost(n, kit.card, len(kit.images)))
+        for level in (0, 1, 8, search._ROW_MAX - 1, search._ROW_MAX, 300):
+            plain = search._on_tuples(kit, n, level, None, True)
+            for m in range(1, 13):
+                routed = search._on_tuples(kit, n, level, m, True)
+                assert routed == (plain or not search._em_fits(kit.ring, m)), (n, level, m)
+    assert any(search._SMALL_LEVEL <= cost < 256 for cost in costs)
+    assert not search._em_fits(make_ring((8,)), 12)
 
 
 # --- results across the 255 boundary of the uint8 rows ----------------------
@@ -1352,8 +1374,9 @@ def test_suspended_frontiers_stay_within_the_budget(monkeypatch, fresh_kits) -> 
     assert any(s.gen is None and not s.done for s in kit.searches.values())
     # D_2(Z_2 x Z_4): a one-word search whose next step is an array step
     # also holds the previous level and its extension masks for the next
-    # closure test (levels 4 to 7), and counts them; before a tuple step
-    # (levels 8 and 9, of 13 and 7 classes) it holds the frontier alone
+    # closure test (levels 4 to 8; level 8 has 13 classes, tuple cost 107),
+    # and counts them; before a tuple step (level 9, of 7 classes) it holds
+    # the frontier alone
     ring = make_ring((2, 4))
     kit = search._kit(ring, False)
     for cap in (4, 5, 6, 7, 8, 9):
@@ -1365,7 +1388,7 @@ def test_suspended_frontiers_stay_within_the_budget(monkeypatch, fresh_kits) -> 
             if level == last:
                 break
         assert held.nbytes == search._nbytes(frontier, level, prev)
-        if cap < 8:
+        if cap < 9:
             parents, masks = prev
             assert masks.shape == (len(parents),)
             assert held.nbytes == frontier.nbytes + parents.nbytes + masks.nbytes
