@@ -109,9 +109,8 @@ padding below 8 elements, and the multisets of a level have one length, so
 the other 7 bytes name the image. The removals R - i of a block of parents
 are one np.searchsorted there, column by column, so they come in ascending
 runs, and each lookup must hit: a miss raises RuntimeError. The table is
-dropped before any extension is made. After a tuple step that tested
-closure or e_m, the parents' masks are found once by looking their
-extensions up among the sorted keys of all images of the level they made;
+dropped before any extension is made. A tuple step that tested closure or
+e_m hands on the masks it decided as it went, bit g set when R + g passed;
 the first closed Davenport level follows an untested seed level and needs
 no lookups. The step then makes only the extensions the masks allow,
 key(R) + w[g] with w[g] = 256**(7 - g), which adds one to byte g and never
@@ -649,10 +648,10 @@ class _Rows:
         Returns the next level, sorted, and what the next step's closure
         test needs of this one: on one-word rows after a step that tested
         either, the pair (rows, their extension masks); else None. prev is
-        that value of the step before: after a tuple step, (its parents,
-        None); None when rows hold every multiset of their length (a seed
-        level), and on rows wider than one word, which look their removals
-        up in orbit_keys(rows) instead."""
+        that value of the step before, as either step hands it on; None when
+        rows hold every multiset of their length (a seed level), and on rows
+        wider than one word, which look their removals up in
+        orbit_keys(rows) instead."""
         if self.exact_keys:
             return self._step_words(rows, closed, em_m, prev)
         return self._step_wide(rows, self.orbit_keys(rows) if closed else None, em_m), None
@@ -688,9 +687,7 @@ class _Rows:
         of parents and over the level, and canonicalized. The previous
         level's table lives only for the lookups, before any survivor is
         made."""
-        table = None
-        if closed and prev is not None:
-            table = self.table(*prev, rows)
+        table = None if prev is None else self.table(*prev)
         keys = self.keys(rows)
         parts = [slice(lo, lo + _BLOCK_ROWS) for lo in range(0, len(rows), _BLOCK_ROWS)]
         allowed = np.concatenate([self.masks(rows[p], keys[p], table, em_m) for p in parts])
@@ -732,19 +729,16 @@ class _Rows:
         got[held] = found.astype(np.uint8)  # the masks, in the low byte
         return out & np.bitwise_and.reduce(got, axis=0)
 
-    def table(self, parents, masks: np.ndarray | None, rows: np.ndarray) -> np.ndarray:
-        """The closure table of a level of one-word parents: the key of each
+    def table(self, parents, masks: np.ndarray) -> np.ndarray:
+        """The closure table of a level of one-word parents (rows, or the
+        tuple step's tuples in the order of their masks): the key of each
         image h(R) of each parent R, its low byte replaced by the image's
         extension mask (bit j is bit perm_h[j] of R's mask), sorted. The low
         byte is X[7], or padding below 8 elements, and all multisets of a
-        level have one length, so the other 7 bytes name the image. masks is
-        None after a tuple step: each parent's mask is then found by looking
-        its extensions up among the image keys of rows, the level the
-        parents made. Built in blocks into one array."""
+        level have one length, so the other 7 bytes name the image. Built in
+        blocks into one array."""
         if not isinstance(parents, np.ndarray):
             parents = self.from_tuples(parents)
-        if masks is None:
-            masks = self.reached(parents, rows)
         if self._image_masks is None:  # bit k of a mask is bit inverse[k, h] of its image h
             bits = (np.arange(256)[:, None] >> np.arange(self.card) & 1).astype(np.uint64)
             self._image_masks = bits @ (np.uint64(1) << self.inverse.astype(np.uint64))
@@ -757,14 +751,6 @@ class _Rows:
         out = out.ravel()
         out.sort()
         return out
-
-    def reached(self, parents: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Extension masks of one-word parents whose next level is rows: bit
-        g set when the parent plus g is an image of a row."""
-        orbit = self.orbit_keys(rows)
-        grown = self.keys(parents) + self.w[:, None]  # (card, N)
-        hit = orbit[orbit.searchsorted(grown).clip(max=len(orbit) - 1)] == grown
-        return np.packbits(hit, axis=0, bitorder="little")[0]
 
 
 @lru_cache(maxsize=_KITS)
@@ -863,6 +849,7 @@ def _find_zero_sub(tables, mult, m: int, lo: int, hi: int):
 
 def find_egz_zero_sub(mseq: MultisetSeq, t: int, m: int) -> MultisetSeq | None:
     """A length-t sub-multiset with e_m = 0, or None if none exists."""
+    _check_ints(t=t, m=m)
     if m < 1 or t < m:
         raise ValueError("need t >= m >= 1")
     hit = _find_zero_sub(_index_tables(mseq.ring), mseq.mult, m, t, t)
@@ -876,6 +863,7 @@ def is_counterexample_egz(mseq: MultisetSeq, t: int, m: int) -> bool:
 
 def find_dav_zero_sub(mseq: MultisetSeq, m: int) -> MultisetSeq | None:
     """A sub-multiset of length >= m with e_m = 0, or None if none exists."""
+    _check_ints(m=m)
     if m < 1:
         raise ValueError("need m >= 1")
     hit = _find_zero_sub(_index_tables(mseq.ring), mseq.mult, m, m, mseq.length)
@@ -900,7 +888,9 @@ def _vacuous_witness(ring: RingSpec, length: int) -> MultisetSeq:
 
 def _step_tuples(kit: _Rows, members, prev: set | None, em_m: int | None):
     """The tuple level step: one-element extensions of members, reduced to
-    their lex-least images under the kit's group.
+    their lex-least images under the kit's group, and each member's
+    extension mask, in the order members iterate: bit g set when member + g
+    passed its tests (each candidate is tested once, at its first parent).
 
     With prev given, an extension survives only if every one-element
     removal is an image of a member of prev; with em_m given, only if its
@@ -912,41 +902,43 @@ def _step_tuples(kit: _Rows, members, prev: set | None, em_m: int | None):
     orbits = None
     if prev is not None:
         orbits = {img(mult) for mult in prev for img in group}
-    seen: set[tuple[int, ...]] = set()
-    out: set[tuple[int, ...]] = set()
+    passed: dict[tuple[int, ...], bool] = {}
+    masks = []
     for mult in members:
         base = list(mult)
+        mask = 0
         for g in range(card):
             base[g] += 1
             cand = tuple(base)
             base[g] -= 1
-            if cand in seen:
-                continue
-            seen.add(cand)
-            ok = True
-            if orbits is not None:
-                # the removal at g is the parent, a stored representative
-                lst = list(cand)
-                for i, c in enumerate(cand):
-                    if c == 0 or i == g:
-                        continue
-                    lst[i] = c - 1
-                    if tuple(lst) not in orbits:
-                        ok = False
-                        break
-                    lst[i] = c
-            if ok and em_m is not None and em(cand, em_m) == 0:
-                ok = False
+            ok = passed.get(cand)
+            if ok is None:
+                ok = True
+                if orbits is not None:
+                    # the removal at g is the parent, a stored representative
+                    lst = list(cand)
+                    for i, c in enumerate(cand):
+                        if c == 0 or i == g:
+                            continue
+                        lst[i] = c - 1
+                        if tuple(lst) not in orbits:
+                            ok = False
+                            break
+                        lst[i] = c
+                if ok and em_m is not None and em(cand, em_m) == 0:
+                    ok = False
+                passed[cand] = ok
             if ok:
-                out.add(cand)
+                mask |= 1 << g
+        masks.append(mask)
     reps: set[tuple[int, ...]] = set()
     covered: set[tuple[int, ...]] = set()
-    for mult in out:  # one orbit per new representative
-        if mult not in covered:
+    for mult, ok in passed.items():  # one orbit per new representative
+        if ok and mult not in covered:
             orbit = {img(mult) for img in group}
             covered |= orbit
             reps.add(min(orbit))
-    return reps
+    return reps, masks
 
 
 def _tuple_cost(n: int, card: int, group: int) -> int:
@@ -995,13 +987,13 @@ def _advance(kit: _Rows, frontier, level: int, closed: bool, em_m, arrays: bool,
     closed asks for the closure test against frontier itself; em_m for the
     e_m != 0 test. The tuple step (see _on_tuples) returns a set, the array
     step a sorted array. After a tuple step that tested either on one-word
-    rows, the array step finds the masks of frontier itself.
+    rows, it hands on its parents, still tuples, and the masks it decided.
     """
     if _on_tuples(kit, len(frontier), level, em_m, arrays):
         tuples = kit.to_tuples(frontier) if isinstance(frontier, np.ndarray) else frontier
-        out = _step_tuples(kit, tuples, tuples if closed else None, em_m)
+        out, masks = _step_tuples(kit, tuples, tuples if closed else None, em_m)
         tested = closed or em_m is not None
-        return out, ((frontier, None) if tested and kit.exact_keys else None)
+        return out, ((tuples, np.array(masks, np.uint8)) if tested and kit.exact_keys else None)
     rows = frontier if isinstance(frontier, np.ndarray) else kit.from_tuples(sorted(frontier))
     return kit.step(rows, closed, em_m, prev)
 
@@ -1044,8 +1036,7 @@ def _nbytes(frontier, level: int, prev=None) -> int:
     previous level and its masks, carried for the next step, too."""
     if prev is not None:
         parents, masks = prev
-        held = _nbytes(parents, level - 1) + (0 if masks is None else masks.nbytes)
-        return held + _nbytes(frontier, level)
+        return _nbytes(parents, level - 1) + masks.nbytes + _nbytes(frontier, level)
     if isinstance(frontier, np.ndarray):
         return frontier.nbytes
     each = sys.getsizeof(next(iter(frontier))) + 32 * (level // 257)
@@ -1156,7 +1147,8 @@ def max_counterexample_length(
     and is then the true lex-least counterexample of the true last level,
     unless a key collision admitted it; in that case the search runs again,
     uncached, on the tuple step, whose tests are exact, and progress reports
-    its levels again. m, cap and t must be ints (not bools)."""
+    its levels again. m, cap and t must be ints (not bools), and the
+    Davenport kind takes t=None."""
     return _max_length(kind, ring, m, cap, t, method, progress, cached=True)
 
 
@@ -1167,6 +1159,8 @@ def _max_length(kind, ring, m, cap, t, method, progress, cached: bool):
         raise ValueError(f"unknown kind {kind!r}")
     _check_method(method)
     _check_ints(() if kind == KIND_EGZ else ("t",), m=m, cap=cap, t=t)
+    if kind == KIND_DAV and t is not None:
+        raise ValueError("the Davenport kind takes no t")
     if m < 1:
         raise ValueError("m must be >= 1")
     if cap < m:

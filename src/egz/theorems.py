@@ -2,9 +2,9 @@
 
 Fixtures check computed constants against the bound calculators in bounds,
 and each inequality on grids of exactly computed constants. They are pure
-functions split into a fast tier (default, about 2.1 s in all) and a slow
-tier (exhaustive closures, about 3.2 s; both take about 4.8 s, in one
-process on a 2-core Intel Xeon). Most fixtures are rows of a table with one
+functions split into a fast tier (default, about 1.2 s in all) and a slow
+tier (exhaustive closures, about 1.4 s; both take about 2.2 s, in one
+fresh process on a 2-core Intel Xeon). Most fixtures are rows of a table with one
 runner per table: value grids (_VALUE_GRIDS), single closures with an
 optional extra check (_CLOSURES), strictness pairs (_STRICT_PAIRS) and
 calculator spot values (_SPOT_VALUES). The rest are hand-written because

@@ -536,15 +536,23 @@ def test_unknown_method_raises_before_any_answer(call) -> None:
         ("m", lambda x: max_counterexample_length(KIND_DAV, make_ring((3,)), x, 7), False),
         ("cap", lambda x: max_counterexample_length(KIND_DAV, make_ring((3,)), 2, x), False),
         ("t", lambda x: max_counterexample_length(KIND_EGZ, make_ring((3,)), 2, 8, t=x), False),
+        ("t", lambda x: find_egz_zero_sub(MultisetSeq(make_ring((3,)), (2, 2, 2)), x, 2), False),
+        ("m", lambda x: is_counterexample_egz(MultisetSeq(make_ring((3,)), (2, 2, 2)), 3, x), False),
+        ("m", lambda x: find_dav_zero_sub(MultisetSeq(make_ring((3,)), (2, 2, 2)), x), False),
+        ("m", lambda x: is_counterexample_dav(MultisetSeq(make_ring((3,)), (2, 2, 2)), x), False),
     ],
-    ids=["egz-m", "egz-t", "egz-cap", "dav-m", "dav-cap", "max-m", "max-cap", "max-t"],
+    ids=[
+        "egz-m", "egz-t", "egz-cap", "dav-m", "dav-cap", "max-m", "max-cap", "max-t",
+        "find-egz-t", "is-egz-m", "find-dav-m", "is-dav-m",
+    ],
 )
 def test_queries_that_are_not_ints_raise_before_any_search(
     slot, call, none_ok, bad, monkeypatch
 ) -> None:
     # a bool, a float or a string is no query: True would read as 1, 7.5
-    # would give a certificate its own verifier rejects, and 2.0 or "8"
-    # would end in a TypeError
+    # would give a certificate its own verifier rejects (and t = 2.5 a
+    # tester's hit of three elements), and 2.0 or "8" would end in a
+    # TypeError
     def no_search(*args, **kwargs):
         raise AssertionError("a search ran")
 
@@ -555,6 +563,20 @@ def test_queries_that_are_not_ints_raise_before_any_search(
     if not none_ok:  # nor is None, unless it asks for an automatic cap
         with pytest.raises(ValueError, match=f"^{slot} must be an int, not None"):
             call(None)
+
+
+@pytest.mark.parametrize("method", ["frontier", "direct"])
+@pytest.mark.parametrize("t", [1, 2])
+def test_a_davenport_query_with_a_t_raises_before_any_search(t, method, monkeypatch) -> None:
+    # the Davenport kind has no t: D_3(Z_3) with one would test e_m at
+    # level t of the seed and answer length 1 (witness 2^1), not 8
+    def no_search(*args, **kwargs):
+        raise AssertionError("a search ran")
+
+    monkeypatch.setattr(search, "_frontier_max", no_search)
+    monkeypatch.setattr(search, "_direct_max", no_search)
+    with pytest.raises(ValueError, match="Davenport kind takes no t"):
+        max_counterexample_length(KIND_DAV, make_ring((3,)), 3, 12, t=t, method=method)
 
 
 def test_witness_is_lex_least_canonical() -> None:
@@ -625,25 +647,31 @@ def _assert_steps_keep_the_same_orbits(kit, kind, m, t, cap) -> None:
     # the array step keeps one row per orbit, and the tuple step the
     # orbit's lex-least member: the rows' lex-least images, found through
     # the group itself, must be the tuple step's set, one for one. Each
-    # level is made twice on arrays: from the array level before, with what
-    # that step handed on (on one-word rows, its masks), and from the tuple
-    # level before, whose masks the step finds from scratch
+    # level is made twice on arrays: from the array level before, and from
+    # the tuple level before, each with what its step handed on (on
+    # one-word rows, the parents and their masks). One-word rows are
+    # lex-least members too, so both steps hand on the same masks
     seed = t if kind == KIND_EGZ else m - 1
     frontier, before = {(0,) * kit.card}, None
     rows, prev = kit.from_tuples(frontier), None
     for level in range(1, cap + 1):
         closed = level > seed
         em_m = m if (kind == KIND_DAV and closed) or level == t else None
-        expect = search._step_tuples(kit, frontier, frontier if closed else None, em_m)
+        expect, handed = search._advance(kit, frontier, level - 1, closed, em_m, False)
         scratch, _ = kit.step(kit.from_tuples(sorted(frontier)), closed, em_m, before)
         rows, prev = kit.step(rows, closed, em_m, prev)
         assert (prev is not None) == (kit.exact_keys and bool(closed or em_m))
+        assert (handed is None) == (prev is None)
+        if prev is not None:
+            tuple_masks = dict(zip(handed[0], handed[1].tolist()))
+            array_masks = zip(map(tuple, prev[0][:, : kit.card].tolist()), prev[1].tolist())
+            assert tuple_masks == dict(array_masks), level
         for got in (rows, scratch):
             least = sorted(_least_image(kit, tuple(r)) for r in got[:, : kit.card].tolist())
             assert least == sorted(expect), (level, len(expect), len(got))
         if not expect:
             break
-        before = (frontier, None) if closed or em_m else None
+        before = handed
         frontier = expect
 
 
@@ -1071,8 +1099,8 @@ def test_closed_looks_removals_up_in_key_order(fresh_kits) -> None:
 def test_table_masks_name_the_surviving_extensions(kind, moduli, m, t, level, fresh_kits) -> None:
     # each table entry is the key of an image of a class of one level, its
     # low byte replaced by that image's mask: bit g set exactly when the
-    # image plus g lies in the next level's orbits. The masks an array step
-    # hands on are the ones found from scratch
+    # image plus g lies in the next level's orbits. The table is built from
+    # what the tuple step hands on, and an array step hands on its masks
     kit = search._kit(make_ring(moduli), m == 1)
     card = kit.card
     levels = {}
@@ -1081,9 +1109,11 @@ def test_table_masks_name_the_surviving_extensions(kind, moduli, m, t, level, fr
         if at == level:
             break
     parents, grown = levels[level - 1], levels[level]
+    em_m = m if kind == KIND_DAV else None
+    out, handed = search._advance(kit, parents, level - 1, True, em_m, False)
+    assert out == grown and handed[0] is parents
     orbits = {img(x) for x in grown for img in kit.images}
-    rows = kit.from_tuples(sorted(grown))
-    table = kit.table(parents, None, rows)
+    table = kit.table(*handed)
     assert (table[1:] >= table[:-1]).all()
     images = set()
     for entry in table.tolist():
@@ -1101,28 +1131,30 @@ def test_table_masks_name_the_surviving_extensions(kind, moduli, m, t, level, fr
     assert images == {img(x) for x in parents for img in kit.images}
     before = None
     if level - 2 in levels:
-        before = (levels[level - 2], None)
-    em_m = m if kind == KIND_DAV else None
+        before = search._advance(kit, levels[level - 2], level - 2, True, em_m, False)[1]
     parent_rows = kit.from_tuples(sorted(parents))
     got, (held, masks) = kit.step(parent_rows, True, em_m, before)
-    assert (held == parent_rows).all() and (got == rows).all()
-    assert (masks == kit.reached(parent_rows, rows)).all()
+    assert (held == parent_rows).all() and (got == kit.from_tuples(sorted(grown))).all()
+    tuple_masks = dict(zip(*handed))
+    assert masks.tolist() == [tuple_masks[x] for x in sorted(parents)]
 
 
 def test_a_table_missing_a_removal_raises(monkeypatch, fresh_kits) -> None:
-    # E(16, Z_8, 2): each closed level's table loses the entries of one
-    # removal of the level's first class; the lookup misses, and the search
+    # E(16, Z_8, 2): each closed level's table loses the entries of the
+    # images of its first parent with an extension, one of which is a
+    # removal of a class of the level; the lookup misses, and the search
     # raises rather than answer, and leaves no cached search
     import numpy as np
 
     table = search._Rows.table
 
-    def lossy(self, parents, masks, rows):
-        out = table(self, parents, masks, rows)
-        i = int(np.flatnonzero(rows[0, : self.card])[0])
-        gone = self.keys(rows[:1])[0] - self.w[i] & search._HIGH_BYTES
-        assert (out & search._HIGH_BYTES == gone).any()
-        return out[out & search._HIGH_BYTES != gone]
+    def lossy(self, parents, masks):
+        out = table(self, parents, masks)
+        i = int(np.flatnonzero(masks)[0])
+        images = self.image_words(parents[i : i + 1]) & search._HIGH_BYTES
+        gone = np.isin(out & search._HIGH_BYTES, images)
+        assert gone.any()
+        return out[~gone]
 
     monkeypatch.setattr(search._Rows, "table", lossy)
     ring = make_ring((8,))
@@ -1374,12 +1406,15 @@ def test_suspended_frontiers_stay_within_the_budget(monkeypatch, fresh_kits) -> 
     assert any(s.gen is None and not s.done for s in kit.searches.values())
     # D_2(Z_2 x Z_4): a one-word search whose next step is an array step
     # also holds the previous level and its extension masks for the next
-    # closure test (levels 4 to 8; level 8 has 13 classes, tuple cost 107),
-    # and counts them; before a tuple step (level 9, of 7 classes) it holds
-    # the frontier alone
+    # closure test, and counts them: at level 2 (14 classes, made by a
+    # tuple step) the tuple step's 6 parents and masks, at levels 4 to 8
+    # (level 8 has 13 classes, tuple cost 107) an array step's; before a
+    # tuple step (level 9, of 7 classes) it holds the frontier alone
+    import numpy as np
+
     ring = make_ring((2, 4))
     kit = search._kit(ring, False)
-    for cap in (4, 5, 6, 7, 8, 9):
+    for cap in (2, 4, 5, 6, 7, 8, 9):
         davenport_m(ring, 2, cap)
         (held,) = kit.searches.values()
         assert held.gen is not None and held.nbytes <= 4096
@@ -1390,7 +1425,12 @@ def test_suspended_frontiers_stay_within_the_budget(monkeypatch, fresh_kits) -> 
         assert held.nbytes == search._nbytes(frontier, level, prev)
         if cap < 9:
             parents, masks = prev
-            assert masks.shape == (len(parents),)
-            assert held.nbytes == frontier.nbytes + parents.nbytes + masks.nbytes
+            assert masks.shape == (len(parents),) and masks.dtype == np.uint8
+            if cap == 2:
+                assert isinstance(parents, set) and len(parents) == 6
+            else:
+                assert isinstance(parents, np.ndarray)
+            kept = search._nbytes(frontier, level) + search._nbytes(parents, level - 1)
+            assert held.nbytes == kept + masks.nbytes
         else:
             assert prev is None and held.nbytes == search._nbytes(frontier, level)
