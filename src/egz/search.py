@@ -85,13 +85,15 @@ and works in blocks (_Rows.block_rows: at most _BLOCK_ROWS rows and
 _BLOCK_BYTES of images). It takes e_m of each extension R + g from its
 parent R: e_{m-1} and e_m of a block of parents once, from their power sums
 by Newton's identities (_Rows.elementary; I. G. Macdonald, Symmetric
-Functions and Hall Polynomials, 2nd ed., 1995, I.2), then e_m(R + g) =
-e_m(R) + g e_{m-1}(R) in integers mod each coordinate modulus n. The power
-sums are residues mod m! n, exact in int64 only while (m! n)**2 < 2**63
-(_em_fits); a level past that which tests e_m takes the tuple step. Each
-array level is sorted. Levels from 255 on, whose extensions could hold a
-multiplicity past 255, take the tuple step; below them a row holds at most
-255 elements, which keeps every canonical key an exact uint16.
+Functions and Hall Polynomials, 2nd ed., 1995, I.2), then whether
+e_m(R + g) = e_m(R) + g e_{m-1}(R) is nonzero, for every g by one lookup
+per coordinate in packed bit tables (_Rows.em_masks), on rows of every
+width. The power sums are residues mod m! n, exact in int64 only while
+(m! n)**2 < 2**63 (_em_fits); a level past that which tests e_m takes the
+tuple step. Each array level is sorted. Levels from 255 on, whose
+extensions could hold a multiplicity past 255, take the tuple step; below
+them a row holds at most 255 elements, which keeps every canonical key an
+exact uint16.
 
 On rows of at most 8 elements the array step tests an extension before it
 makes it, levelwise (the pruning of R. Agrawal and R. Srikant, "Fast
@@ -100,34 +102,34 @@ word, its key, whose order is tuple order. Each parent R gets one byte, its
 extension mask: bit g set when R + g lies in the next level. It is the e_m
 mask, ANDed on a closed level with the masks of R's removals, since
 R + g - i = (R - i) + g must lie in R's own level, and the step that made
-that level knew which extensions of R - i do. A step hands its parents and
-their masks on, and the next closed step builds from them its closure
-table: the keys of all |H| images of those parents, each with its low byte
-replaced by the image's mask (bit j is bit perm_h[j] of the parent's, since
-image h of R + perm_h[j] is h(R) + j), sorted. The low byte is X[7], or
-padding below 8 elements, and the multisets of a level have one length, so
-the other 7 bytes name the image. The removals R - i of a block of parents
-are one np.searchsorted there, column by column, so they come in ascending
-runs, and each lookup must hit: a miss raises RuntimeError. The table is
-dropped before any extension is made. A tuple step that tested closure or
-e_m hands on the masks it decided as it went, bit g set when R + g passed;
-the first closed Davenport level follows an untested seed level and needs
-no lookups. The step then makes only the extensions the masks allow,
-key(R) + w[g] with w[g] = 256**(7 - g), which adds one to byte g and never
-carries below _ROW_MAX, one sorted run per g; dedupes them as uint64 keys,
-per block of parents and over the level; and maps each to its image of
-least word, the lex-least image.
+that level knew which extensions of R - i do. A step that tested closure or
+e_m hands its parents and their masks on (_advance), and the next closed
+step builds from them its closure table: the keys of all |H| images of
+those parents, each with its low byte replaced by the image's mask (bit j
+is bit perm_h[j] of the parent's, since image h of R + perm_h[j] is
+h(R) + j), sorted. The low byte is X[7], or padding below 8 elements, and
+the multisets of a level have one length, so the other 7 bytes name the
+image. The removals R - i of a block of parents are one np.searchsorted
+there, column by column, so they come in ascending runs, and each lookup
+must hit: a miss raises RuntimeError. The table is dropped before any
+extension is made. A tuple step's masks are those it decided as it went,
+bit g set when R + g passed; the first closed Davenport level follows an
+untested seed level and needs no lookups. The step then makes only the
+extensions the masks allow, key(R) + w[g] with w[g] = 256**(7 - g), which
+adds one to byte g and never carries below _ROW_MAX, one sorted run per g;
+dedupes them as uint64 keys, per block of parents and over the level; and
+maps each to its image of least word, the lex-least image.
 
-Rows wider than 8 elements are extended as rows, and their extensions with
-e_m = 0 go first. The rest are deduped by sorting exact row keys (the row's
-bytes as one void scalar, whose memcmp order is tuple order), and every
-one-element removal is looked up with np.searchsorted in the sorted linear
-keys of the previous level's full H-orbits (no per-removal canonical form),
-the removals of a block in ascending key order. The survivors are then
-canonicalized: the canonical keys of all |H| images of a block of
-survivors are one np.einsum product, and only the image of least key is
-gathered (with the lex-least of distinct images that tie at it, so the
-choice is a function of the orbit).
+Rows wider than 8 elements are extended as rows, and only the extensions
+their unpacked e_m masks allow go on. They are deduped by sorting exact row
+keys (the row's bytes as one void scalar, whose memcmp order is tuple
+order), and every one-element removal is looked up with np.searchsorted in
+the sorted linear keys of the previous level's full H-orbits (no
+per-removal canonical form), the removals of a block in ascending key
+order. The survivors are then canonicalized: the canonical keys of all |H|
+images of a block of survivors are one np.einsum product, and only the
+image of least key is gathered (with the lex-least of distinct images that
+tie at it, so the choice is a function of the orbit).
 
 Those lookups use linear keys h(X) = sum X[i] w[i] mod 2**64 (universal
 hashing: Carter and Wegman, JCSS 18, 1979; fingerprints: Karp and Rabin, IBM
@@ -330,30 +332,29 @@ class _Rows:
     tuple order. Image h of X is X.take(perm_h), and a linear key X' @ v of
     an image X' is X @ V[:, h] with V[perm_h[j], h] = v[j], so the keys of
     all |H| images of a row are one product (linear_keys). The closure test
-    uses linear keys mod 2**64 (w and W, see _key_weights), and exact_keys
-    says whether distinct rows always get distinct ones. A canonical form is
-    the image of least canonical key: on one-word rows that key is the
-    image's word (its W key, read off the gathered words), so the form is
-    the lex-least image; wider rows take the uint16 keys of
-    _canonical_weights, with C as W, from one np.einsum (whose uint16 loop
-    is vectorized: about 7 times faster than a uint64 or int64 matrix
-    product, which numpy runs without BLAS).
+    uses linear keys mod 2**64 (w, see _key_weights), and exact_keys says
+    whether distinct rows always get distinct ones. A canonical form is the
+    image of least canonical key: on one-word rows its word (canonical_keys),
+    so the form is the lex-least image. Wider rows alone hold image weights:
+    W for orbit_keys, and C, of _canonical_weights, for one np.einsum
+    (whose uint16 loop is vectorized: about 7 times faster than a uint64 or
+    int64 matrix product, which numpy runs without BLAS).
 
     The step derives each extension R + g from its parent R. elementary()
-    gives each parent's e_{m-1} and e_m as residues per coordinate (lifts
-    holds each element's residues, mods the moduli), and e_m(R + g) = e_m(R)
-    + g e_{m-1}(R) is integer arithmetic on them. On one-word rows the key
+    gives each parent's e_{m-1} and e_m as residues per coordinate, and
+    em_masks() says from _em_bits whether e_m(R + g) = e_m(R) + g e_{m-1}(R)
+    is nonzero, for rows of every width. On one-word rows the key
     is also the linear key: masks() gives each parent the extensions that
     reach the next level, from the e_m mask and the previous level's
     table(), and extension_keys() makes only those, the parent's key plus
     w[g], deduped as uint64 and turned back into rows (from_keys) only for
-    the canonical pass. Wider rows are extended and deduped as rows, by
-    exact void keys, so no hash ever merges two candidates.
+    the canonical pass. Wider rows are extended, e_m-filtered and deduped
+    as rows, by exact void keys, so no hash ever merges two candidates.
     """
 
     __slots__ = (
-        "ring", "card", "add_t", "mul_t", "one_idx", "width", "key_dtype",
-        "images", "perm", "inverse", "w", "W", "C", "exact_keys", "eye", "lifts", "mods",
+        "ring", "card", "add_t", "mul_t", "one_idx", "width",
+        "images", "perm", "inverse", "w", "W", "C", "exact_keys", "eye",
         "_key_view", "_factors", "_em_bits", "_image_masks", "searches",
     )
 
@@ -362,32 +363,29 @@ class _Rows:
         self.card = card = ring.cardinality
         self.add_t, self.mul_t, self.one_idx = _index_tables(ring)
         self.width = width = -(-card // 8) * 8
-        self._key_view = np.dtype(">u8" if width == 8 else f"V{width}")
-        self.key_dtype = np.dtype(np.uint64) if width == 8 else self._key_view
+        self.exact_keys = width == 8
+        self._key_view = np.dtype(">u8" if self.exact_keys else f"V{width}")
         self.images = [operator.itemgetter(*p) for p in sym]  # img(mult) is an image
         pad = list(range(card, width))  # padding columns map to themselves
         self.perm = np.array([list(p) + pad for p in sym], dtype=np.intp)
         # inverse[perm_h[j], h] = j: a gather by it is faster than a scatter by perm
         self.inverse = np.ascontiguousarray(self.perm[:, :card].argsort(axis=1).T)
         self.w = _key_weights(card)
-        self.W = self.image_weights(self.w)
-        self.exact_keys = width == 8
-        self.C = None  # one-word rows read their keys off the images' words
+        self.W = self.C = None  # one-word rows read their keys off the images' words
         if not self.exact_keys:
+            self.W = self.image_weights(self.w)
             self.C = self.image_weights(_canonical_weights(card))
         self.eye = np.eye(card, width, dtype=np.uint8)
-        self.lifts = np.array(rings.elements(ring), np.uint16)  # (card, rank) residues
-        self.mods = np.array(ring.moduli, np.uint16)
         self._factors: dict[tuple[int, int, int], tuple[int, ...]] = {}
         self._image_masks = None  # (256, |H|): a mask's image under each map, made by table()
-        # one-word rows: _em_bits[k][a, b] has bit g set when a + b g != 0 in
-        # coordinate k, for residues a, b mod its modulus
+        # _em_bits[k][a, b]: bit g (of width // 8 bytes, little-endian) set when
+        # a + b g != 0 in coordinate k, for residues a, b mod its modulus
         self._em_bits = []
-        if self.exact_keys:
-            for k, n in enumerate(self.mods):
-                a = np.arange(n, dtype=np.uint16)
-                nonzero = ((a[:, None, None] + a[:, None] * self.lifts[:, k]) % n).astype(bool)
-                self._em_bits.append(np.packbits(nonzero, axis=2, bitorder="little")[:, :, 0])
+        lifts = np.array(rings.elements(ring))  # (card, rank) residues
+        for k, n in enumerate(ring.moduli):
+            a = np.arange(n)
+            nonzero = np.outer(a, lifts[:, k]) % n != (-a % n)[:, None, None]  # b g != -a
+            self._em_bits.append(np.packbits(nonzero, axis=2, bitorder="little"))
         self.searches: dict[tuple, _Search] = {}  # by (kind, m, t), least recent first
 
     def from_tuples(self, members) -> np.ndarray:
@@ -402,7 +400,7 @@ class _Rows:
 
     def keys(self, rows: np.ndarray) -> np.ndarray:
         raw = np.ascontiguousarray(rows).view(self._key_view).ravel()
-        return raw.astype(self.key_dtype, copy=False)
+        return raw.astype(np.uint64) if self.exact_keys else raw
 
     def unique(self, rows: np.ndarray) -> np.ndarray:
         """Distinct rows in tuple order."""
@@ -440,14 +438,12 @@ class _Rows:
         return max(1, min(_BLOCK_ROWS, _BLOCK_BYTES // size))
 
     def canonical(self, rows: np.ndarray) -> np.ndarray:
-        """The image of least canonical key (see C) of each row, and among
-        distinct images that share it, the lex-least: a function of the
-        row's orbit. One product gives the keys, and one gather the image;
-        only the images that tie at the least key of a row wider than one
-        word are gathered and compared."""
+        """The image of least canonical key (see C) of each row wider than
+        one word, and among distinct images that share it, the lex-least: a
+        function of the row's orbit. One product gives the keys, and one
+        gather the image; only the images that tie at a row's least key are
+        gathered and compared."""
         n = len(rows)
-        if self.exact_keys:
-            return self.from_keys(self.canonical_keys(rows))
         keys = np.einsum("ij,jk->ik", rows[:, : self.card].astype(np.uint16), self.C)
         pick = keys.argmin(axis=1)
         at = np.arange(n)
@@ -540,15 +536,16 @@ class _Rows:
         keys.sort()
         return keys
 
-    def closed(self, rows: np.ndarray, k: np.ndarray, prev_keys: np.ndarray) -> np.ndarray:
+    def closed(self, rows: np.ndarray, prev_keys: np.ndarray) -> np.ndarray:
         """Mask of the rows wider than one word whose one-element removals
-        all have linear keys in prev_keys; k are the rows' own linear keys.
+        all have linear keys in prev_keys: k - w[i], with k the row's own.
         A key shared by a removal and some other image can only keep a row,
         never drop one. np.searchsorted starts each lookup from the last one
         when its needles ascend, so they run in key order: the rows are
         sorted by k here and their mask scattered back. A removal's key
         k - w[i] keeps that order, but for the keys below w[i], which wrap
         past 2**64 and ascend again after the others."""
+        k = self.linear_keys(rows, self.w)
         order = np.argsort(k)
         rows, k = rows[order], k[order]
         ok = np.ones(len(rows), dtype=bool)
@@ -587,19 +584,12 @@ class _Rows:
             out[:, slot] = acc % (scale * n) // scale
         return out
 
-    def extension_em(self, rows: np.ndarray, m: int) -> np.ndarray:
-        """e_m of each one-element extension R + g of the rows, an (N, card,
-        rank) array of residues: e_m(R) + g e_{m-1}(R) per coordinate, at
-        most 255 + 255 * 255 before the reduction, so in uint16."""
-        e = self.elementary(rows, m)
-        return (e[:, None, 1] + e[:, None, 0] * self.lifts) % self.mods
-
     def em_masks(self, rows: np.ndarray, m: int) -> np.ndarray:
-        """The e_m masks of one-word rows: bit g set when e_m(R + g) =
-        e_m(R) + g e_{m-1}(R) is nonzero, the OR over coordinates k of
-        _em_bits[k] at R's residues (e_m, e_{m-1}) mod n_k."""
+        """The rows' e_m masks, width // 8 bytes each: bit g (little-endian)
+        set when e_m(R + g) = e_m(R) + g e_{m-1}(R) is nonzero, the OR over
+        coordinates k of _em_bits[k] at R's residues (e_m, e_{m-1}) mod n_k."""
         e = self.elementary(rows, m)
-        out = np.zeros(len(rows), np.uint8)
+        out = np.zeros((len(rows), self.width // 8), np.uint8)
         for k, bits in enumerate(self._em_bits):
             out |= bits[e[:, 1, k], e[:, 0, k]]
         return out
@@ -645,15 +635,14 @@ class _Rows:
     def step(self, rows: np.ndarray, closed: bool, em_m: int | None, prev=None):
         """The array level step: as _step_tuples, on sorted distinct rows,
         with closed asking for the closure test and em_m for the e_m test.
-        Returns the next level, sorted, and what the next step's closure
-        test needs of this one: on one-word rows after a step that tested
-        either, the pair (rows, their extension masks); else None. prev is
-        that value of the step before, as either step hands it on; None when
-        rows hold every multiset of their length (a seed level), and on rows
-        wider than one word, which look their removals up in
+        Returns the next level, sorted, and on one-word rows the rows'
+        extension masks (None on wider rows). prev is what _advance handed
+        on from the step before, the pair (its parents, their masks); None
+        when rows hold every multiset of their length (a seed level), and
+        on rows wider than one word, which look their removals up in
         orbit_keys(rows) instead."""
         if self.exact_keys:
-            return self._step_words(rows, closed, em_m, prev)
+            return self._step_words(rows, em_m, prev)
         return self._step_wide(rows, self.orbit_keys(rows) if closed else None, em_m), None
 
     def _step_wide(self, rows: np.ndarray, prev_keys: np.ndarray | None, em_m: int | None):
@@ -667,21 +656,22 @@ class _Rows:
             block = rows[lo : lo + per]
             ext = self.extend(block)
             if em_m is not None:
-                ext = ext[self.extension_em(block, em_m).any(axis=2).ravel()]
+                bits = np.unpackbits(self.em_masks(block, em_m), axis=1, bitorder="little")
+                ext = ext[bits[:, : self.card].ravel() > 0]
             blocks.append(self.unique(ext))
         cands = self.unique(np.concatenate(blocks))
         if prev_keys is not None:
             found = []
             for lo in range(0, len(cands), _BLOCK_ROWS):
                 block = cands[lo : lo + _BLOCK_ROWS]
-                found.append(block[self.closed(block, self.linear_keys(block, self.w), prev_keys)])
+                found.append(block[self.closed(block, prev_keys)])
             cands = np.concatenate(found or [cands])
         per = self.block_rows()
         return self.unique(np.concatenate([
             self.canonical(cands[lo : lo + per]) for lo in range(0, len(cands), per)
         ] or [cands]))
 
-    def _step_words(self, rows: np.ndarray, closed: bool, em_m: int | None, prev):
+    def _step_words(self, rows: np.ndarray, em_m: int | None, prev):
         """The step on one-word rows: each parent's extension mask (masks),
         then only the extensions it allows, deduped as uint64 keys per block
         of parents and over the level, and canonicalized. The previous
@@ -700,7 +690,7 @@ class _Rows:
             self.canonical_keys(self.from_keys(cands[lo : lo + per]))
             for lo in range(0, len(cands), per)
         ] or [cands]))
-        return self.from_keys(out), ((rows, allowed) if closed or em_m is not None else None)
+        return self.from_keys(out), allowed
 
     def masks(self, rows: np.ndarray, keys: np.ndarray, table: np.ndarray | None, em_m):
         """Extension masks of one-word rows (keys their keys): bit g set when
@@ -714,7 +704,7 @@ class _Rows:
         if em_m is None:
             out = np.full(len(rows), (1 << self.card) - 1, np.uint8)
         else:
-            out = self.em_masks(rows, em_m)
+            out = self.em_masks(rows, em_m)[:, 0]
         if table is None:
             return out
         held = (rows[:, : self.card] > 0).T & (out > 0)  # (card, N): the removals to look up
@@ -981,21 +971,22 @@ def _on_tuples(kit: _Rows, n: int, level: int, em_m, arrays: bool) -> bool:
 def _advance(kit: _Rows, frontier, level: int, closed: bool, em_m, arrays: bool, prev=None):
     """The level after frontier, a set of tuples or a sorted row array of
     multisets of length level, under the kit's group, and what the step
-    after it needs of this one (see _Rows.step); prev is that of the step
-    before.
+    after it needs of this one; prev is that of the step before.
 
     closed asks for the closure test against frontier itself; em_m for the
     e_m != 0 test. The tuple step (see _on_tuples) returns a set, the array
-    step a sorted array. After a tuple step that tested either on one-word
-    rows, it hands on its parents, still tuples, and the masks it decided.
+    step a sorted array. A step on one-word rows that tested either hands
+    on its parents (a tuple step's still tuples) and their extension masks,
+    as a uint8 array; any other hands on None.
     """
     if _on_tuples(kit, len(frontier), level, em_m, arrays):
-        tuples = kit.to_tuples(frontier) if isinstance(frontier, np.ndarray) else frontier
-        out, masks = _step_tuples(kit, tuples, tuples if closed else None, em_m)
-        tested = closed or em_m is not None
-        return out, ((tuples, np.array(masks, np.uint8)) if tested and kit.exact_keys else None)
-    rows = frontier if isinstance(frontier, np.ndarray) else kit.from_tuples(sorted(frontier))
-    return kit.step(rows, closed, em_m, prev)
+        parents = kit.to_tuples(frontier) if isinstance(frontier, np.ndarray) else frontier
+        out, masks = _step_tuples(kit, parents, parents if closed else None, em_m)
+    else:
+        parents = kit.from_tuples(sorted(frontier)) if isinstance(frontier, set) else frontier
+        out, masks = kit.step(parents, closed, em_m, prev)
+    tested = closed or em_m is not None
+    return out, ((parents, np.asarray(masks, np.uint8)) if tested and kit.exact_keys else None)
 
 
 def _least(kit: _Rows, frontier) -> tuple[int, ...]:

@@ -25,7 +25,7 @@ import random
 import time
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable
 
 from . import brink, numtheory, search, symfun
 from .bounds import bound_calculator, invariant_factors
@@ -875,7 +875,6 @@ def run_suite(
     name_filter: str | None = None,
     jobs: int = 1,
     timeout: float | None = None,
-    progress: Optional[Callable[[FixtureOutcome], None]] = None,
 ) -> list[FixtureOutcome]:
     """Run the selected fixtures and return outcomes in fixture-id order.
 
@@ -894,13 +893,10 @@ def run_suite(
     outcomes: dict[str, FixtureOutcome] = {}
 
     def finish(fx: Fixture, status, seconds, computed="", expected="", detail=""):
-        oc = FixtureOutcome(
+        outcomes[fx.id] = FixtureOutcome(
             fx.id, fx.tier, fx.asserting, status, round(seconds, 3),
             computed, expected, detail,
         )
-        outcomes[fx.id] = oc
-        if progress:
-            progress(oc)
 
     if jobs == 1 and timeout is None:
         for fx in chosen:

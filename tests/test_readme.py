@@ -10,7 +10,7 @@ from pathlib import Path
 
 from test_brink import _count_pure_python
 
-from egz import brink
+from egz import brink, search
 from egz.cli import main
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
@@ -62,3 +62,18 @@ def test_quick_reference_values(capsys) -> None:
         assert main(shlex.split(argv)) == 0, argv
         first = capsys.readouterr().out.splitlines()[0]
         assert first == value or first.endswith(" " + value), (argv, first)
+
+
+def test_cache_and_chunk_figures_match_their_constants() -> None:
+    # the README's figures for the search cache and for brink's chunks are
+    # the constants the code runs with
+    text = " ".join(README.split())
+    assert int(re.search(r"up to (\d+) searches", text).group(1)) == search._SEARCHES
+    kib, mib, kits = re.search(
+        r"at most (\d+) KiB \((\d+) MiB over the (\d+) cached rings\)", text
+    ).groups()
+    assert int(kib) << 10 == search._SUSPEND_BYTES
+    assert int(kits) == search._KITS
+    assert int(mib) << 20 == search._SUSPEND_BYTES * search._KITS
+    chunks = re.search(r"`--chunk-bits L`, default (\d+), at most (\d+)", text).groups()
+    assert tuple(map(int, chunks)) == (brink.DEFAULT_CHUNK_BITS, brink.MAX_CHUNK_BITS)

@@ -632,25 +632,27 @@ def test_davenport_without_cap_raises() -> None:
         (KIND_DAV, (2, 4), 2, None, 14),  # to the empty level
     ],
 )
-def test_array_step_matches_tuple_step(kind, moduli, m, t, cap, fresh_kits) -> None:
+def test_array_step_matches_tuple_step(kind, moduli, m, t, cap, fresh_kits, monkeypatch) -> None:
     # every level of the search, seed levels included, built both ways
     # under the search's group
     ring = make_ring(moduli)
-    _assert_steps_keep_the_same_orbits(search._kit(ring, m == 1), kind, m, t, cap)
+    _assert_steps_keep_the_same_orbits(search._kit(ring, m == 1), kind, m, t, cap, monkeypatch)
 
 
 def _least_image(kit, mult) -> tuple[int, ...]:
     return min(img(mult) for img in kit.images)
 
 
-def _assert_steps_keep_the_same_orbits(kit, kind, m, t, cap) -> None:
+def _assert_steps_keep_the_same_orbits(kit, kind, m, t, cap, monkeypatch) -> None:
     # the array step keeps one row per orbit, and the tuple step the
     # orbit's lex-least member: the rows' lex-least images, found through
     # the group itself, must be the tuple step's set, one for one. Each
-    # level is made twice on arrays: from the array level before, and from
-    # the tuple level before, each with what its step handed on (on
-    # one-word rows, the parents and their masks). One-word rows are
-    # lex-least members too, so both steps hand on the same masks
+    # level is made twice on arrays (_advance with arrays takes the array
+    # step at every size): from the array level before, and from the tuple
+    # level before, each with what _advance handed on (on one-word rows,
+    # the parents and their masks). One-word rows are lex-least members
+    # too, so both steps hand on the same masks
+    monkeypatch.setattr(search, "_on_tuples", lambda kit, n, level, em_m, arrays: not arrays)
     seed = t if kind == KIND_EGZ else m - 1
     frontier, before = {(0,) * kit.card}, None
     rows, prev = kit.from_tuples(frontier), None
@@ -658,8 +660,8 @@ def _assert_steps_keep_the_same_orbits(kit, kind, m, t, cap) -> None:
         closed = level > seed
         em_m = m if (kind == KIND_DAV and closed) or level == t else None
         expect, handed = search._advance(kit, frontier, level - 1, closed, em_m, False)
-        scratch, _ = kit.step(kit.from_tuples(sorted(frontier)), closed, em_m, before)
-        rows, prev = kit.step(rows, closed, em_m, prev)
+        scratch, _ = search._advance(kit, frontier, level - 1, closed, em_m, True, before)
+        rows, prev = search._advance(kit, rows, level - 1, closed, em_m, True, prev)
         assert (prev is not None) == (kit.exact_keys and bool(closed or em_m))
         assert (handed is None) == (prev is None)
         if prev is not None:
@@ -685,7 +687,7 @@ def _assert_steps_keep_the_same_orbits(kit, kind, m, t, cap) -> None:
         (KIND_DAV, (2, 2, 2, 2), 2, None, 7),
     ],
 )
-def test_canonical_key_ties_keep_the_orbits(kind, moduli, m, t, cap, weights) -> None:
+def test_canonical_key_ties_keep_the_orbits(kind, moduli, m, t, cap, weights, monkeypatch) -> None:
     # equal canonical weights give every image of a row one key, and
     # repeated ones give distinct images of many rows the same least key:
     # the lex-least of the tied images must still keep one row per orbit
@@ -700,7 +702,7 @@ def test_canonical_key_ties_keep_the_orbits(kind, moduli, m, t, cap, weights) ->
     kit.C = kit.image_weights(c)
     if weights == "equal":
         assert (kit.C == kit.C[:, :1]).all()
-    _assert_steps_keep_the_same_orbits(kit, kind, m, t, cap)
+    _assert_steps_keep_the_same_orbits(kit, kind, m, t, cap, monkeypatch)
 
 
 def test_canonical_keys_never_wrap() -> None:
@@ -826,11 +828,11 @@ def test_row_keys_follow_tuple_order(moduli, cap) -> None:
     assert [tuple(r) for r in uniq[:, : kit.card].tolist()] == sorted(set(tuples))
     units = search._Rows(ring, unit_index_perms(ring))
     if kit.exact_keys:  # one word: the canonical form is the lex-least image
-        canon = units.canonical(rows)
+        canon = units.from_keys(units.canonical_keys(rows))
         assert [tuple(r) for r in canon[:, : kit.card].tolist()] == [
             canonical_mult(tp, orbit_perms(ring)) for tp in tuples
         ]
-        canon = kit.canonical(rows)
+        canon = kit.from_keys(kit.canonical_keys(rows))
         assert [tuple(r) for r in canon[:, : kit.card].tolist()] == [
             canonical_mult(tp, symmetry_index_perms(ring, True)) for tp in tuples
         ]
@@ -873,9 +875,10 @@ def test_extension_keys_are_the_extensions_keys(moduli) -> None:
 @pytest.mark.parametrize("moduli", [(8,), (2, 2, 2), (3, 3), (5, 5), (2, 2, 2, 2), (2, 6)])
 def test_image_weights_key_the_images(moduli) -> None:
     # W[perm_h[j], h] = w[j]: row @ W[:, h] is the key of the image
-    # row.take(perm_h), not of its inverse image; one-word keys are exact.
-    # Both groups of each ring, so wide rows under few maps are covered
-    # too: Z_3 x Z_3 under its 8 unit maps, Z_2 x Z_6 under 2 (12 additive)
+    # row.take(perm_h), not of its inverse image; one-word kits hold no W,
+    # and their exact keys are the gathered image words. Both groups of
+    # each ring, so wide rows under few maps are covered too: Z_3 x Z_3
+    # under its 8 unit maps, Z_2 x Z_6 under 2 (12 additive)
     import numpy as np
 
     ring = make_ring(moduli)
@@ -884,15 +887,17 @@ def test_image_weights_key_the_images(moduli) -> None:
         card = kit.card
         rng = np.random.default_rng(card)
         rows = kit.from_tuples(rng.integers(0, 256, size=(300, card)).tolist())
+        assert kit.exact_keys == (card <= 8) == (kit.W is None)
+        keys = kit.image_words(rows) if kit.exact_keys else rows[:, :card] @ kit.W
         images = []
         for h, perm in enumerate(kit.perm):
             image = rows.take(perm, axis=1)[:, :card]
-            assert (image @ kit.w == rows[:, :card] @ kit.W[:, h]).all()
+            assert (image @ kit.w == keys[:, h]).all()
             images.append(image @ kit.w)
-        assert (kit.orbit_keys(rows) == np.sort(np.concatenate(images))).all()
-        assert kit.exact_keys == (card <= 8)
         if kit.exact_keys:
             assert (kit.linear_keys(rows, kit.w) == kit.keys(rows)).all()
+        else:
+            assert (kit.orbit_keys(rows) == np.sort(np.concatenate(images))).all()
 
 
 def test_wider_rings_check_every_witness(monkeypatch, fresh_kits) -> None:
@@ -1030,9 +1035,10 @@ def test_array_em_matches_engine(moduli, m, cap) -> None:
     "moduli", [(9,), (2, 2, 2), (5, 5), (2, 4)], ids=["Z9", "Z2^3", "Z5xZ5", "Z2xZ4"]
 )
 def test_power_sums_match_the_tuple_steps_em(moduli) -> None:
-    # e_{m-1} and e_m of each row from power sums, and e_m of each
-    # one-element extension as one linear factor on its parent's pair, which
-    # is e_m of the extension's own power sums
+    # e_{m-1} and e_m of each row from power sums, and each row's e_m mask,
+    # unpacked: bit g set exactly when e_m of R + g is nonzero, as the
+    # tuple step's e_m of R + g and the extension's own power sums both
+    # say, on one-word rows and on wider ones, whose masks span bytes
     import numpy as np
 
     ring = make_ring(moduli)
@@ -1047,15 +1053,17 @@ def test_power_sums_match_the_tuple_steps_em(moduli) -> None:
         e = kit.elementary(rows, m)
         assert e[:, 0].tolist() == _em_residues(kit, tuples, m - 1), m
         assert e[:, 1].tolist() == _em_residues(kit, tuples, m), m
-        ext = kit.extension_em(rows, m)
-        assert ext.shape == (len(rows), kit.card, ring.rank)
+        masks = kit.em_masks(rows, m)
+        assert masks.shape == (len(rows), kit.width // 8)
+        bits = np.unpackbits(masks, axis=1, bitorder="little").astype(bool)
+        assert not bits[:, kit.card :].any(), m  # no bit past the last element
+        assert bits.any() and not bits[:, : kit.card].all(), m
         for g in range(kit.card):
             grown = [tp[:g] + (tp[g] + 1,) + tp[g + 1 :] for tp in tuples]
-            assert ext[:, g].tolist() == _em_residues(kit, grown, m), (m, g)
-            assert (ext[:, g] == kit.elementary(rows + kit.eye[g], m)[:, 1]).all(), (m, g)
-        if kit.exact_keys:  # one-word rows take the nonzero ones as bit masks
-            bits = (kit.em_masks(rows, m)[:, None] >> np.arange(kit.card) & 1).astype(bool)
-            assert (bits == ext.any(axis=2)).all(), m
+            by_tuples = [any(r) for r in _em_residues(kit, grown, m)]
+            assert bits[:, g].tolist() == by_tuples, (m, g)
+            by_sums = kit.elementary(rows + kit.eye[g], m)[:, 1].any(axis=1)
+            assert (bits[:, g] == by_sums).all(), (m, g)
 
 
 def test_closed_looks_removals_up_in_key_order(fresh_kits) -> None:
@@ -1069,7 +1077,7 @@ def test_closed_looks_removals_up_in_key_order(fresh_kits) -> None:
     assert not kit.exact_keys
     rng = np.random.default_rng(9)
     rows = kit.from_tuples(rng.integers(0, 3, size=(400, kit.card)).tolist())
-    k = kit.linear_keys(rows, kit.w)
+    k = kit.linear_keys(rows, kit.w)  # closed computes these itself
     removals, wraps, count = [], 0, 0
     for key, row in zip(k.tolist(), rows[:, : kit.card].tolist()):
         ws = [wi for wi, c in zip(kit.w.tolist(), row) if c]
@@ -1083,9 +1091,9 @@ def test_closed_looks_removals_up_in_key_order(fresh_kits) -> None:
     prev = np.array(sorted(known), np.uint64)
     expect = [all(x in known for x in r) for r in removals]
     assert 200 <= sum(expect) < len(rows)
-    assert kit.closed(rows, k, prev).tolist() == expect
+    assert kit.closed(rows, prev).tolist() == expect
     order = rng.permutation(len(rows))
-    assert kit.closed(rows[order], k[order], prev).tolist() == [expect[i] for i in order]
+    assert kit.closed(rows[order], prev).tolist() == [expect[i] for i in order]
 
 
 @pytest.mark.parametrize(
@@ -1133,8 +1141,8 @@ def test_table_masks_name_the_surviving_extensions(kind, moduli, m, t, level, fr
     if level - 2 in levels:
         before = search._advance(kit, levels[level - 2], level - 2, True, em_m, False)[1]
     parent_rows = kit.from_tuples(sorted(parents))
-    got, (held, masks) = kit.step(parent_rows, True, em_m, before)
-    assert (held == parent_rows).all() and (got == kit.from_tuples(sorted(grown))).all()
+    got, masks = kit.step(parent_rows, True, em_m, before)
+    assert (got == kit.from_tuples(sorted(grown))).all()
     tuple_masks = dict(zip(*handed))
     assert masks.tolist() == [tuple_masks[x] for x in sorted(parents)]
 
