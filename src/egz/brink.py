@@ -154,10 +154,12 @@ def count_boolean_solutions(
     """
     if inst.n > MAX_VARS:
         raise ValueError(f"instance has {inst.n} > {MAX_VARS} variables")
-    if stop_at is not None and stop_at < 1:
-        raise ValueError(f"stop_at must be >= 1, got {stop_at}")
-    if not 1 <= chunk_bits <= MAX_CHUNK_BITS:
-        raise ValueError(f"chunk_bits must be >= 1 and <= {MAX_CHUNK_BITS}, got {chunk_bits}")
+    if stop_at is not None and not (numtheory.is_int(stop_at) and stop_at >= 1):
+        raise ValueError(f"stop_at must be >= 1 and an int, got {stop_at!r}")
+    if not (numtheory.is_int(chunk_bits) and 1 <= chunk_bits <= MAX_CHUNK_BITS):
+        raise ValueError(
+            f"chunk_bits must be >= 1 and <= {MAX_CHUNK_BITS} and an int, got {chunk_bits!r}"
+        )
     low_bits = min(chunk_bits, inst.n)
     size = 1 << low_bits
     split = low_bits // 2

@@ -185,7 +185,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import bounds, numtheory, rings, symfun
+from . import bounds, numtheory, rings
 from .multiset import MultisetSeq
 from .rings import RingSpec
 
@@ -379,13 +379,19 @@ class _Rows:
         self._factors: dict[tuple[int, int, int], tuple[int, ...]] = {}
         self._image_masks = None  # (256, |H|): a mask's image under each map, made by table()
         # _em_bits[k][a, b]: bit g (of width // 8 bytes, little-endian) set when
-        # a + b g != 0 in coordinate k, for residues a, b mod its modulus
+        # a + b g != 0 in coordinate k, for residues a, b mod its modulus,
+        # built as b g != -a for blocks of a of about _BLOCK_BYTES // 2 bools
         self._em_bits = []
         lifts = np.array(rings.elements(ring))  # (card, rank) residues
         for k, n in enumerate(ring.moduli):
             a = np.arange(n)
-            nonzero = np.outer(a, lifts[:, k]) % n != (-a % n)[:, None, None]  # b g != -a
-            self._em_bits.append(np.packbits(nonzero, axis=2, bitorder="little"))
+            bg, neg = np.outer(a, lifts[:, k]) % n, (-a % n)[:, None, None]
+            bits = np.empty((n, n, width // 8), np.uint8)
+            per = max(1, _BLOCK_BYTES // 2 // bg.size)
+            for lo in range(0, n, per):
+                nonzero = bg != neg[lo : lo + per]
+                bits[lo : lo + per] = np.packbits(nonzero, axis=2, bitorder="little")
+            self._em_bits.append(bits)
         self.searches: dict[tuple, _Search] = {}  # by (kind, m, t), least recent first
 
     def from_tuples(self, members) -> np.ndarray:
@@ -565,23 +571,25 @@ class _Rows:
         """e_{m-1} and e_m of each row by Newton's identities, as an (N, 2,
         rank) uint16 array of residues, one per coordinate. With M = m! n
         for a coordinate modulus n, the power sums p_1..p_m mod M of a row
-        are one int64 product of the rows with the lifts' powers, j! e_j mod
-        M is symfun.newton_girard(j) evaluated mod M, and e_j mod n is that
+        are one int64 product of the rows with the lifts' powers, and E_j =
+        j! e_j mod M follows from E_0 = 1 by the recursion E_j = sum over i
+        = 1..j of (-1)**(i-1) (j-1)!/(j-i)! E_{j-i} p_i; e_j mod n is E_j
         taken mod j! n and divided by j!. Every product of two residues
         stays below M**2, exact in int64 when _em_fits."""
         P, M = _powers(self.ring, m)
         rank, n = len(M), M // math.factorial(m)
         p = (rows[:, : self.card].astype(np.int64) @ P).reshape(-1, rank, m) % M[:, None]
-        memo: dict[tuple[int, ...], np.ndarray] = {}
-        out = np.ones((len(rows), 2, rank), np.uint16)  # e_0 = 1, for m = 1
-        for slot, j in enumerate((m - 1, m)):
-            if not j:
-                continue
+        E = [1]
+        for j in range(1, m + 1):
             acc = 0
-            for coeff, jvec in symfun.newton_girard(j).terms:
-                acc = (acc + coeff % M * _monomial(p, M, jvec + (0,) * (m - j), memo) % M) % M
+            for i in range(1, j + 1):
+                coeff = (-1) ** (i - 1) * math.perm(j - 1, i - 1) % M
+                acc = (acc + coeff * E[j - i] % M * p[:, :, i - 1]) % M
+            E.append(acc)
+        out = np.empty((len(rows), 2, rank), np.uint16)
+        for slot, j in enumerate((m - 1, m)):
             scale = math.factorial(j)
-            out[:, slot] = acc % (scale * n) // scale
+            out[:, slot] = E[j] % (scale * n) // scale
         return out
 
     def em_masks(self, rows: np.ndarray, m: int) -> np.ndarray:
@@ -754,18 +762,6 @@ def _powers(ring: RingSpec, m: int) -> tuple[np.ndarray, np.ndarray]:
         for e in rings.elements(ring)
     ]
     return np.array(P, np.int64), np.array(M, np.int64)
-
-
-def _monomial(p: np.ndarray, M: np.ndarray, jvec: tuple[int, ...], memo: dict) -> np.ndarray:
-    """prod_i p[:, :, i]**jvec[i] mod M, from the monomial with one factor
-    less; memo keeps each one made, by its exponents."""
-    found = memo.get(jvec)
-    if found is None:
-        i = next(i for i, c in enumerate(jvec) if c)
-        rest = jvec[:i] + (jvec[i] - 1,) + jvec[i + 1 :]
-        found = p[:, :, i] if not any(rest) else _monomial(p, M, rest, memo) * p[:, :, i] % M
-        memo[jvec] = found
-    return found
 
 
 def _distinct(keys: np.ndarray) -> np.ndarray:

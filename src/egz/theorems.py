@@ -881,14 +881,17 @@ def run_suite(
     With jobs=1 and no timeout, fixtures run in-process (sharing the
     cached searches). Otherwise each fixture runs in its own forked
     process; one that exceeds the timeout is terminated and reported as
-    TIMEOUT rather than a failure. Raises ValueError for jobs < 1, for a
-    timeout that is not a finite number > 0, and for subprocess mode where
-    the fork start method is missing (spawn cannot pickle the fixtures).
+    TIMEOUT rather than a failure. Raises ValueError for jobs that is not
+    an int >= 1, for a timeout that is not a finite number > 0 (a bool is
+    neither), and for subprocess mode where the fork start method is
+    missing (spawn cannot pickle the fixtures).
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if timeout is not None and not (math.isfinite(timeout) and timeout > 0):
-        raise ValueError(f"timeout must be a finite number of seconds > 0, got {timeout}")
+    if not (numtheory.is_int(jobs) and jobs >= 1):
+        raise ValueError(f"jobs must be an int >= 1, got {jobs!r}")
+    if timeout is not None and not (
+        (numtheory.is_int(timeout) or isinstance(timeout, float)) and 0 < timeout < math.inf
+    ):
+        raise ValueError(f"timeout must be a finite number of seconds > 0, got {timeout!r}")
     chosen = _select(tier, name_filter)
     outcomes: dict[str, FixtureOutcome] = {}
 

@@ -155,10 +155,10 @@ def test_largest_coefficients_on_every_support(p: int, v: int) -> None:
 
 def test_count_rejects_bad_stop_and_chunk() -> None:
     inst = make_instance(4, 2, [])
-    for stop_at in (0, -3):
+    for stop_at in (0, -3, 1.5, 2.0, True, "2"):
         with pytest.raises(ValueError, match="stop_at must be >= 1"):
             count_boolean_solutions(inst, stop_at=stop_at)
-    for bits in (0, -1, brink.MAX_CHUNK_BITS + 1, 31):
+    for bits in (0, -1, brink.MAX_CHUNK_BITS + 1, 31, 2.5, 2.0, True, "4"):
         with pytest.raises(ValueError, match="chunk_bits must be >= 1"):
             count_boolean_solutions(inst, chunk_bits=bits)
     assert count_boolean_solutions(inst, chunk_bits=brink.MAX_CHUNK_BITS).count == 16

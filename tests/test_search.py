@@ -1012,11 +1012,13 @@ def _em_residues(kit, tuples, j: int) -> list[list[int]]:
 
 @pytest.mark.parametrize(
     "moduli, m, cap",
-    [((9,), 2, 40), ((2, 2, 2), 3, 12), ((5, 5), 1, 20), ((5, 5), 2, 255), ((2, 4), 4, 30)],
+    [((9,), 2, 40), ((2, 2, 2), 3, 12), ((5, 5), 1, 20), ((5, 5), 2, 255), ((2, 4), 4, 30),
+     ((6,), 12, 255), ((2,), 12, 255), ((7,), 7, 255)],
 )
 def test_array_em_matches_engine(moduli, m, cap) -> None:
     # e_{m-1} and e_m from power sums are the tuple step's, multiplicities
-    # up to a full uint8 row included
+    # up to a full uint8 row included, and degrees up to the int64 edge
+    # that _em_fits allows ((12! 6)**2 is about 8.25e18)
     import numpy as np
 
     ring = make_ring(moduli)
@@ -1025,10 +1027,34 @@ def test_array_em_matches_engine(moduli, m, cap) -> None:
     vals = rng.integers(0, cap + 1, size=(300, kit.card))
     vals[rng.random(vals.shape) < 0.5] = 0  # sparse rows, multiplicities above the exponent
     tuples = [tuple(v) for v in vals.tolist()]
+    assert search._em_fits(ring, m)
     e = kit.elementary(kit.from_tuples(tuples), m)
     assert e.shape == (len(tuples), 2, ring.rank)
     assert e[:, 0].tolist() == _em_residues(kit, tuples, m - 1)
     assert e[:, 1].tolist() == _em_residues(kit, tuples, m)
+
+
+def test_em_tables_build_in_blocks() -> None:
+    # the Z_256 kit's e_m tables are built a block of residues a at a time,
+    # under 6 MB traced, and bit g of entry (a, b) says a + b g != 0, also
+    # on both sides of a block's edge
+    import numpy as np
+
+    ring = make_ring((256,))
+    sym = rings.symmetry_index_perms(ring, False)
+    search._Rows(ring, sym)  # the ring's index tables, cached for the traced build
+    tracemalloc.start()
+    try:
+        kit = search._Rows(ring, sym)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 10**6, peak
+    (bits,) = kit._em_bits
+    b = np.arange(256)[:, None]
+    for a in (0, 1, 15, 16, 17, 128, 255):
+        want = np.packbits((a + b * b.T) % 256 != 0, axis=1, bitorder="little")
+        assert (bits[a] == want).all(), a
 
 
 @pytest.mark.parametrize(

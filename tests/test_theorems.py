@@ -216,7 +216,8 @@ def test_timeout_reports_timeout_status() -> None:
 @pytest.mark.parametrize(
     "kwargs",
     [{"jobs": 0}, {"jobs": -4}, {"timeout": -1}, {"timeout": 0},
-     {"timeout": float("nan")}, {"timeout": float("inf")}],
+     {"timeout": float("nan")}, {"timeout": float("inf")},
+     {"jobs": 1.5}, {"jobs": 2.0}, {"jobs": True}, {"timeout": True}, {"timeout": "5"}],
 )
 def test_run_suite_rejects_bad_jobs_and_timeout(kwargs) -> None:
     with pytest.raises(ValueError, match="jobs|timeout"):
@@ -232,10 +233,16 @@ def test_run_suite_without_fork_refuses_subprocess_mode(monkeypatch) -> None:
     assert [oc.status for oc in run_suite(tier="fast", name_filter="bound-m3")] == ["PASS"]
 
 
-def test_bounds_imports_neither_search_nor_theorems() -> None:
-    # the search takes its caps from bounds, so bounds must not need it
-    tree = ast.parse(Path(bounds.__file__).read_text(encoding="utf-8"))
-    modules = set()  # the egz modules that bounds imports
+@pytest.mark.parametrize(
+    "module, imports",
+    [(bounds, {"numtheory"}), (search, {"bounds", "numtheory", "rings", "multiset"})],
+    ids=["bounds", "search"],
+)
+def test_bounds_imports_neither_search_nor_theorems(module, imports) -> None:
+    # the search takes its caps from bounds, so bounds must not need it; the
+    # search's e_m comes from its own power sums, so it needs no symfun
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    modules = set()  # the egz modules that the module imports
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("egz")):
             if node.module in (None, "egz"):
@@ -244,7 +251,7 @@ def test_bounds_imports_neither_search_nor_theorems() -> None:
                 modules.add(node.module.split(".")[-1])
         elif isinstance(node, ast.Import):
             modules.update(a.name.split(".")[-1] for a in node.names if a.name.startswith("egz"))
-    assert modules == {"numtheory"}
+    assert modules == imports
 
 
 def test_value_grid_fails_a_row_whose_calculator_hypotheses_fail() -> None:
