@@ -53,7 +53,7 @@ The levels do not depend on the cap, so one BFS answers every cap of one
 (kind, ring, m, t). Each kit (one per ring and search group, see _kit)
 caches up to _SEARCHES of them as _Search: the size and least class of
 every level made so far, and the generator that makes the next one,
-suspended (on one-word rows it also holds the previous level and its
+suspended (before an array step it also holds the previous level and its
 extension masks, for the next closure table). A query sends the recorded
 levels up to its cap through progress and resumes the generator only for
 levels past the last one; its answer, witness, certificate bytes and
@@ -95,62 +95,41 @@ extensions could hold a multiplicity past 255, take the tuple step; below
 them a row holds at most 255 elements, which keeps every canonical key an
 exact uint16.
 
-On rows of at most 8 elements the array step tests an extension before it
-makes it, levelwise (the pruning of R. Agrawal and R. Srikant, "Fast
-algorithms for mining association rules", VLDB 1994). A row is one uint64
-word, its key, whose order is tuple order. Each parent R gets one byte, its
-extension mask: bit g set when R + g lies in the next level. It is the e_m
-mask, ANDed on a closed level with the masks of R's removals, since
-R + g - i = (R - i) + g must lie in R's own level, and the step that made
-that level knew which extensions of R - i do. A step that tested closure or
-e_m hands its parents and their masks on (_advance), and the next closed
-step builds from them its closure table: the keys of all |H| images of
-those parents, each with its low byte replaced by the image's mask (bit j
-is bit perm_h[j] of the parent's, since image h of R + perm_h[j] is
-h(R) + j), sorted. The low byte is X[7], or padding below 8 elements, and
-the multisets of a level have one length, so the other 7 bytes name the
-image. The removals R - i of a block of parents are one np.searchsorted
-there, column by column, so they come in ascending runs, and each lookup
-must hit: a miss raises RuntimeError. The table is dropped before any
-extension is made. A tuple step's masks are those it decided as it went,
-bit g set when R + g passed; the first closed Davenport level follows an
-untested seed level and needs no lookups. The step then makes only the
-extensions the masks allow, key(R) + w[g] with w[g] = 256**(7 - g), which
-adds one to byte g and never carries below _ROW_MAX, one sorted run per g;
-dedupes them as uint64 keys, per block of parents and over the level; and
-maps each to its image of least word, the lex-least image.
+The array step tests an extension before it makes it, levelwise (the
+pruning of R. Agrawal and R. Srikant, "Fast algorithms for mining
+association rules", VLDB 1994). Each parent R gets an extension mask: bit g
+set when R + g lies in the next level. It is the e_m mask, ANDed on a
+closed level with the masks of R's removals, since R + g - i = (R - i) + g
+must lie in R's own level, and the step that made that level knew which
+extensions of R - i do. A step that tested closure or e_m hands its parents
+and their masks on (_advance), and the next closed step looks every removal
+R - i of its parents up in a table built from them. Each lookup must hit: a
+miss raises RuntimeError. A tuple step's masks are those it decided as it
+went; the first closed Davenport level follows an untested seed level and
+needs no lookups. The step then makes only the extensions the masks allow.
+Every key is exact, so every level is the true one.
 
-Rows wider than 8 elements are extended as rows, and only the extensions
-their unpacked e_m masks allow go on. They are deduped by sorting exact row
-keys (the row's bytes as one void scalar, whose memcmp order is tuple
-order), and every one-element removal is looked up with np.searchsorted in
-the sorted linear keys of the previous level's full H-orbits (no
-per-removal canonical form), the removals of a block in ascending key
-order. The survivors are then canonicalized: the canonical keys of all |H|
-images of a block of survivors are one np.einsum product, and only the
-image of least key is gathered (with the lex-least of distinct images that
-tie at it, so the choice is a function of the orbit).
+On rows of at most 8 elements a row is one uint64 word, its key, whose
+order is tuple order, and its mask one byte. The table holds the keys of
+all |H| images of the parents, each with its low byte (see _Rows.table)
+replaced by the image's mask (bit j is bit perm_h[j] of the parent's, since
+image h of R + perm_h[j] is h(R) + j), sorted. The removals of a block of
+parents are one np.searchsorted, column by column, in ascending runs. An
+extension's key is key(R) + w[g], w[g] = 256**(7 - g), which adds one to
+byte g and never carries below _ROW_MAX, one sorted run per g. The
+extensions are deduped as uint64 keys, per block of parents and over the
+level, and each is mapped to its image of least word, the lex-least image.
 
-Those lookups use linear keys h(X) = sum X[i] w[i] mod 2**64 (universal
-hashing: Carter and Wegman, JCSS 18, 1979; fingerprints: Karp and Rabin, IBM
-J. Res. Dev. 31, 1987). The keys of all |H| images of a row are one uint64
-np.einsum product with an image-weight matrix, so no image is gathered, and
-a removal's key is the row's key minus one weight. A row of at most 8
-elements is one word, and its weights 256**(7 - i) make the linear key that
-word: exact, so the closure tables of one-word rows can carry a payload.
-Wider rows take fixed odd weights, and two rows may share a key. A shared
-key can only admit a removal that is not in the previous level, never reject
-one that is, so every array level is a superset of the true level (dedupe
-and canonical forms stay exact on rows), and an empty level still proves
-exactness. On such a ring every answer's witness then goes through the full
-tester, whichever step built the levels (a tuple level is exact, so a
-superset of itself): if it passes, it is a true counterexample and the least
-member of the orbits of a superset of the true level, so it is the true
-lex-least one, and the true search ends at the same length. If it fails, a
-collision admitted it, and the whole search runs again on the tuple step,
-whose tests are exact. The fixed weights keep runs deterministic. The
-canonical keys are another matter: exact integers, they only choose one
-member of an orbit and never test membership.
+Wider rows are keyed by their bytes as one void scalar, whose memcmp order
+is tuple order, and their masks packed little-endian as the e_m masks. The
+table holds the key of each parent's canonical form h(R), with the form's
+mask (bit j is bit perm_h[j] of R's), sorted: N keys, not N |H|. A removal
+X = R - i is looked up by its canonical form h(X), and bit g of X's mask is
+bit inverse[g, h] of the form's. The allowed extensions are made as rows,
+deduped by their keys, per block of parents and over the level, and
+canonicalized: the canonical keys of all |H| images of a block of rows are
+one np.einsum product, and only the image of least key is gathered (the
+lex-least of distinct images that tie at it: a function of the orbit).
 
 The independent full testers (is_counterexample_*) are one walk,
 _find_zero_sub, with a window of sizes: exactly t for the EGZ kind, at least
@@ -165,7 +144,7 @@ pin the frontier to unpruned search.
 
 Direct enumeration (method="direct", _least_counterexample) shares none of
 the frontier's machinery: no rows, no search group, no unit permutations,
-no linear keys, and nothing carried from one length to the next. For each
+no keys, and nothing carried from one length to the next. For each
 length it walks the multiplicity vectors depth first in lex order, carrying
 the e_1..e_m values and sizes of the prefix's sub-multisets, and cuts a
 count once it completes a zero-sum sub-multiset. Its first leaf is the
@@ -243,7 +222,7 @@ class EgzOutcome:
 # perms x row bytes) or of uint64 row casts: the first bounds the extension
 # copies (extension rows of wider rows; parents of one-word rows, whose at
 # most 8 extension keys take 64 bytes), the second the canonical gathers
-# under large groups and the casts of the linear keys.
+# under large groups.
 _BLOCK_ROWS = 4096
 _BLOCK_BYTES = 1 << 21
 # Levels whose estimated tuple-step cost (_tuple_cost) is below this take
@@ -253,8 +232,8 @@ _SMALL_LEVEL = 96
 # Largest multiplicity of a uint8 row. A level's extensions are one longer
 # than the level, so levels from _ROW_MAX on take the tuple step.
 _ROW_MAX = 0xFF
-# Seed of the weights of wide rows' linear keys: any fixed value keeps runs
-# deterministic.
+# Seed of the weights of wide rows' canonical keys: any fixed value keeps
+# runs deterministic.
 _KEY_SEED = 0x243F6A8885A308D3
 _MASK64 = (1 << 64) - 1
 # A one-word key but its low byte, which a closure table entry replaces by
@@ -278,16 +257,6 @@ def _splitmix64(n: int) -> list[int]:
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
         out.append(z ^ (z >> 31))
     return out
-
-
-def _key_weights(card: int) -> np.ndarray:
-    """Weights w (uint64, one per element) of the linear row key
-    sum X[i] w[i] mod 2**64. Rows of at most 8 elements take w[i] =
-    256**(7 - i), which makes the key the row's big-endian word. Wider rows
-    take splitmix64 outputs, made odd."""
-    if card <= 8:
-        return np.array([1 << 8 * (7 - i) for i in range(card)], np.uint64)
-    return np.array([z | 1 for z in _splitmix64(card)], np.uint64)
 
 
 def _canonical_weights(card: int) -> np.ndarray:
@@ -326,35 +295,27 @@ class _Rows:
     itemgetters for the tuple step, and the array form of the step.
 
     A row is a multiplicity vector in uint8, zero-padded to whole 8-byte
-    words. keys() is exact, for dedupe: the row's bytes as one void scalar,
-    or a one-word row's word as a uint64. The padding is the same in every
-    row, so their order (memcmp, what np.sort and np.searchsorted use) is
-    tuple order. Image h of X is X.take(perm_h), and a linear key X' @ v of
-    an image X' is X @ V[:, h] with V[perm_h[j], h] = v[j], so the keys of
-    all |H| images of a row are one product (linear_keys). The closure test
-    uses linear keys mod 2**64 (w, see _key_weights), and exact_keys says
-    whether distinct rows always get distinct ones. A canonical form is the
-    image of least canonical key: on one-word rows its word (canonical_keys),
-    so the form is the lex-least image. Wider rows alone hold image weights:
-    W for orbit_keys, and C, of _canonical_weights, for one np.einsum
-    (whose uint16 loop is vectorized: about 7 times faster than a uint64 or
-    int64 matrix product, which numpy runs without BLAS).
+    words. keys() is exact: the row's bytes as one void scalar, or a
+    one-word row's word as a uint64; the padding is the same in every row,
+    so their order (memcmp) is tuple order. Image h of X is X.take(perm_h),
+    and a key X' @ v of an image X' is X @ V[:, h] with V[perm_h[j], h] =
+    v[j] (image_weights). A canonical form is the image of least canonical
+    key: on one-word rows its word (canonical_keys), the lex-least image;
+    on wider ones its key under C, for one np.einsum (whose uint16 loop is
+    vectorized: about 7 times faster than a uint64 or int64 matrix product,
+    which numpy runs without BLAS).
 
-    The step derives each extension R + g from its parent R. elementary()
-    gives each parent's e_{m-1} and e_m as residues per coordinate, and
-    em_masks() says from _em_bits whether e_m(R + g) = e_m(R) + g e_{m-1}(R)
-    is nonzero, for rows of every width. On one-word rows the key
-    is also the linear key: masks() gives each parent the extensions that
-    reach the next level, from the e_m mask and the previous level's
-    table(), and extension_keys() makes only those, the parent's key plus
-    w[g], deduped as uint64 and turned back into rows (from_keys) only for
-    the canonical pass. Wider rows are extended, e_m-filtered and deduped
-    as rows, by exact void keys, so no hash ever merges two candidates.
+    elementary() gives each parent R's e_{m-1} and e_m as residues per
+    coordinate, and em_masks() says from _em_bits whether e_m(R + g) =
+    e_m(R) + g e_{m-1}(R) is nonzero. masks() (one-word rows) and
+    form_masks() (wider ones) give each parent the extensions that reach
+    the next level, from that and the previous level's table(). One-word
+    extensions are made as keys (extension_keys), wider ones as rows.
     """
 
     __slots__ = (
         "ring", "card", "add_t", "mul_t", "one_idx", "width",
-        "images", "perm", "inverse", "w", "W", "C", "exact_keys", "eye",
+        "images", "perm", "inverse", "w", "C", "one_word", "eye",
         "_key_view", "_factors", "_em_bits", "_image_masks", "searches",
     )
 
@@ -363,17 +324,19 @@ class _Rows:
         self.card = card = ring.cardinality
         self.add_t, self.mul_t, self.one_idx = _index_tables(ring)
         self.width = width = -(-card // 8) * 8
-        self.exact_keys = width == 8
-        self._key_view = np.dtype(">u8" if self.exact_keys else f"V{width}")
+        self.one_word = width == 8
+        self._key_view = np.dtype(">u8" if self.one_word else f"V{width}")
         self.images = [operator.itemgetter(*p) for p in sym]  # img(mult) is an image
         pad = list(range(card, width))  # padding columns map to themselves
         self.perm = np.array([list(p) + pad for p in sym], dtype=np.intp)
         # inverse[perm_h[j], h] = j: a gather by it is faster than a scatter by perm
         self.inverse = np.ascontiguousarray(self.perm[:, :card].argsort(axis=1).T)
-        self.w = _key_weights(card)
-        self.W = self.C = None  # one-word rows read their keys off the images' words
-        if not self.exact_keys:
-            self.W = self.image_weights(self.w)
+        # w[g] = 256**(7 - g) adds one to byte g of a one-word key; wider
+        # rows read their canonical keys through C
+        self.w = self.C = None
+        if self.one_word:
+            self.w = np.array([1 << 8 * (7 - i) for i in range(card)], np.uint64)
+        else:
             self.C = self.image_weights(_canonical_weights(card))
         self.eye = np.eye(card, width, dtype=np.uint8)
         self._factors: dict[tuple[int, int, int], tuple[int, ...]] = {}
@@ -406,7 +369,7 @@ class _Rows:
 
     def keys(self, rows: np.ndarray) -> np.ndarray:
         raw = np.ascontiguousarray(rows).view(self._key_view).ravel()
-        return raw.astype(np.uint64) if self.exact_keys else raw
+        return raw.astype(np.uint64) if self.one_word else raw
 
     def unique(self, rows: np.ndarray) -> np.ndarray:
         """Distinct rows in tuple order."""
@@ -443,14 +406,17 @@ class _Rows:
         size = 8 * (len(self.perm) + self.width)
         return max(1, min(_BLOCK_ROWS, _BLOCK_BYTES // size))
 
-    def canonical(self, rows: np.ndarray) -> np.ndarray:
+    def canonical(self, rows: np.ndarray, keys=None) -> tuple[np.ndarray, np.ndarray]:
         """The image of least canonical key (see C) of each row wider than
         one word, and among distinct images that share it, the lex-least: a
-        function of the row's orbit. One product gives the keys, and one
-        gather the image; only the images that tie at a row's least key are
-        gathered and compared."""
+        function of the row's orbit. Returns the forms and, for each row, the
+        index of a map h with h(row) its form. One product gives the keys
+        (unless given: those of every image, which canonical overwrites),
+        and one gather the image; only the images that tie at a row's least
+        key are gathered and compared."""
         n = len(rows)
-        keys = np.einsum("ij,jk->ik", rows[:, : self.card].astype(np.uint16), self.C)
+        if keys is None:
+            keys = np.einsum("ij,jk->ik", rows[:, : self.card].astype(np.uint16), self.C)
         pick = keys.argmin(axis=1)
         at = np.arange(n)
         out = rows[at[:, None], self.perm[pick]]
@@ -458,7 +424,7 @@ class _Rows:
         keys[at, pick] = 0xFFFF  # above every key
         tied = np.flatnonzero(keys.min(axis=1) == low)
         if not len(tied):
-            return out
+            return out, pick
         r, h = np.nonzero(keys[tied] == low[tied, None])
         r = tied[r]  # with h, the other maps at a row's least key
         images = rows[r[:, None], self.perm[h]]
@@ -466,12 +432,14 @@ class _Rows:
         if differ.any():  # distinct images share the least key
             r = r[differ]
             images = np.concatenate((images[differ], out[r]))
+            h = np.concatenate((h[differ], pick[r]))
             r = np.concatenate((r, r))
             order = np.lexsort(tuple(images[:, : self.card].T[::-1]) + (r,))
             ranked = r[order]  # by row, then image in tuple order
             first = order[np.concatenate(([True], ranked[1:] != ranked[:-1]))]
             out[r[first]] = images[first]
-        return out
+            pick[r[first]] = h[first]
+        return out, pick
 
     def image_words(self, rows: np.ndarray) -> np.ndarray:
         """The words of all |H| images of one-word rows, (N, |H|) big-endian:
@@ -485,10 +453,11 @@ class _Rows:
         words = self.image_words(rows)
         return words[np.arange(len(rows)), words.argmin(axis=1)].astype(np.uint64)
 
-    def least(self, rows: np.ndarray) -> tuple[int, ...]:
-        """The lex-least member of the union of the rows' orbits. On
-        one-word rows every row is the lex-least member of its orbit, and
-        row 0 of a sorted level is it. Wider rows read an image as chunks
+    def least(self, rows) -> tuple[int, ...]:
+        """The lex-least member of the union of the rows' orbits. A tuple
+        level (a set) keeps lex-least members, and so do one-word rows: its
+        least tuple, or row 0 of a sorted level, is it. Wider rows read an
+        image as chunks
         of digits consecutive elements, each chunk a number in base b (the
         rows' largest multiplicity + 1) below 2**16, an exact uint16 (b is
         at most 256, so digits is at least 2). One np.einsum gives the first
@@ -497,7 +466,9 @@ class _Rows:
         over the rows still in play, narrows it. A running best spans the
         blocks."""
         card, n_h = self.card, len(self.perm)
-        if self.exact_keys:
+        if isinstance(rows, set):
+            return min(rows)
+        if self.one_word:
             return tuple(rows[0, :card].tolist())
         base = int(rows[:, :card].max()) + 1
         digits = 1
@@ -522,50 +493,6 @@ class _Rows:
             found = tuple(block[0, self.perm[mask[0].argmax(), :card]].tolist())
             best = found if best is None else min(best, found)
         return best
-
-    def linear_keys(self, rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """rows @ weights mod 2**64: with w the rows' linear keys, with W
-        those of all their images (one column per map of H). The rows are
-        cast to uint64 in blocks of at most _BLOCK_BYTES, each one np.einsum
-        product."""
-        per = max(1, _BLOCK_BYTES // (8 * self.card))
-        out = np.empty((len(rows),) + weights.shape[1:], np.uint64)
-        for lo in range(0, len(rows), per):
-            block = rows[lo : lo + per, : self.card].astype(np.uint64)
-            np.einsum("ij,j...->i...", block, weights, out=out[lo : lo + per])
-        return out
-
-    def orbit_keys(self, rows: np.ndarray) -> np.ndarray:
-        """Sorted linear keys of every image of every row under the search
-        group."""
-        keys = self.linear_keys(rows, self.W).ravel()
-        keys.sort()
-        return keys
-
-    def closed(self, rows: np.ndarray, prev_keys: np.ndarray) -> np.ndarray:
-        """Mask of the rows wider than one word whose one-element removals
-        all have linear keys in prev_keys: k - w[i], with k the row's own.
-        A key shared by a removal and some other image can only keep a row,
-        never drop one. np.searchsorted starts each lookup from the last one
-        when its needles ascend, so they run in key order: the rows are
-        sorted by k here and their mask scattered back. A removal's key
-        k - w[i] keeps that order, but for the keys below w[i], which wrap
-        past 2**64 and ascend again after the others."""
-        k = self.linear_keys(rows, self.w)
-        order = np.argsort(k)
-        rows, k = rows[order], k[order]
-        ok = np.ones(len(rows), dtype=bool)
-        for i, wi in enumerate(self.w):  # wi a np.uint64: the arithmetic stays uint64
-            sel = np.flatnonzero(ok & (rows[:, i] > 0))
-            if not len(sel):
-                continue
-            sub = k[sel] - wi
-            pos = np.searchsorted(prev_keys, sub)
-            pos[pos == len(prev_keys)] = 0
-            ok[sel[prev_keys[pos] != sub]] = False
-        out = np.empty_like(ok)
-        out[order] = ok
-        return out
 
     def elementary(self, rows: np.ndarray, m: int) -> np.ndarray:
         """e_{m-1} and e_m of each row by Newton's identities, as an (N, 2,
@@ -640,44 +567,31 @@ class _Rows:
             poly = out
         return poly[m]
 
-    def step(self, rows: np.ndarray, closed: bool, em_m: int | None, prev=None):
-        """The array level step: as _step_tuples, on sorted distinct rows,
-        with closed asking for the closure test and em_m for the e_m test.
-        Returns the next level, sorted, and on one-word rows the rows'
-        extension masks (None on wider rows). prev is what _advance handed
-        on from the step before, the pair (its parents, their masks); None
-        when rows hold every multiset of their length (a seed level), and
-        on rows wider than one word, which look their removals up in
-        orbit_keys(rows) instead."""
-        if self.exact_keys:
+    def step(self, rows: np.ndarray, em_m: int | None, prev=None):
+        """The array level step: as _step_tuples, on sorted distinct rows.
+        em_m asks for the e_m test; prev, what _advance handed on from the
+        step before (its parents, their masks), for the closure test, None
+        on a seed level. Returns the next level, sorted, and the rows'
+        extension masks: a uint8 each on one-word rows, else as em_masks."""
+        if self.one_word:
             return self._step_words(rows, em_m, prev)
-        return self._step_wide(rows, self.orbit_keys(rows) if closed else None, em_m), None
+        return self._step_wide(rows, em_m, prev)
 
-    def _step_wide(self, rows: np.ndarray, prev_keys: np.ndarray | None, em_m: int | None):
-        """The step on rows wider than one word: extend blocks of parents,
-        drop the extensions with e_m = 0, dedupe by exact void keys, look
-        every removal of the rest up in prev_keys (the previous level's
-        orbit_keys), and canonicalize the survivors."""
-        per = max(1, _BLOCK_ROWS // self.card)
-        blocks = []
-        for lo in range(0, len(rows), per):
-            block = rows[lo : lo + per]
-            ext = self.extend(block)
-            if em_m is not None:
-                bits = np.unpackbits(self.em_masks(block, em_m), axis=1, bitorder="little")
-                ext = ext[bits[:, : self.card].ravel() > 0]
-            blocks.append(self.unique(ext))
-        cands = self.unique(np.concatenate(blocks))
-        if prev_keys is not None:
-            found = []
-            for lo in range(0, len(cands), _BLOCK_ROWS):
-                block = cands[lo : lo + _BLOCK_ROWS]
-                found.append(block[self.closed(block, prev_keys)])
-            cands = np.concatenate(found or [cands])
+    def _step_wide(self, rows: np.ndarray, em_m: int | None, prev):
+        """The step on wider rows: per block of parents, their masks
+        (form_masks) and the extensions they allow, deduped; then a dedupe
+        over the level, which drops the block lists, and canonical forms."""
+        table = None if prev is None else self.table(*prev)
         per = self.block_rows()
-        return self.unique(np.concatenate([
-            self.canonical(cands[lo : lo + per]) for lo in range(0, len(cands), per)
-        ] or [cands]))
+        masks, blocks = [], []
+        for lo in range(0, len(rows), per):
+            masks.append(self.form_masks(rows[lo : lo + per], table, em_m))
+            bits = np.unpackbits(masks[-1], axis=1, count=self.card, bitorder="little")
+            blocks.append(self.unique(self.extend(rows[lo : lo + per])[bits.ravel() > 0]))
+        cands = self.unique(np.concatenate(blocks))
+        del blocks
+        forms = [self.canonical(cands[lo : lo + per])[0] for lo in range(0, len(cands), per)]
+        return self.unique(np.concatenate(forms or [cands])), np.concatenate(masks)
 
     def _step_words(self, rows: np.ndarray, em_m: int | None, prev):
         """The step on one-word rows: each parent's extension mask (masks),
@@ -719,24 +633,71 @@ class _Rows:
         removals = (keys - self.w[:, None] & _HIGH_BYTES)[held]
         found = table[table.searchsorted(removals).clip(max=len(table) - 1)]
         if (found & _HIGH_BYTES != removals).any():
-            raise RuntimeError(
-                f"search on {self.ring}: a removal of a stored class is missing "
-                "from the previous level's table"
-            )
+            raise self._missing()
         got = np.full(held.shape, 0xFF, np.uint8)
         got[held] = found.astype(np.uint8)  # the masks, in the low byte
         return out & np.bitwise_and.reduce(got, axis=0)
 
-    def table(self, parents, masks: np.ndarray) -> np.ndarray:
-        """The closure table of a level of one-word parents (rows, or the
-        tuple step's tuples in the order of their masks): the key of each
-        image h(R) of each parent R, its low byte replaced by the image's
-        extension mask (bit j is bit perm_h[j] of R's mask), sorted. The low
-        byte is X[7], or padding below 8 elements, and all multisets of a
-        level have one length, so the other 7 bytes name the image. Built in
-        blocks into one array."""
+    def form_masks(self, rows: np.ndarray, table, em_m) -> np.ndarray:
+        """Extension masks of wider rows, packed as em_masks: the e_m mask
+        (every bit when em_m is None), with a table ANDed with the mask of
+        each removal R - i, column by column: bit g is bit inverse[g, h] of
+        the mask of its form h(R - i) in the table. Every lookup must hit; a
+        miss raises RuntimeError. The canonical keys of R - i's images are
+        R's less C[i], so one product serves every column."""
+        card = self.card
+        if em_m is None:
+            ok = np.packbits(np.ones((len(rows), card), bool), axis=1, bitorder="little")
+        else:
+            ok = self.em_masks(rows, em_m)
+        if table is None:
+            return ok
+        forms, masks = table
+        keys = np.einsum("ij,jk->ik", rows[:, :card].astype(np.uint16), self.C)
+        for i in range(card):
+            sel = np.flatnonzero((rows[:, i] > 0) & ok.any(axis=1))
+            if len(sel):
+                form, h = self.canonical(rows[sel] - self.eye[i], keys[sel] - self.C[i])
+                found = self.keys(form)
+                at = forms.searchsorted(found).clip(max=len(forms) - 1)
+                if (forms[at] != found).any():
+                    raise self._missing()
+                ok[sel] &= self.image_bits(masks[at], self.inverse.T[h])
+        return ok
+
+    def image_bits(self, masks: np.ndarray, index: np.ndarray) -> np.ndarray:
+        """Packed masks whose bit j is bit index[r, j] of packed mask r."""
+        bits = np.unpackbits(masks, axis=1, bitorder="little")
+        return np.packbits(bits[np.arange(len(masks))[:, None], index], axis=1, bitorder="little")
+
+    def _missing(self) -> RuntimeError:
+        return RuntimeError(
+            f"search on {self.ring}: a removal of a stored class is missing "
+            "from the previous level's table"
+        )
+
+    def table(self, parents, masks: np.ndarray):
+        """The closure table of a level of parents (rows, or the tuple
+        step's tuples in the order of their masks), built in blocks. On
+        one-word rows: the key of each image h(R) of each parent R, its low
+        byte (X[7], or padding) replaced by the image's extension mask (bit
+        j is bit perm_h[j] of R's), sorted; a level's multisets have one
+        length, so the other 7 bytes name the image. On wider rows: the keys
+        of the parents' canonical forms h(R), sorted, and the forms' masks
+        (bit j is bit perm_h[j] of R's); a tuple step keeps lex-least
+        members, so the parents are canonicalized here."""
         if not isinstance(parents, np.ndarray):
             parents = self.from_tuples(parents)
+        if not self.one_word:
+            per = self.block_rows()
+            keys, held = [], []
+            for lo in range(0, len(parents), per):
+                form, h = self.canonical(parents[lo : lo + per])
+                keys.append(self.keys(form))
+                held.append(self.image_bits(masks[lo : lo + per], self.perm[h]))
+            keys = np.concatenate(keys)
+            order = keys.argsort()
+            return keys[order], np.concatenate(held)[order]
         if self._image_masks is None:  # bit k of a mask is bit inverse[k, h] of its image h
             bits = (np.arange(256)[:, None] >> np.arange(self.card) & 1).astype(np.uint64)
             self._image_masks = bits @ (np.uint64(1) << self.inverse.astype(np.uint64))
@@ -951,68 +912,62 @@ def _em_fits(ring: RingSpec, m: int) -> bool:
     return (math.factorial(m) * max(ring.moduli)) ** 2 < 1 << 63
 
 
-def _on_tuples(kit: _Rows, n: int, level: int, em_m, arrays: bool) -> bool:
+def _on_tuples(kit: _Rows, n: int, level: int, em_m) -> bool:
     """Whether the step from a level of n classes of length level takes the
-    tuple step: every step when arrays is false, levels whose extensions
-    could hold a multiplicity past a uint8, levels that test an e_m the
-    power sums cannot hold, and small levels."""
+    tuple step: levels whose extensions could hold a multiplicity past a
+    uint8, levels that test an e_m the power sums cannot hold, and small
+    levels."""
     return (
-        not arrays
-        or level >= _ROW_MAX
+        level >= _ROW_MAX
         or (em_m is not None and not _em_fits(kit.ring, em_m))
         or _tuple_cost(n, kit.card, len(kit.images)) < _SMALL_LEVEL
     )
 
 
-def _advance(kit: _Rows, frontier, level: int, closed: bool, em_m, arrays: bool, prev=None):
+def _advance(kit: _Rows, frontier, level: int, closed: bool, em_m, prev=None):
     """The level after frontier, a set of tuples or a sorted row array of
     multisets of length level, under the kit's group, and what the step
     after it needs of this one; prev is that of the step before.
 
     closed asks for the closure test against frontier itself; em_m for the
     e_m != 0 test. The tuple step (see _on_tuples) returns a set, the array
-    step a sorted array. A step on one-word rows that tested either hands
-    on its parents (a tuple step's still tuples) and their extension masks,
-    as a uint8 array; any other hands on None.
+    step a sorted array. A step that tested either hands on its parents (a
+    tuple step's still tuples) and their extension masks, packed as the
+    array step's (see _Rows.step); any other hands on None.
     """
-    if _on_tuples(kit, len(frontier), level, em_m, arrays):
+    if _on_tuples(kit, len(frontier), level, em_m):
         parents = kit.to_tuples(frontier) if isinstance(frontier, np.ndarray) else frontier
         out, masks = _step_tuples(kit, parents, parents if closed else None, em_m)
+        size = kit.width // 8
+        masks = np.frombuffer(b"".join(x.to_bytes(size, "little") for x in masks), np.uint8)
+        if not kit.one_word:
+            masks = masks.reshape(-1, size)
     else:
         parents = kit.from_tuples(sorted(frontier)) if isinstance(frontier, set) else frontier
-        out, masks = kit.step(parents, closed, em_m, prev)
-    tested = closed or em_m is not None
-    return out, ((parents, np.asarray(masks, np.uint8)) if tested and kit.exact_keys else None)
+        out, masks = kit.step(parents, em_m, prev)
+    return out, ((parents, masks) if closed or em_m is not None else None)
 
 
-def _least(kit: _Rows, frontier) -> tuple[int, ...]:
-    """The lex-least member of a level's orbits: of a tuple level, its least
-    tuple, since the tuple step keeps lex-least representatives."""
-    if isinstance(frontier, np.ndarray):
-        return kit.least(frontier)
-    return min(frontier)
-
-
-def _frontier_max(kit: _Rows, kind: str, m: int, t: int | None, arrays: bool):
+def _frontier_max(kit: _Rows, kind: str, m: int, t: int | None):
     """The frontier BFS as a generator of (level, frontier): the seed level,
     then each later nonempty level. It stops at the first empty level: the
     search closed there.
 
     Seed levels skip the closure test: every multiset of length below the
     seed is a counterexample, and at the EGZ seed level t exactly those with
-    e_m != 0 are. arrays=False keeps every level on the tuple step."""
+    e_m != 0 are."""
     seed = t if kind == KIND_EGZ else m - 1
     frontier, prev = {(0,) * kit.card}, None
     for level in range(seed):
         seed_em = m if level + 1 == t else None
-        frontier, prev = _advance(kit, frontier, level, False, seed_em, arrays)
+        frontier, prev = _advance(kit, frontier, level, False, seed_em)
     em_m = m if kind == KIND_DAV else None
     level = seed
     while len(frontier):
-        if _on_tuples(kit, len(frontier), level, em_m, arrays):
+        if _on_tuples(kit, len(frontier), level, em_m):
             prev = None  # the tuple step needs nothing of the level before
         yield level, frontier, prev
-        frontier, prev = _advance(kit, frontier, level, True, em_m, arrays, prev)
+        frontier, prev = _advance(kit, frontier, level, True, em_m, prev)
         level += 1
 
 
@@ -1037,17 +992,17 @@ class _Search:
     of the search to any larger one. levels[i] is (size, least class) of
     level seed + i; gen is the suspended _frontier_max that makes the next
     level, or None, and nbytes the size of the frontier it holds (with the
-    previous level and its masks on one-word rows, see _nbytes); done says
-    the level after the last one is empty. A closed gen with done false is
-    re-run from the seed when a larger cap needs more levels, and makes the
-    same levels again. The kit is passed to each
-    call, not kept, so a kit and the searches it caches form no reference
-    cycle unless a generator is suspended."""
+    previous level and its masks before an array step, see _nbytes); done
+    says the level after the last one is empty. A closed gen with done false
+    is re-run from the seed when a larger cap needs more levels, and makes
+    the same levels again. The kit is passed to each call, not kept, so a
+    kit and the searches it caches form no reference cycle unless a
+    generator is suspended."""
 
-    __slots__ = ("kind", "m", "t", "arrays", "seed", "levels", "gen", "nbytes", "done")
+    __slots__ = ("kind", "m", "t", "seed", "levels", "gen", "nbytes", "done")
 
-    def __init__(self, kind: str, m: int, t: int | None, arrays: bool = True):
-        self.kind, self.m, self.t, self.arrays = kind, m, t, arrays
+    def __init__(self, kind: str, m: int, t: int | None):
+        self.kind, self.m, self.t = kind, m, t
         self.seed = t if kind == KIND_EGZ else m - 1
         self.levels: list[tuple[int, tuple[int, ...]]] = []
         self.gen = None
@@ -1069,7 +1024,7 @@ class _Search:
                 progress(level, size)
         while not self.done and seed + len(self.levels) <= cap:
             if self.gen is None:
-                self.gen = _frontier_max(kit, self.kind, self.m, self.t, arrays=self.arrays)
+                self.gen = _frontier_max(kit, self.kind, self.m, self.t)
                 for _ in self.levels:
                     next(self.gen)
             step = next(self.gen, None)
@@ -1078,7 +1033,7 @@ class _Search:
                 self.close()
                 break
             level, frontier, prev = step
-            self.levels.append((len(frontier), _least(kit, frontier)))
+            self.levels.append((len(frontier), kit.least(frontier)))
             self.nbytes = _nbytes(frontier, level, prev)
             if progress:
                 progress(level, len(frontier))
@@ -1128,14 +1083,8 @@ def max_counterexample_length(
 
     The frontier search answers from the ring's cached search of (kind, m,
     t), resumed past its recorded levels only when cap needs more (see
-    _Search). On rows wider than one word the array step's closure test
-    compares linear keys, so each level is a superset of the true one, and
-    on those rings every witness is checked by the full tester: it passes,
-    and is then the true lex-least counterexample of the true last level,
-    unless a key collision admitted it; in that case the search runs again,
-    uncached, on the tuple step, whose tests are exact, and progress reports
-    its levels again. m, cap and t must be ints (not bools), and the
-    Davenport kind takes t=None."""
+    _Search). m, cap and t must be ints (not bools), and the Davenport
+    kind takes t=None."""
     return _max_length(kind, ring, m, cap, t, method, progress, cached=True)
 
 
@@ -1168,8 +1117,6 @@ def _max_length(kind, ring, m, cap, t, method, progress, cached: bool):
         level, least = _cached_search(kit, kind, m, t, cap, progress)
     else:
         level, least = _Search(kind, m, t).to(kit, cap, progress)
-    if not kit.exact_keys and not _counterexample_test(ring, kind, m, t)(least):
-        level, least = _Search(kind, m, t, arrays=False).to(kit, cap, progress)
     return level, MultisetSeq(ring, least)
 
 

@@ -327,6 +327,12 @@ _VALUE_GRIDS = (
                          ((f"k={k}", (k,), 1, k, {"k": k}) for k in range(2, 9))),
      "2k - 1", "fast", "seconds",
      "E(k, Z_k, 1) = 2k - 1 for 2 <= k <= 8, each closed by search."),
+    ("egz-3a-3-3-grid",
+     lambda: _bound_rows("E", "egz-primepower-upper", (
+         (f"alpha={a}", (3,), 3, 3 ** a, dict(p=3, r=a, s=1, m=3)) for a in (3, 4, 5))),
+     "3^alpha + 6", "fast", "milliseconds",
+     "E(3^alpha, Z_3, 3) = 3^alpha + 6 for alpha = 3, 4, 5 (Example 2 of the "
+     "abstract): the search attains the bound."),
     ("dav-olson-small",
      partial(_olson_queries, (
          (2,), (3,), (4,), (5,), (6,), (7,), (8,), (9,), (10,), (11,), (12,),

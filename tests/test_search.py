@@ -643,31 +643,53 @@ def _least_image(kit, mult) -> tuple[int, ...]:
     return min(img(mult) for img in kit.images)
 
 
+def _on(monkeypatch, tuples: bool) -> None:
+    # every later step on tuples, or every one on arrays, at every size
+    monkeypatch.setattr(search, "_on_tuples", lambda *args: tuples)
+
+
+def _mask_ints(masks) -> list[int]:
+    # packed extension masks, a byte or width // 8 bytes a row, as ints
+    return [int.from_bytes(x.tobytes(), "little") for x in masks.reshape(len(masks), -1)]
+
+
+def _image_masks(kit, parents, masks) -> dict:
+    # the extension mask of every image h(P) of every parent P: bit j is
+    # bit perm_h[j] of P's, since h(P) + j is the image of P + perm_h[j]
+    out = {}
+    for parent, mask in zip(parents, _mask_ints(masks)):
+        for img, perm in zip(kit.images, kit.perm.tolist()):
+            out[img(parent)] = sum((mask >> perm[j] & 1) << j for j in range(kit.card))
+    return out
+
+
 def _assert_steps_keep_the_same_orbits(kit, kind, m, t, cap, monkeypatch) -> None:
     # the array step keeps one row per orbit, and the tuple step the
     # orbit's lex-least member: the rows' lex-least images, found through
     # the group itself, must be the tuple step's set, one for one. Each
-    # level is made twice on arrays (_advance with arrays takes the array
-    # step at every size): from the array level before, and from the tuple
-    # level before, each with what _advance handed on (on one-word rows,
-    # the parents and their masks). One-word rows are lex-least members
-    # too, so both steps hand on the same masks
-    monkeypatch.setattr(search, "_on_tuples", lambda kit, n, level, em_m, arrays: not arrays)
+    # level is made twice on arrays (at every size): from the array level
+    # before, and from the tuple level before, each with what _advance
+    # handed on, the parents and their masks. The array step's parents are
+    # canonical rows, so its masks are the tuple step's read through the
+    # map from each lex-least tuple to its row (one-word rows are lex-least
+    # members too, and the map the identity)
     seed = t if kind == KIND_EGZ else m - 1
     frontier, before = {(0,) * kit.card}, None
     rows, prev = kit.from_tuples(frontier), None
     for level in range(1, cap + 1):
         closed = level > seed
         em_m = m if (kind == KIND_DAV and closed) or level == t else None
-        expect, handed = search._advance(kit, frontier, level - 1, closed, em_m, False)
-        scratch, _ = search._advance(kit, frontier, level - 1, closed, em_m, True, before)
-        rows, prev = search._advance(kit, rows, level - 1, closed, em_m, True, prev)
-        assert (prev is not None) == (kit.exact_keys and bool(closed or em_m))
+        _on(monkeypatch, True)
+        expect, handed = search._advance(kit, frontier, level - 1, closed, em_m)
+        _on(monkeypatch, False)
+        scratch, _ = search._advance(kit, frontier, level - 1, closed, em_m, before)
+        rows, prev = search._advance(kit, rows, level - 1, closed, em_m, prev)
+        assert (prev is not None) == bool(closed or em_m)
         assert (handed is None) == (prev is None)
         if prev is not None:
-            tuple_masks = dict(zip(handed[0], handed[1].tolist()))
-            array_masks = zip(map(tuple, prev[0][:, : kit.card].tolist()), prev[1].tolist())
-            assert tuple_masks == dict(array_masks), level
+            tuple_masks = _image_masks(kit, handed[0], handed[1])
+            array_masks = zip(map(tuple, prev[0][:, : kit.card].tolist()), _mask_ints(prev[1]))
+            assert all(tuple_masks[row] == mask for row, mask in array_masks), level
         for got in (rows, scratch):
             least = sorted(_least_image(kit, tuple(r)) for r in got[:, : kit.card].tolist())
             assert least == sorted(expect), (level, len(expect), len(got))
@@ -695,7 +717,7 @@ def test_canonical_key_ties_keep_the_orbits(kind, moduli, m, t, cap, weights, mo
 
     ring = make_ring(moduli)
     kit = search._Rows(ring, symmetry_index_perms(ring, m == 1))
-    assert not kit.exact_keys
+    assert not kit.one_word
     c = np.ones(kit.card, kit.C.dtype)
     if weights == "repeated":
         c += np.arange(kit.card, dtype=c.dtype) % 3
@@ -731,9 +753,10 @@ def test_array_levels_record_the_tuple_steps_least_classes(
     kit = search._kit(make_ring(moduli), True)
     arrays = search._Search(KIND_DAV, 1, None)
     arrays.to(kit, cap, None)
-    tuples = search._Search(KIND_DAV, 1, None, arrays=False)
-    tuples.to(kit, cap, None)
     assert steps  # some level took the array step
+    _on(monkeypatch, True)
+    tuples = search._Search(KIND_DAV, 1, None)
+    tuples.to(kit, cap, None)
     assert arrays.levels == tuples.levels
 
 
@@ -791,7 +814,7 @@ def test_canonical_pass_and_least_stay_within_blocks(fresh_kits) -> None:
     ring = make_ring((5, 5))
     kit = search._kit(ring, True)
     assert len(kit.perm) == 480
-    for level, frontier, _ in search._frontier_max(kit, KIND_DAV, 1, None, arrays=True):
+    for level, frontier, _ in search._frontier_max(kit, KIND_DAV, 1, None):
         if level == 6:
             break
     rows = frontier if not isinstance(frontier, set) else kit.from_tuples(frontier)
@@ -827,7 +850,7 @@ def test_row_keys_follow_tuple_order(moduli, cap) -> None:
     uniq = kit.unique(rows)
     assert [tuple(r) for r in uniq[:, : kit.card].tolist()] == sorted(set(tuples))
     units = search._Rows(ring, unit_index_perms(ring))
-    if kit.exact_keys:  # one word: the canonical form is the lex-least image
+    if kit.one_word:  # one word: the canonical form is the lex-least image
         canon = units.from_keys(units.canonical_keys(rows))
         assert [tuple(r) for r in canon[:, : kit.card].tolist()] == [
             canonical_mult(tp, orbit_perms(ring)) for tp in tuples
@@ -838,14 +861,16 @@ def test_row_keys_follow_tuple_order(moduli, cap) -> None:
         ]
         return
     # wider rows, of at most _ROW_MAX elements as in the search: the form
-    # lies in the row's orbit and is the same for every image of the row
+    # lies in the row's orbit, is the same for every image of the row, and
+    # is the image under the map canonical returns with it
     rows = rows[vals.sum(axis=1) <= search._ROW_MAX]
     for group in (units, kit):
-        canon = group.canonical(rows)
+        canon, maps = group.canonical(rows)
         for row, form in zip(rows[:, : kit.card].tolist(), canon[:, : kit.card].tolist()):
             assert tuple(form) in {img(tuple(row)) for img in group.images}
+        assert (rows[np.arange(len(rows))[:, None], group.perm[maps]] == canon).all()
         images = np.concatenate([rows.take(perm, axis=1) for perm in group.perm])
-        again = group.canonical(images).reshape(len(group.perm), *rows.shape)
+        again = group.canonical(images)[0].reshape(len(group.perm), *rows.shape)
         assert (again == canon).all()
 
 
@@ -858,7 +883,7 @@ def test_extension_keys_are_the_extensions_keys(moduli) -> None:
     import numpy as np
 
     kit = search._kit(make_ring(moduli), True)
-    assert kit.exact_keys
+    assert kit.one_word
     card = kit.card
     rng = np.random.default_rng(card)
     vals = rng.integers(0, search._ROW_MAX, size=(50, card))
@@ -874,11 +899,12 @@ def test_extension_keys_are_the_extensions_keys(moduli) -> None:
 
 @pytest.mark.parametrize("moduli", [(8,), (2, 2, 2), (3, 3), (5, 5), (2, 2, 2, 2), (2, 6)])
 def test_image_weights_key_the_images(moduli) -> None:
-    # W[perm_h[j], h] = w[j]: row @ W[:, h] is the key of the image
-    # row.take(perm_h), not of its inverse image; one-word kits hold no W,
-    # and their exact keys are the gathered image words. Both groups of
-    # each ring, so wide rows under few maps are covered too: Z_3 x Z_3
-    # under its 8 unit maps, Z_2 x Z_6 under 2 (12 additive)
+    # V[perm_h[j], h] = v[j]: row @ V[:, h] is the key of the image
+    # row.take(perm_h), not of its inverse image. One-word kits key rows by
+    # their words, the gathered image words; wider ones hold C, the image
+    # weights of the canonical keys. Both groups of each ring, so wide rows
+    # under few maps are covered too: Z_3 x Z_3 under its 8 unit maps,
+    # Z_2 x Z_6 under 2 (12 additive)
     import numpy as np
 
     ring = make_ring(moduli)
@@ -887,55 +913,45 @@ def test_image_weights_key_the_images(moduli) -> None:
         card = kit.card
         rng = np.random.default_rng(card)
         rows = kit.from_tuples(rng.integers(0, 256, size=(300, card)).tolist())
-        assert kit.exact_keys == (card <= 8) == (kit.W is None)
-        keys = kit.image_words(rows) if kit.exact_keys else rows[:, :card] @ kit.W
-        images = []
-        for h, perm in enumerate(kit.perm):
-            image = rows.take(perm, axis=1)[:, :card]
-            assert (image @ kit.w == keys[:, h]).all()
-            images.append(image @ kit.w)
-        if kit.exact_keys:
-            assert (kit.linear_keys(rows, kit.w) == kit.keys(rows)).all()
+        assert kit.one_word == (card <= 8) == (kit.C is None) == (kit.w is not None)
+        if kit.one_word:
+            v, keys = kit.w, kit.image_words(rows)
         else:
-            assert (kit.orbit_keys(rows) == np.sort(np.concatenate(images))).all()
+            v = search._canonical_weights(card).astype(np.int64)
+            keys = rows[:, :card].astype(np.int64) @ kit.C
+        for h, perm in enumerate(kit.perm):
+            image = rows.take(perm, axis=1)[:, :card].astype(v.dtype)
+            assert (image @ v == keys[:, h]).all()
 
 
-def test_wider_rings_check_every_witness(monkeypatch, fresh_kits) -> None:
-    # D_1(Z_3 x Z_3) cap 6: every closure level takes the tuple step, whose
-    # tests are exact, yet the ring is wider than one word, so the full
-    # tester still checks the witness, of a cached repeat too; a one-word
-    # ring's witness needs no check
-    calls = []
-    counterexample_test = search._counterexample_test
+def test_wide_answers_run_one_search_and_no_tester(monkeypatch, fresh_kits) -> None:
+    # every level is exact on rows of every width, so an answer on a ring
+    # wider than one word, from the tuple step (D_1(Z_3 x Z_3) cap 6) or
+    # the array step, runs one search, and a cached repeat none; the full
+    # tester, the direct search's check, never runs
+    calls, runs = [], []
+    monkeypatch.setattr(search, "_counterexample_test", lambda *args: calls.append(args))
+    frontier_max = search._frontier_max
 
-    def spy_test(*args):
-        check = counterexample_test(*args)
+    def spy(kit, *args):
+        runs.append((kit.card,) + args)
+        return frontier_max(kit, *args)
 
-        def counted(mult):
-            calls.append(tuple(mult))
-            return check(mult)
-
-        return counted
-
+    monkeypatch.setattr(search, "_frontier_max", spy)
     steps = []
     step = search._Rows.step
 
     def spy_step(self, *args):
-        steps.append(len(args[0]))
+        steps.append(self.card)
         return step(self, *args)
 
-    monkeypatch.setattr(search, "_counterexample_test", spy_test)
     monkeypatch.setattr(search._Rows, "step", spy_step)
-    ring = make_ring((3, 3))
-    out = davenport_m(ring, 1, 6)
-    assert (out.kind, out.value) == ("exact", 5)
-    assert steps == []
-    assert calls == [out.witness.mult]
-    assert davenport_m(ring, 1, 6) == out
-    assert calls == [out.witness.mult] * 2
-    calls.clear()
-    out = davenport_m(make_ring((7,)), 3, 15)
-    assert (out.kind, out.value) == ("exact", 13)
+    for _ in range(2):
+        assert davenport_m(make_ring((3, 3)), 1, 6).value == 5
+        assert davenport_m(make_ring((5, 5)), 1, 9).value == 9
+        assert egz_constant(make_ring((9,)), 2, 9).value == 17
+    assert runs == [(9, KIND_DAV, 1, None), (25, KIND_DAV, 1, None), (9, KIND_EGZ, 2, 9)]
+    assert steps[0] == 25 and 9 in steps  # Z_3 x Z_3 on tuples, the others on arrays
     assert calls == []
 
 
@@ -955,27 +971,12 @@ def test_wider_rings_check_every_witness(monkeypatch, fresh_kits) -> None:
 def test_key_collisions_do_not_change_the_answer(
     moduli, kind, m, t, cap, monkeypatch, fresh_kits
 ) -> None:
-    # all-ones weights give every multiset of one length the same linear
-    # key, so the closure test keeps every candidate: each level is a
-    # superset of the true one, the search runs to the cap, its witness
-    # fails the full tester, and the rerun on the tuple step must give the
-    # answer of the unpruned search
-    import numpy as np
-
-    monkeypatch.setattr(search, "_key_weights", lambda card: np.ones(card, np.uint64))
-    monkeypatch.setattr(search, "_kit", search._kit.__wrapped__)  # fresh kits, uncached
+    # every key of a wide row is exact, so no key can collide: with every
+    # level past the seed on the array step, closure lookups by canonical
+    # form included, the answer is that of the unpruned search
     monkeypatch.setattr(search, "_SMALL_LEVEL", 0)  # every level takes the array step
-    runs = []
-    frontier_max = search._frontier_max
-
-    def spy(*args, arrays):
-        runs.append(arrays)
-        return frontier_max(*args, arrays=arrays)
-
-    monkeypatch.setattr(search, "_frontier_max", spy)
     ring = make_ring(moduli)
     frontier = max_counterexample_length(kind, ring, m, cap, t=t)
-    assert runs == [True, False]
     assert frontier == max_counterexample_length(kind, ring, m, cap, t=t, method="direct")
 
 
@@ -1092,109 +1093,115 @@ def test_power_sums_match_the_tuple_steps_em(moduli) -> None:
             assert (bits[:, g] == by_sums).all(), (m, g)
 
 
-def test_closed_looks_removals_up_in_key_order(fresh_kits) -> None:
-    # on rows wider than one word, closed sorts the rows by key and scatters
-    # its mask back: the mask is that of a lookup of every removal, column
-    # by column in row order, though many removal keys k - w[i] wrap below 0
-    import numpy as np
-
-    ring = make_ring((3, 3))
-    kit = search._kit(ring, True)
-    assert not kit.exact_keys
-    rng = np.random.default_rng(9)
-    rows = kit.from_tuples(rng.integers(0, 3, size=(400, kit.card)).tolist())
-    k = kit.linear_keys(rows, kit.w)  # closed computes these itself
-    removals, wraps, count = [], 0, 0
-    for key, row in zip(k.tolist(), rows[:, : kit.card].tolist()):
-        ws = [wi for wi, c in zip(kit.w.tolist(), row) if c]
-        removals.append({key - wi & search._MASK64 for wi in ws})
-        wraps += sum(key < wi for wi in ws)
-        count += len(ws)
-    assert 0 < wraps < count
-    known = set().union(*removals[::2])  # every removal of the even rows
-    known |= set(rng.integers(0, 1 << 63, size=500, dtype=np.uint64).tolist())
-    known |= {x for r in removals[1::4] for x in sorted(r)[1:]}  # all but one
-    prev = np.array(sorted(known), np.uint64)
-    expect = [all(x in known for x in r) for r in removals]
-    assert 200 <= sum(expect) < len(rows)
-    assert kit.closed(rows, prev).tolist() == expect
-    order = rng.permutation(len(rows))
-    assert kit.closed(rows[order], prev).tolist() == [expect[i] for i in order]
-
-
 @pytest.mark.parametrize(
     "kind, moduli, m, t, level",
     [
         (KIND_DAV, (2, 2, 2), 1, None, 3),  # |H| = 168
         (KIND_EGZ, (8,), 2, 8, 10),  # byte 7 an element's count
         (KIND_DAV, (2, 4), 2, None, 6),
+        (KIND_DAV, (3, 3), 1, None, 3),  # wide rows, from here on
+        (KIND_EGZ, (3, 3), 2, 9, 11),
+        (KIND_DAV, (5, 5), 1, None, 5),  # |H| = 480
     ],
 )
-def test_table_masks_name_the_surviving_extensions(kind, moduli, m, t, level, fresh_kits) -> None:
-    # each table entry is the key of an image of a class of one level, its
-    # low byte replaced by that image's mask: bit g set exactly when the
-    # image plus g lies in the next level's orbits. The table is built from
-    # what the tuple step hands on, and an array step hands on its masks
+def test_table_masks_name_the_surviving_extensions(
+    kind, moduli, m, t, level, monkeypatch, fresh_kits
+) -> None:
+    # each table entry names an image of a class of one level, with that
+    # image's mask: bit g set exactly when the image plus g lies in the next
+    # level's orbits. On one-word rows an entry is the image's key, its low
+    # byte replaced by the mask, for every image; on wider rows the table
+    # holds the keys of the classes' canonical forms and their masks. The
+    # table is built from what the tuple step hands on, and an array step
+    # hands on its masks
+    import numpy as np
+
     kit = search._kit(make_ring(moduli), m == 1)
     card = kit.card
     levels = {}
-    for at, frontier, _ in search._frontier_max(kit, kind, m, t, arrays=False):
+    _on(monkeypatch, True)
+    for at, frontier, _ in search._frontier_max(kit, kind, m, t):
         levels[at] = frontier
         if at == level:
             break
     parents, grown = levels[level - 1], levels[level]
     em_m = m if kind == KIND_DAV else None
-    out, handed = search._advance(kit, parents, level - 1, True, em_m, False)
+    out, handed = search._advance(kit, parents, level - 1, True, em_m)
     assert out == grown and handed[0] is parents
     orbits = {img(x) for x in grown for img in kit.images}
     table = kit.table(*handed)
-    assert (table[1:] >= table[:-1]).all()
-    images = set()
-    for entry in table.tolist():
-        word = entry.to_bytes(8, "big")
-        image = list(word[:card])
-        if card == 8:
-            image[7] = level - 1 - sum(word[:7])
-        images.add(tuple(image))
+    if kit.one_word:
+        entries = []
+        for entry in table.tolist():
+            word = entry.to_bytes(8, "big")
+            image = list(word[:card])
+            if card == 8:
+                image[7] = level - 1 - sum(word[:7])
+            entries.append((image, word[7]))
+        assert (table[1:] >= table[:-1]).all()
+        assert {tuple(x) for x, _ in entries} == {img(x) for x in parents for img in kit.images}
+    else:
+        keys, masks = table
+        forms = kit.from_keys(keys)[:, :card].tolist()
+        assert forms == sorted(forms) and len(set(map(tuple, forms))) == len(parents)
+        entries = list(zip(forms, _mask_ints(masks)))
+        assert sorted(_least_image(kit, tuple(x)) for x in forms) == sorted(parents)
+    for image, mask in entries:
         expect = 0
         for g in range(card):
             image[g] += 1
             expect |= (tuple(image) in orbits) << g
             image[g] -= 1
-        assert word[7] == expect, (image, word[7], expect)
-    assert images == {img(x) for x in parents for img in kit.images}
+        assert mask == expect, (image, mask, expect)
     before = None
     if level - 2 in levels:
-        before = search._advance(kit, levels[level - 2], level - 2, True, em_m, False)[1]
+        before = search._advance(kit, levels[level - 2], level - 2, True, em_m)[1]
     parent_rows = kit.from_tuples(sorted(parents))
-    got, masks = kit.step(parent_rows, True, em_m, before)
-    assert (got == kit.from_tuples(sorted(grown))).all()
-    tuple_masks = dict(zip(*handed))
-    assert masks.tolist() == [tuple_masks[x] for x in sorted(parents)]
+    got, masks = kit.step(parent_rows, em_m, before)
+    assert sorted(_least_image(kit, tuple(x)) for x in got[:, :card].tolist()) == sorted(grown)
+    assert (got == kit.unique(got)).all()  # sorted and distinct
+    tuple_masks = dict(zip(handed[0], _mask_ints(handed[1])))
+    assert _mask_ints(masks) == [tuple_masks[x] for x in sorted(parents)]
+    assert masks.shape == ((len(parents),) if kit.one_word else (len(parents), kit.width // 8))
 
 
 def test_a_table_missing_a_removal_raises(monkeypatch, fresh_kits) -> None:
     # E(16, Z_8, 2): each closed level's table loses the entries of the
     # images of its first parent with an extension, one of which is a
     # removal of a class of the level; the lookup misses, and the search
-    # raises rather than answer, and leaves no cached search
+    # raises rather than answer, and leaves no cached search. The same on
+    # rows wider than one word, D_1(Z_3 x Z_3) and D_1(Z_5 x Z_5) with every
+    # level on the array step: each table of more than one class loses the
+    # canonical form of its first parent with an extension
     import numpy as np
 
     table = search._Rows.table
 
     def lossy(self, parents, masks):
         out = table(self, parents, masks)
-        i = int(np.flatnonzero(masks)[0])
-        images = self.image_words(parents[i : i + 1]) & search._HIGH_BYTES
-        gone = np.isin(out & search._HIGH_BYTES, images)
-        assert gone.any()
-        return out[~gone]
+        i = int(np.flatnonzero(masks.reshape(len(masks), -1).any(axis=1))[0])
+        if self.one_word:
+            images = self.image_words(parents[i : i + 1]) & search._HIGH_BYTES
+            gone = np.isin(out & search._HIGH_BYTES, images)
+            assert gone.any()
+            return out[~gone]
+        keys, held = out
+        if len(keys) == 1:
+            return out
+        (gone,) = np.flatnonzero(keys == self.keys(self.canonical(parents[i : i + 1])[0]))
+        return np.delete(keys, gone), np.delete(held, gone, axis=0)
 
     monkeypatch.setattr(search._Rows, "table", lossy)
     ring = make_ring((8,))
     with pytest.raises(RuntimeError, match="missing"):
         egz_constant(ring, 2, 16)
     assert not search._kit(ring, False).searches
+    monkeypatch.setattr(search, "_SMALL_LEVEL", 0)
+    for moduli in ((3, 3), (5, 5)):
+        ring = make_ring(moduli)
+        with pytest.raises(RuntimeError, match="missing"):
+            davenport_m(ring, 1, 9)
+        assert not search._kit(ring, True).searches
 
 
 def test_tuple_cost_charges_images_by_width(monkeypatch, fresh_kits) -> None:
@@ -1234,9 +1241,9 @@ def test_power_sums_too_wide_for_int64_take_the_tuple_step(
     calls = []
     step = search._Rows.step
 
-    def spy(self, rows, closed, em_m, *args):
+    def spy(self, rows, em_m, *args):
         calls.append(em_m)
-        return step(self, rows, closed, em_m, *args)
+        return step(self, rows, em_m, *args)
 
     monkeypatch.setattr(search._Rows, "step", spy)
     kit = search._kit(ring, False)
@@ -1244,7 +1251,8 @@ def test_power_sums_too_wide_for_int64_take_the_tuple_step(
     answer = arrays.to(kit, cap, None)
     assert None in calls  # the seed levels test no e_m
     assert (m in calls) == fits
-    tuples = search._Search(KIND_DAV, m, None, arrays=False)
+    _on(monkeypatch, True)
+    tuples = search._Search(KIND_DAV, m, None)
     assert tuples.to(kit, cap, None) == answer
     assert arrays.levels == tuples.levels
     assert answer[0] < cap  # closed
@@ -1263,9 +1271,9 @@ def test_testing_e_m_does_not_move_a_level_off_the_array_step(moduli, additive) 
     for n in range(1, 120):
         costs.add(search._tuple_cost(n, kit.card, len(kit.images)))
         for level in (0, 1, 8, search._ROW_MAX - 1, search._ROW_MAX, 300):
-            plain = search._on_tuples(kit, n, level, None, True)
+            plain = search._on_tuples(kit, n, level, None)
             for m in range(1, 13):
-                routed = search._on_tuples(kit, n, level, m, True)
+                routed = search._on_tuples(kit, n, level, m)
                 assert routed == (plain or not search._em_fits(kit.ring, m)), (n, level, m)
     assert any(search._SMALL_LEVEL <= cost < 256 for cost in costs)
     assert not search._em_fits(make_ring((8,)), 12)
@@ -1421,31 +1429,59 @@ def test_a_large_frontier_is_not_kept(fresh_kits) -> None:
     assert _answer(KIND_EGZ, ring, 2, 9, 13) == _uncached(KIND_EGZ, ring, 2, 9, 13)
 
 
+def test_a_wide_search_keeps_no_block_lists(fresh_kits) -> None:
+    # E(5, Z_5 x Z_5, 1) cap 17, on rows wider than one word: the wide step
+    # drops its per-block lists once the level-wide dedupe is done, and its
+    # closure table holds one entry per class, so the search peaks under
+    # 15 MiB traced
+    ring = make_ring((5, 5))
+    kit = search._kit(ring, True)  # the kit's tables, outside the trace
+    assert not kit.one_word and not kit.searches
+    tracemalloc.start()
+    try:
+        out = egz_constant(ring, 1, 5, cap=17)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (out.kind, out.value) == ("exact", 17)
+    assert peak < 15 * 2**20, peak / 2**20
+
+
 def test_suspended_frontiers_stay_within_the_budget(monkeypatch, fresh_kits) -> None:
     # D_m(Z_9) for m = 2..9 at three caps each, on one kit: at most
     # _SEARCHES are cached, and their suspended frontiers never sum past
-    # _SUSPEND_BYTES
+    # _SUSPEND_BYTES. The budget is 8192 bytes: a wide search whose next
+    # step is an array step holds the previous level and its masks too
+    # (D_4(Z_9) at cap 7 2850 bytes, 960 for its frontier alone)
+    import numpy as np
+
     monkeypatch.setattr(search, "_SEARCHES", 6)
-    monkeypatch.setattr(search, "_SUSPEND_BYTES", 4096)
+    monkeypatch.setattr(search, "_SUSPEND_BYTES", 8192)
     ring = make_ring((9,))
     kit = search._kit(ring, False)
     for m in range(2, 10):
         for cap in (m, m + 1, m + 3):
             davenport_m(ring, m, cap)
             assert len(kit.searches) <= 6
-            assert sum(s.nbytes for s in kit.searches.values()) <= 4096
+            assert sum(s.nbytes for s in kit.searches.values()) <= 8192
             assert all((s.gen is None) == (s.nbytes == 0) for s in kit.searches.values())
     assert [key[1] for key in kit.searches] == [4, 5, 6, 7, 8, 9]
     assert any(s.gen is not None for s in kit.searches.values())
     assert any(s.gen is None and not s.done for s in kit.searches.values())
+    held = kit.searches[(KIND_DAV, 4, None)]
+    for level, frontier, prev in search._frontier_max(kit, KIND_DAV, 4, None):
+        if level == 7:
+            break
+    parents, masks = prev
+    assert isinstance(parents, np.ndarray) and masks.shape == (len(parents), 2)
+    assert held.nbytes == search._nbytes(frontier, level, prev) == 2850
+    assert search._nbytes(frontier, level) == 960
     # D_2(Z_2 x Z_4): a one-word search whose next step is an array step
     # also holds the previous level and its extension masks for the next
     # closure test, and counts them: at level 2 (14 classes, made by a
     # tuple step) the tuple step's 6 parents and masks, at levels 4 to 8
     # (level 8 has 13 classes, tuple cost 107) an array step's; before a
     # tuple step (level 9, of 7 classes) it holds the frontier alone
-    import numpy as np
-
     ring = make_ring((2, 4))
     kit = search._kit(ring, False)
     for cap in (2, 4, 5, 6, 7, 8, 9):
@@ -1453,7 +1489,7 @@ def test_suspended_frontiers_stay_within_the_budget(monkeypatch, fresh_kits) -> 
         (held,) = kit.searches.values()
         assert held.gen is not None and held.nbytes <= 4096
         last = held.seed + len(held.levels) - 1
-        for level, frontier, prev in search._frontier_max(kit, KIND_DAV, 2, None, arrays=True):
+        for level, frontier, prev in search._frontier_max(kit, KIND_DAV, 2, None):
             if level == last:
                 break
         assert held.nbytes == search._nbytes(frontier, level, prev)

@@ -147,7 +147,8 @@ _FAST_IDS = {
     "bound-p-group-linear-49", "bound-primepower-exact-values", "brink-4-2-2",
     "brink-random-grid", "dav-olson-small", "dav-z2-degree-grid",
     "dominating-closed-form", "egz-16-8-2-witness", "egz-3-3-2",
-    "egz-5-5-3-sandwich", "egz-k-k-1-classic", "egz-q-q-3-lower", "egz-z2-grid",
+    "egz-3a-3-3-grid", "egz-5-5-3-sandwich", "egz-k-k-1-classic", "egz-q-q-3-lower",
+    "egz-z2-grid",
     "gao-qq-info-q2", "kummer-legendre-grid", "lconst-primepower-grid",
     "newton-girard-recursion", "rank2-reiher-search", "sweep-egz-inequalities",
 }
@@ -167,7 +168,7 @@ def test_fixture_registry_well_formed() -> None:
     assert len(ids) == len(set(ids))
     assert ids == sorted(ids)
     # pinned, so a table row that is dropped or mistyped fails here
-    assert len(_FAST_IDS) == 22 and len(_SLOW_IDS) == 19
+    assert len(_FAST_IDS) == 23 and len(_SLOW_IDS) == 19
     assert {fx.id for fx in fixtures if fx.tier == "fast"} == _FAST_IDS
     assert {fx.id for fx in fixtures if fx.tier == "slow"} == _SLOW_IDS
     for fx in fixtures:
