@@ -79,13 +79,14 @@ The tuple step (_step_tuples) makes the raw extensions in Python on sets of
 tuples, dedupes them, then tests closure, then e_m; it serves levels whose
 estimated Python cost, _tuple_cost (candidates, and images charged by their
 width), is below _SMALL_LEVEL, whether or not e_m is tested, where numpy's
-fixed cost per call would dominate. The array step (_Rows.step)
-keeps the level as a sorted (N, width) uint8 array, one byte per element,
-and works in blocks (_Rows.block_rows: at most _BLOCK_ROWS rows and
-_BLOCK_BYTES of images). It takes e_m of each extension R + g from its
-parent R: e_{m-1} and e_m of a block of parents once, from their power sums
-by Newton's identities (_Rows.elementary; I. G. Macdonald, Symmetric
-Functions and Hall Polynomials, 2nd ed., 1995, I.2), then whether
+fixed cost per call would dominate. The array step (_Rows.step), one body
+for rows of every width, keeps the level as a sorted (N, width) uint8
+array, one byte per element, and works in blocks of parents
+(_Rows.block_rows: at most _BLOCK_ROWS rows and _BLOCK_BYTES of images or
+canonical keys). It takes e_m of each extension R + g from its parent R:
+e_{m-1} and e_m of a block of parents once, from their power sums by
+Newton's identities (_Rows.elementary; I. G. Macdonald, Symmetric Functions
+and Hall Polynomials, 2nd ed., 1995, I.2), then whether
 e_m(R + g) = e_m(R) + g e_{m-1}(R) is nonzero, for every g by one lookup
 per coordinate in packed bit tables (_Rows.em_masks), on rows of every
 width. The power sums are residues mod m! n, exact in int64 only while
@@ -97,38 +98,38 @@ exact uint16.
 
 The array step tests an extension before it makes it, levelwise (the
 pruning of R. Agrawal and R. Srikant, "Fast algorithms for mining
-association rules", VLDB 1994). Each parent R gets an extension mask: bit g
-set when R + g lies in the next level. It is the e_m mask, ANDed on a
-closed level with the masks of R's removals, since R + g - i = (R - i) + g
-must lie in R's own level, and the step that made that level knew which
-extensions of R - i do. A step that tested closure or e_m hands its parents
-and their masks on (_advance), and the next closed step looks every removal
-R - i of its parents up in a table built from them. Each lookup must hit: a
-miss raises RuntimeError. A tuple step's masks are those it decided as it
-went; the first closed Davenport level follows an untested seed level and
-needs no lookups. The step then makes only the extensions the masks allow.
-Every key is exact, so every level is the true one.
+association rules", VLDB 1994). Each parent R gets an extension mask,
+width / 8 bytes packed little-endian: bit g set when R + g lies in the next
+level. It is the e_m mask, ANDed on a closed level with the masks of R's
+removals, since R + g - i = (R - i) + g must lie in R's own level, and the
+step that made that level knew which extensions of R - i do. A step that
+tested closure or e_m hands its parents and their masks on (_advance), and
+the next closed step looks every removal R - i of its parents up in a table
+built from them. Each lookup must hit: a miss raises RuntimeError. A tuple
+step's masks are those it decided as it went; the first closed Davenport
+level follows an untested seed level and needs no lookups. Once every
+parent's mask is decided the table goes, and the step makes only the
+extensions the masks allow, as keys, dedupes them per block of parents and
+over the level, and maps each to the key of its canonical form. Every key
+is exact, so every level is the true one.
 
-On rows of at most 8 elements a row is one uint64 word, its key, whose
-order is tuple order, and its mask one byte. The table holds the keys of
-all |H| images of the parents, each with its low byte (see _Rows.table)
-replaced by the image's mask (bit j is bit perm_h[j] of the parent's, since
-image h of R + perm_h[j] is h(R) + j), sorted. The removals of a block of
-parents are one np.searchsorted, column by column, in ascending runs. An
-extension's key is key(R) + w[g], w[g] = 256**(7 - g), which adds one to
-byte g and never carries below _ROW_MAX, one sorted run per g. The
-extensions are deduped as uint64 keys, per block of parents and over the
-level, and each is mapped to its image of least word, the lex-least image.
+The width changes only the keys. On rows of at most 8 elements a row is
+one uint64 word, its key, whose order is tuple order. The table holds the
+keys of all |H| images of the parents, each with its low byte (see
+_Rows.table) replaced by the image's mask (bit j is bit perm_h[j] of the
+parent's, since image h of R + perm_h[j] is h(R) + j), sorted. The removals
+of a block of parents are one np.searchsorted, column by column, in
+ascending runs. An extension's key is key(R) + w[g], w[g] = 256**(7 - g),
+which adds one to byte g and never carries below _ROW_MAX, one sorted run
+per g, and its canonical form is its image of least word, the lex-least.
 
 Wider rows are keyed by their bytes as one void scalar, whose memcmp order
-is tuple order, and their masks packed little-endian as the e_m masks. The
-table holds the key of each parent's canonical form h(R), with the form's
-mask (bit j is bit perm_h[j] of R's), sorted: N keys, not N |H|. A removal
-X = R - i is looked up by its canonical form h(X), and bit g of X's mask is
-bit inverse[g, h] of the form's. The allowed extensions are made as rows,
-deduped by their keys, per block of parents and over the level, and
-canonicalized: the canonical keys of all |H| images of a block of rows are
-one np.einsum product, and only the image of least key is gathered (the
+is tuple order. The table holds the key of each parent's canonical form
+h(R), with the form's mask (bit j is bit perm_h[j] of R's), sorted: N keys,
+not N |H|. A removal X = R - i is looked up by its canonical form h(X), and
+bit g of X's mask is bit inverse[g, h] of the form's. An extension's key is
+that of its row; the canonical keys of all |H| images of a block of rows
+are one np.einsum product, and only the image of least key is gathered (the
 lex-least of distinct images that tie at it: a function of the orbit).
 
 The independent full testers (is_counterexample_*) are one walk,
@@ -218,11 +219,10 @@ class EgzOutcome:
     cap_used: int | None
 
 
-# Rows per numpy block, and bytes per block of gathered images (rows x
-# perms x row bytes) or of uint64 row casts: the first bounds the extension
-# copies (extension rows of wider rows; parents of one-word rows, whose at
-# most 8 extension keys take 64 bytes), the second the canonical gathers
-# under large groups.
+# The most rows of one numpy block (_Rows.block_rows), and bytes per block
+# of canonical keys or images under the group: the first bounds a block's
+# extension keys under small groups, the second its canonical pass under
+# large ones.
 _BLOCK_ROWS = 4096
 _BLOCK_BYTES = 1 << 21
 # Levels whose estimated tuple-step cost (_tuple_cost) is below this take
@@ -307,15 +307,15 @@ class _Rows:
 
     elementary() gives each parent R's e_{m-1} and e_m as residues per
     coordinate, and em_masks() says from _em_bits whether e_m(R + g) =
-    e_m(R) + g e_{m-1}(R) is nonzero. masks() (one-word rows) and
-    form_masks() (wider ones) give each parent the extensions that reach
-    the next level, from that and the previous level's table(). One-word
-    extensions are made as keys (extension_keys), wider ones as rows.
+    e_m(R) + g e_{m-1}(R) is nonzero. masks() gives each parent the
+    extensions that reach the next level, from that and the previous
+    level's table(), packed little-endian in width // 8 bytes on rows of
+    every width; step() makes those extensions as keys (extension_keys).
     """
 
     __slots__ = (
         "ring", "card", "add_t", "mul_t", "one_idx", "width",
-        "images", "perm", "inverse", "w", "C", "one_word", "eye",
+        "images", "perm", "inverse", "w", "C", "one_word", "eye", "full",
         "_key_view", "_factors", "_em_bits", "_image_masks", "searches",
     )
 
@@ -339,6 +339,8 @@ class _Rows:
         else:
             self.C = self.image_weights(_canonical_weights(card))
         self.eye = np.eye(card, width, dtype=np.uint8)
+        # the packed mask of every extension, which an untested level's rows share
+        self.full = np.frombuffer(((1 << card) - 1).to_bytes(width // 8, "little"), np.uint8)
         self._factors: dict[tuple[int, int, int], tuple[int, ...]] = {}
         self._image_masks = None  # (256, |H|): a mask's image under each map, made by table()
         # _em_bits[k][a, b]: bit g (of width // 8 bytes, little-endian) set when
@@ -371,12 +373,6 @@ class _Rows:
         raw = np.ascontiguousarray(rows).view(self._key_view).ravel()
         return raw.astype(np.uint64) if self.one_word else raw
 
-    def unique(self, rows: np.ndarray) -> np.ndarray:
-        """Distinct rows in tuple order."""
-        k = self.keys(rows)
-        k = k.copy() if np.may_share_memory(k, rows) else k  # void keys view rows
-        return self.from_keys(_distinct(k))
-
     def from_keys(self, keys: np.ndarray) -> np.ndarray:
         """The rows of keys() values, as a view of their big-endian bytes."""
         raw = keys.astype(self._key_view, copy=False)
@@ -386,14 +382,18 @@ class _Rows:
         """All len(rows) * card one-element extensions, parent-major."""
         return (rows[:, None, :] + self.eye).reshape(-1, self.width)
 
-    def extension_keys(self, keys: np.ndarray, masks: np.ndarray) -> np.ndarray:
-        """The keys of the extensions R + g of one-word rows below _ROW_MAX
-        with bit g set in R's mask, one run per g: R's key plus w[g], which
-        adds one to byte g and never carries. Sorted keys give sorted runs."""
-        grown = keys + self.w[:, None]  # (card, N), one row per g
-        if (masks == (1 << self.card) - 1).all():  # a seed level's: every extension
+    def extension_keys(self, rows: np.ndarray, masks: np.ndarray) -> np.ndarray:
+        """The keys of the extensions R + g of rows below _ROW_MAX with bit g
+        set in R's mask. On one word, one run per g: R's key plus w[g], which
+        adds one to byte g and never carries, so sorted rows give sorted
+        runs; on wider rows, the keys of the extension rows, parent-major."""
+        if not self.one_word:
+            bits = np.unpackbits(masks, axis=1, count=self.card, bitorder="little")
+            return self.keys(self.extend(rows)[bits.ravel() > 0])
+        grown = self.keys(rows) + self.w[:, None]  # (card, N), one row per g
+        if (masks == self.full).all():  # a seed level's: every extension
             return grown.ravel()
-        return grown[(masks >> np.arange(self.card, dtype=np.uint8)[:, None] & 1).view(bool)]
+        return grown[(masks[:, 0] >> np.arange(self.card, dtype=np.uint8)[:, None] & 1).view(bool)]
 
     def image_weights(self, v: np.ndarray) -> np.ndarray:
         """V with V[perm_h[j], h] = v[j]: row @ V[:, h] is the key of image
@@ -401,8 +401,9 @@ class _Rows:
         return v.take(self.inverse)
 
     def block_rows(self) -> int:
-        """Rows per block whose canonical keys (|H| of at most 8 bytes each)
-        and image index (width of 8 bytes) fit _BLOCK_BYTES."""
+        """Rows per block, at most _BLOCK_ROWS, whose canonical keys or image
+        words (|H| of at most 8 bytes each) and image index (width of 8
+        bytes) fit _BLOCK_BYTES: 4096 on one-word rows while |H| <= 56."""
         size = 8 * (len(self.perm) + self.width)
         return max(1, min(_BLOCK_ROWS, _BLOCK_BYTES // size))
 
@@ -447,9 +448,11 @@ class _Rows:
         return rows.take(self.perm, axis=1).view(">u8")[:, :, 0]
 
     def canonical_keys(self, rows: np.ndarray) -> np.ndarray:
-        """keys() of canonical(rows) on one-word rows: the least of the
+        """keys() of the rows' canonical forms: on one word the least of the
         words of their images (by argmin and a gather: a min over big-endian
-        words takes about twice as long)."""
+        words takes about twice as long), on wider rows those of canonical."""
+        if not self.one_word:
+            return self.keys(self.canonical(rows)[0])
         words = self.image_words(rows)
         return words[np.arange(len(rows)), words.argmin(axis=1)].astype(np.uint64)
 
@@ -571,99 +574,68 @@ class _Rows:
         """The array level step: as _step_tuples, on sorted distinct rows.
         em_m asks for the e_m test; prev, what _advance handed on from the
         step before (its parents, their masks), for the closure test, None
-        on a seed level. Returns the next level, sorted, and the rows'
-        extension masks: a uint8 each on one-word rows, else as em_masks."""
-        if self.one_word:
-            return self._step_words(rows, em_m, prev)
-        return self._step_wide(rows, em_m, prev)
-
-    def _step_wide(self, rows: np.ndarray, em_m: int | None, prev):
-        """The step on wider rows: per block of parents, their masks
-        (form_masks) and the extensions they allow, deduped; then a dedupe
-        over the level, which drops the block lists, and canonical forms."""
+        on a seed level. Each parent's extension mask (masks), per block of
+        parents: the previous level's table lives only for these lookups,
+        before any extension is made. Then only the extensions the masks
+        allow, deduped as keys per block of parents and over the level, and
+        their canonical forms. Returns the next level, sorted, and the
+        rows' masks."""
         table = None if prev is None else self.table(*prev)
         per = self.block_rows()
-        masks, blocks = [], []
-        for lo in range(0, len(rows), per):
-            masks.append(self.form_masks(rows[lo : lo + per], table, em_m))
-            bits = np.unpackbits(masks[-1], axis=1, count=self.card, bitorder="little")
-            blocks.append(self.unique(self.extend(rows[lo : lo + per])[bits.ravel() > 0]))
-        cands = self.unique(np.concatenate(blocks))
-        del blocks
-        forms = [self.canonical(cands[lo : lo + per])[0] for lo in range(0, len(cands), per)]
-        return self.unique(np.concatenate(forms or [cands])), np.concatenate(masks)
-
-    def _step_words(self, rows: np.ndarray, em_m: int | None, prev):
-        """The step on one-word rows: each parent's extension mask (masks),
-        then only the extensions it allows, deduped as uint64 keys per block
-        of parents and over the level, and canonicalized. The previous
-        level's table lives only for the lookups, before any survivor is
-        made."""
-        table = None if prev is None else self.table(*prev)
-        keys = self.keys(rows)
-        parts = [slice(lo, lo + _BLOCK_ROWS) for lo in range(0, len(rows), _BLOCK_ROWS)]
-        allowed = np.concatenate([self.masks(rows[p], keys[p], table, em_m) for p in parts])
+        parts = [slice(lo, lo + per) for lo in range(0, len(rows), per)]
+        masks = np.concatenate([self.masks(rows[p], table, em_m) for p in parts])
         del table
         cands = _distinct(np.concatenate([
-            _distinct(self.extension_keys(keys[p], allowed[p])) for p in parts
+            _distinct(self.extension_keys(rows[p], masks[p])) for p in parts
         ]))
-        per = self.block_rows()
         out = _distinct(np.concatenate([
             self.canonical_keys(self.from_keys(cands[lo : lo + per]))
             for lo in range(0, len(cands), per)
         ] or [cands]))
-        return self.from_keys(out), allowed
+        return self.from_keys(out), masks
 
-    def masks(self, rows: np.ndarray, keys: np.ndarray, table: np.ndarray | None, em_m):
-        """Extension masks of one-word rows (keys their keys): bit g set when
+    def masks(self, rows: np.ndarray, table, em_m) -> np.ndarray:
+        """Extension masks of the rows, packed as em_masks: bit g set when
         R + g is in the next level. That is the e_m mask (every bit when
-        em_m is None), and with a table, the AND of the masks it stores for
+        em_m is None), and with a table, the AND of the masks it holds for
         each removal R - i, since R + g - i = (R - i) + g must lie in R's own
-        level. All removals of the rows are one np.searchsorted, column by
-        column, so sorted rows give ascending runs. Each removal of a stored
-        class lies in the previous level, so every lookup must hit; a miss
-        raises RuntimeError. A row whose e_m mask is empty looks nothing up."""
-        if em_m is None:
-            out = np.full(len(rows), (1 << self.card) - 1, np.uint8)
-        else:
-            out = self.em_masks(rows, em_m)[:, 0]
-        if table is None:
-            return out
-        held = (rows[:, : self.card] > 0).T & (out > 0)  # (card, N): the removals to look up
-        removals = (keys - self.w[:, None] & _HIGH_BYTES)[held]
-        found = table[table.searchsorted(removals).clip(max=len(table) - 1)]
-        if (found & _HIGH_BYTES != removals).any():
-            raise self._missing()
-        got = np.full(held.shape, 0xFF, np.uint8)
-        got[held] = found.astype(np.uint8)  # the masks, in the low byte
-        return out & np.bitwise_and.reduce(got, axis=0)
-
-    def form_masks(self, rows: np.ndarray, table, em_m) -> np.ndarray:
-        """Extension masks of wider rows, packed as em_masks: the e_m mask
-        (every bit when em_m is None), with a table ANDed with the mask of
-        each removal R - i, column by column: bit g is bit inverse[g, h] of
-        the mask of its form h(R - i) in the table. Every lookup must hit; a
-        miss raises RuntimeError. The canonical keys of R - i's images are
-        R's less C[i], so one product serves every column."""
+        level. Each removal of a stored class lies in the previous level, so
+        every lookup must hit; a miss raises RuntimeError. A row whose mask
+        is empty looks nothing up. On one word all removals of the rows are
+        one np.searchsorted, column by column, so sorted rows give ascending
+        runs. Wider rows look up the canonical form h(R - i) of each column's
+        removals, and bit g is bit inverse[g, h] of the form's mask; the
+        canonical keys of R - i's images are R's less C[i], so one product
+        serves every column."""
         card = self.card
         if em_m is None:
-            ok = np.packbits(np.ones((len(rows), card), bool), axis=1, bitorder="little")
+            out = np.full((len(rows), len(self.full)), self.full)
         else:
-            ok = self.em_masks(rows, em_m)
+            out = self.em_masks(rows, em_m)
         if table is None:
-            return ok
+            return out
+        if self.one_word:
+            held = (rows[:, :card] > 0).T & (out[:, 0] > 0)  # (card, N): the removals to look up
+            removals = (self.keys(rows) - self.w[:, None] & _HIGH_BYTES)[held]
+            found = table[table.searchsorted(removals).clip(max=len(table) - 1)]
+            if (found & _HIGH_BYTES != removals).any():
+                raise self._missing()
+            got = np.full(held.shape, 0xFF, np.uint8)
+            got[held] = found.astype(np.uint8)  # the masks, in the low byte
+            out[:, 0] &= np.bitwise_and.reduce(got, axis=0)
+            return out
         forms, masks = table
         keys = np.einsum("ij,jk->ik", rows[:, :card].astype(np.uint16), self.C)
         for i in range(card):
-            sel = np.flatnonzero((rows[:, i] > 0) & ok.any(axis=1))
+            sel = np.flatnonzero((rows[:, i] > 0) & out.any(axis=1))
             if len(sel):
                 form, h = self.canonical(rows[sel] - self.eye[i], keys[sel] - self.C[i])
                 found = self.keys(form)
                 at = forms.searchsorted(found).clip(max=len(forms) - 1)
                 if (forms[at] != found).any():
                     raise self._missing()
-                ok[sel] &= self.image_bits(masks[at], self.inverse.T[h])
-        return ok
+                out[sel] &= self.image_bits(masks[at], self.inverse.T[h])
+        return out
 
     def image_bits(self, masks: np.ndarray, index: np.ndarray) -> np.ndarray:
         """Packed masks whose bit j is bit index[r, j] of packed mask r."""
@@ -688,8 +660,8 @@ class _Rows:
         members, so the parents are canonicalized here."""
         if not isinstance(parents, np.ndarray):
             parents = self.from_tuples(parents)
+        per = self.block_rows()
         if not self.one_word:
-            per = self.block_rows()
             keys, held = [], []
             for lo in range(0, len(parents), per):
                 form, h = self.canonical(parents[lo : lo + per])
@@ -702,11 +674,11 @@ class _Rows:
             bits = (np.arange(256)[:, None] >> np.arange(self.card) & 1).astype(np.uint64)
             self._image_masks = bits @ (np.uint64(1) << self.inverse.astype(np.uint64))
         out = np.empty((len(parents), len(self.perm)), np.uint64)
-        for lo in range(0, len(parents), _BLOCK_ROWS):
-            part = out[lo : lo + _BLOCK_ROWS]
-            part[:] = self.image_words(parents[lo : lo + _BLOCK_ROWS])
+        for lo in range(0, len(parents), per):
+            part = out[lo : lo + per]
+            part[:] = self.image_words(parents[lo : lo + per])
             part &= _HIGH_BYTES
-            part |= self._image_masks[masks[lo : lo + _BLOCK_ROWS]]
+            part |= self._image_masks[masks[lo : lo + per, 0]]
         out = out.ravel()
         out.sort()
         return out
@@ -940,8 +912,7 @@ def _advance(kit: _Rows, frontier, level: int, closed: bool, em_m, prev=None):
         out, masks = _step_tuples(kit, parents, parents if closed else None, em_m)
         size = kit.width // 8
         masks = np.frombuffer(b"".join(x.to_bytes(size, "little") for x in masks), np.uint8)
-        if not kit.one_word:
-            masks = masks.reshape(-1, size)
+        masks = masks.reshape(-1, size)
     else:
         parents = kit.from_tuples(sorted(frontier)) if isinstance(frontier, set) else frontier
         out, masks = kit.step(parents, em_m, prev)

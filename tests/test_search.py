@@ -649,8 +649,8 @@ def _on(monkeypatch, tuples: bool) -> None:
 
 
 def _mask_ints(masks) -> list[int]:
-    # packed extension masks, a byte or width // 8 bytes a row, as ints
-    return [int.from_bytes(x.tobytes(), "little") for x in masks.reshape(len(masks), -1)]
+    # packed extension masks, width // 8 bytes a row, as ints
+    return [int.from_bytes(x.tobytes(), "little") for x in masks]
 
 
 def _image_masks(kit, parents, masks) -> dict:
@@ -819,14 +819,15 @@ def test_canonical_pass_and_least_stay_within_blocks(fresh_kits) -> None:
             break
     rows = frontier if not isinstance(frontier, set) else kit.from_tuples(frontier)
     assert len(rows) == 107
-    cands = kit.unique(kit.extend(rows))
+    every = kit.masks(rows, None, None)  # an untested level's: every extension
+    cands = kit.from_keys(search._distinct(kit.extension_keys(rows, every)))
     assert len(cands) * len(kit.perm) * 8 > 4 * search._BLOCK_BYTES
     per = kit.block_rows()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         for lo in range(0, len(cands), per):
-            kit.canonical(cands[lo : lo + per])
+            kit.canonical_keys(cands[lo : lo + per])
         kit.least(cands)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
@@ -847,7 +848,7 @@ def test_row_keys_follow_tuple_order(moduli, cap) -> None:
     rows = kit.from_tuples(tuples)
     order = np.argsort(kit.keys(rows), kind="stable")
     assert [tuples[i] for i in order] == sorted(tuples)
-    uniq = kit.unique(rows)
+    uniq = kit.from_keys(search._distinct(kit.keys(rows).copy()))  # wide keys view rows
     assert [tuple(r) for r in uniq[:, : kit.card].tolist()] == sorted(set(tuples))
     units = search._Rows(ring, unit_index_perms(ring))
     if kit.one_word:  # one word: the canonical form is the lex-least image
@@ -861,11 +862,13 @@ def test_row_keys_follow_tuple_order(moduli, cap) -> None:
         ]
         return
     # wider rows, of at most _ROW_MAX elements as in the search: the form
-    # lies in the row's orbit, is the same for every image of the row, and
-    # is the image under the map canonical returns with it
+    # lies in the row's orbit, is the same for every image of the row, is
+    # the image under the map canonical returns with it, and its key is the
+    # row's canonical key
     rows = rows[vals.sum(axis=1) <= search._ROW_MAX]
     for group in (units, kit):
         canon, maps = group.canonical(rows)
+        assert (group.canonical_keys(rows) == group.keys(canon)).all()
         for row, form in zip(rows[:, : kit.card].tolist(), canon[:, : kit.card].tolist()):
             assert tuple(form) in {img(tuple(row)) for img in group.images}
         assert (rows[np.arange(len(rows))[:, None], group.perm[maps]] == canon).all()
@@ -874,27 +877,37 @@ def test_row_keys_follow_tuple_order(moduli, cap) -> None:
         assert (again == canon).all()
 
 
-@pytest.mark.parametrize("moduli", [(2,), (5,), (8,), (2, 2, 2), (2, 4)])
+@pytest.mark.parametrize(
+    "moduli", [(2,), (5,), (8,), (2, 2, 2), (2, 4), (3, 3), (5, 5), (2, 2, 2, 2)]
+)
 def test_extension_keys_are_the_extensions_keys(moduli) -> None:
-    # a one-word row's extension keys are its key plus one in byte g, with
-    # no carry into the next byte even at the largest multiplicity a level
-    # below _ROW_MAX holds, and none into the padding of a ring of fewer
-    # than 8 elements; the step makes those its mask allows, one run per g
+    # the keys of the extensions a packed mask allows: on one word a row's
+    # key plus one in byte g, with no carry into the next byte even at the
+    # largest multiplicity a level below _ROW_MAX holds, and none into the
+    # padding of a ring of fewer than 8 elements, one run per g; on wider
+    # rows the extension rows' keys, parent-major. An all-ones mask, as an
+    # untested level's, allows every extension
     import numpy as np
 
     kit = search._kit(make_ring(moduli), True)
-    assert kit.one_word
     card = kit.card
+    assert kit.one_word == (card <= 8)
     rng = np.random.default_rng(card)
     vals = rng.integers(0, search._ROW_MAX, size=(50, card))
     rows = kit.from_tuples([(search._ROW_MAX - 1,) * card] + vals.tolist())
     ext = kit.extend(rows)
     assert (ext[:, card:] == 0).all()
-    masks = rng.integers(0, 1 << card, size=len(rows), dtype=np.uint8)
-    masks[0] = (1 << card) - 1
-    allowed = (masks[:, None] >> np.arange(card) & 1).astype(bool)  # (row, g)
-    expect = kit.keys(ext).reshape(len(rows), card).T[allowed.T]  # g-major
-    assert (kit.extension_keys(kit.keys(rows), masks) == expect).all()
+    allowed = rng.random((len(rows), card)) < 0.5  # (row, g)
+    allowed[0] = True
+    masks = np.packbits(allowed, axis=1, bitorder="little")
+    assert masks.shape == (len(rows), kit.width // 8) and (masks[0] == kit.full).all()
+    keys = kit.keys(ext).reshape(len(rows), card)
+    expect = keys.T[allowed.T] if kit.one_word else keys[allowed]  # g-major, or parent-major
+    assert (kit.extension_keys(rows, masks) == expect).all()
+    every = kit.masks(rows, None, None)
+    assert (every == kit.full).all()
+    expect = keys.T.ravel() if kit.one_word else keys.ravel()
+    assert (kit.extension_keys(rows, every) == expect).all()
 
 
 @pytest.mark.parametrize("moduli", [(8,), (2, 2, 2), (3, 3), (5, 5), (2, 2, 2, 2), (2, 6)])
@@ -1159,10 +1172,39 @@ def test_table_masks_name_the_surviving_extensions(
     parent_rows = kit.from_tuples(sorted(parents))
     got, masks = kit.step(parent_rows, em_m, before)
     assert sorted(_least_image(kit, tuple(x)) for x in got[:, :card].tolist()) == sorted(grown)
-    assert (got == kit.unique(got)).all()  # sorted and distinct
+    got = [tuple(x) for x in got.tolist()]
+    assert got == sorted(set(got))  # sorted and distinct
     tuple_masks = dict(zip(handed[0], _mask_ints(handed[1])))
     assert _mask_ints(masks) == [tuple_masks[x] for x in sorted(parents)]
-    assert masks.shape == ((len(parents),) if kit.one_word else (len(parents), kit.width // 8))
+    assert masks.shape == (len(parents), kit.width // 8)
+
+
+@pytest.mark.parametrize("moduli", [(8,), (3, 3), (5, 5)], ids=["1-byte", "2-byte", "4-byte"])
+def test_every_step_gives_masks_of_one_shape(moduli, monkeypatch, fresh_kits) -> None:
+    # an extension mask is width // 8 bytes a row, packed little-endian, on
+    # rows of every width: em_masks', the array step's, untested (every
+    # bit) or tested, and the tuple step's as _advance hands them on
+    import numpy as np
+
+    kit = search._kit(make_ring(moduli), True)
+    size = kit.width // 8
+    assert size == {8: 1, 9: 2, 25: 4}[kit.card]
+    zero = (0,) * kit.card
+    rows = kit.from_tuples([zero])
+    _, masks = kit.step(rows, None)
+    assert masks.shape == (1, size) and (masks == kit.full).all()
+    _on(monkeypatch, True)
+    frontier, prev = {zero}, None
+    for level in range(3):
+        rows = kit.from_tuples(sorted(frontier))
+        assert kit.em_masks(rows, 1).shape == (len(rows), size)
+        got, step_masks = kit.step(rows, 1, prev)
+        frontier, (parents, masks) = search._advance(kit, sorted(frontier), level, True, 1)
+        assert masks.shape == step_masks.shape == (len(parents), size), level
+        assert masks.dtype == step_masks.dtype == np.uint8
+        assert _mask_ints(masks) == _mask_ints(step_masks)  # of the same sorted parents
+        assert len(got) == len(frontier)
+        prev = rows, step_masks
 
 
 def test_a_table_missing_a_removal_raises(monkeypatch, fresh_kits) -> None:
@@ -1179,7 +1221,7 @@ def test_a_table_missing_a_removal_raises(monkeypatch, fresh_kits) -> None:
 
     def lossy(self, parents, masks):
         out = table(self, parents, masks)
-        i = int(np.flatnonzero(masks.reshape(len(masks), -1).any(axis=1))[0])
+        i = int(np.flatnonzero(masks.any(axis=1))[0])
         if self.one_word:
             images = self.image_words(parents[i : i + 1]) & search._HIGH_BYTES
             gone = np.isin(out & search._HIGH_BYTES, images)
@@ -1447,6 +1489,25 @@ def test_a_wide_search_keeps_no_block_lists(fresh_kits) -> None:
     assert peak < 15 * 2**20, peak / 2**20
 
 
+def test_the_wide_table_is_gone_before_any_extension_is_made(fresh_kits) -> None:
+    # D_1(Z_2^6) cap 5, under 720 maps: the step drops the previous level's
+    # closure table once every parent's mask is decided, before it makes
+    # any extension, on wide rows as on one word, so the search peaks under
+    # 15.5 MiB traced (about 18 MiB when the table lives through the
+    # extensions)
+    ring = make_ring((2,) * 6)
+    kit = search._kit(ring, True)  # the kit's tables, outside the trace
+    assert len(kit.perm) == 720 and not kit.searches
+    tracemalloc.start()
+    try:
+        out = davenport_m(ring, 1, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (out.kind, out.value) == ("at_least", 6)
+    assert peak < 15.5 * 2**20, peak / 2**20
+
+
 def test_suspended_frontiers_stay_within_the_budget(monkeypatch, fresh_kits) -> None:
     # D_m(Z_9) for m = 2..9 at three caps each, on one kit: at most
     # _SEARCHES are cached, and their suspended frontiers never sum past
@@ -1495,7 +1556,7 @@ def test_suspended_frontiers_stay_within_the_budget(monkeypatch, fresh_kits) -> 
         assert held.nbytes == search._nbytes(frontier, level, prev)
         if cap < 9:
             parents, masks = prev
-            assert masks.shape == (len(parents),) and masks.dtype == np.uint8
+            assert masks.shape == (len(parents), 1) and masks.dtype == np.uint8
             if cap == 2:
                 assert isinstance(parents, set) and len(parents) == 6
             else:
