@@ -126,11 +126,18 @@ per g, and its canonical form is its image of least word, the lex-least.
 Wider rows are keyed by their bytes as one void scalar, whose memcmp order
 is tuple order. The table holds the key of each parent's canonical form
 h(R), with the form's mask (bit j is bit perm_h[j] of R's), sorted: N keys,
-not N |H|. A removal X = R - i is looked up by its canonical form h(X), and
-bit g of X's mask is bit inverse[g, h] of the form's. An extension's key is
-that of its row; the canonical keys of all |H| images of a block of rows
-are one np.einsum product, and only the image of least key is gathered (the
-lex-least of distinct images that tie at it: a function of the orbit).
+not N |H|. An array level is its own canonical forms, sorted, so its keys
+and masks are its table as they are; only tuples are canonicalized there
+(a tuple level's lex-least members, which _advance hands on as sorted
+tuples whichever step took them). A removal X = R - i is looked up by its
+canonical form h(X), and bit g of X's mask is bit inverse[g, h] of the
+form's. A block of parents looks up all its (row, removal) pairs in one
+pass, in chunks: the canonical keys of R - i's images are R's less C[i],
+and np.bitwise_and.reduceat ANDs each row's removal masks. An extension's
+key is that of its row; the canonical keys of all |H| images of a block of
+rows are one np.einsum product, and only the image of least key is
+gathered (the lex-least of distinct images that tie at it: a function of
+the orbit, so a form is its own form).
 
 The independent full testers (is_counterexample_*) are one walk,
 _find_zero_sub, with a window of sizes: exactly t for the EGZ kind, at least
@@ -225,6 +232,10 @@ class EgzOutcome:
 # large ones.
 _BLOCK_ROWS = 4096
 _BLOCK_BYTES = 1 << 21
+# Bytes per chunk of a block's (row, removal) pairs on wide rows
+# (_Rows.masks): a pair's canonical keys, 2 |H|, and its image's gather
+# index, 8 width
+_PAIR_BYTES = 1 << 17
 # Levels whose estimated tuple-step cost (_tuple_cost) is below this take
 # the tuple step, whether or not they test e_m: below it numpy's fixed cost
 # per call outweighs the work.
@@ -303,7 +314,8 @@ class _Rows:
     key: on one-word rows its word (canonical_keys), the lex-least image;
     on wider ones its key under C, for one np.einsum (whose uint16 loop is
     vectorized: about 7 times faster than a uint64 or int64 matrix product,
-    which numpy runs without BLAS).
+    which numpy runs without BLAS). It is a function of the orbit, so the
+    rows of an array level, canonical forms, are their own forms.
 
     elementary() gives each parent R's e_{m-1} and e_m as residues per
     coordinate, and em_masks() says from _em_bits whether e_m(R + g) =
@@ -603,10 +615,12 @@ class _Rows:
         every lookup must hit; a miss raises RuntimeError. A row whose mask
         is empty looks nothing up. On one word all removals of the rows are
         one np.searchsorted, column by column, so sorted rows give ascending
-        runs. Wider rows look up the canonical form h(R - i) of each column's
-        removals, and bit g is bit inverse[g, h] of the form's mask; the
+        runs. Wider rows take their (row, removal) pairs from the same held
+        grid, row by row, and in chunks of _PAIR_BYTES look up the canonical
+        form h(R - i) of each pair's removal; bit g is bit inverse[g, h] of
+        the form's mask, and np.bitwise_and.reduceat ANDs each row's. The
         canonical keys of R - i's images are R's less C[i], so one product
-        serves every column."""
+        serves every pair."""
         card = self.card
         if em_m is None:
             out = np.full((len(rows), len(self.full)), self.full)
@@ -625,16 +639,23 @@ class _Rows:
             out[:, 0] &= np.bitwise_and.reduce(got, axis=0)
             return out
         forms, masks = table
+        held = (rows[:, :card] > 0) & out.any(axis=1)[:, None]
+        r, i = np.nonzero(held)  # the (row, removal) pairs, row by row
+        if not len(r):
+            return out
         keys = np.einsum("ij,jk->ik", rows[:, :card].astype(np.uint16), self.C)
-        for i in range(card):
-            sel = np.flatnonzero((rows[:, i] > 0) & out.any(axis=1))
-            if len(sel):
-                form, h = self.canonical(rows[sel] - self.eye[i], keys[sel] - self.C[i])
-                found = self.keys(form)
-                at = forms.searchsorted(found).clip(max=len(forms) - 1)
-                if (forms[at] != found).any():
-                    raise self._missing()
-                out[sel] &= self.image_bits(masks[at], self.inverse.T[h])
+        bits = np.empty((len(r), out.shape[1]), np.uint8)
+        per = max(1, _PAIR_BYTES // (2 * len(self.perm) + 8 * self.width))
+        for lo in range(0, len(r), per):
+            rr, ii = r[lo : lo + per], i[lo : lo + per]
+            form, h = self.canonical(rows[rr] - self.eye[ii], keys[rr] - self.C[ii])
+            found = self.keys(form)
+            at = forms.searchsorted(found).clip(max=len(forms) - 1)
+            if (forms[at] != found).any():
+                raise self._missing()
+            bits[lo : lo + per] = self.image_bits(masks[at], self.inverse.T[h])
+        starts = np.flatnonzero(np.concatenate(([True], r[1:] != r[:-1])))
+        out[r[starts]] &= np.bitwise_and.reduceat(bits, starts, axis=0)
         return out
 
     def image_bits(self, masks: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -656,10 +677,14 @@ class _Rows:
         j is bit perm_h[j] of R's), sorted; a level's multisets have one
         length, so the other 7 bytes name the image. On wider rows: the keys
         of the parents' canonical forms h(R), sorted, and the forms' masks
-        (bit j is bit perm_h[j] of R's); a tuple step keeps lex-least
-        members, so the parents are canonicalized here."""
+        (bit j is bit perm_h[j] of R's). An array level's rows are their own
+        canonical forms, sorted, so their keys and masks are the table as
+        they are; tuples, a tuple level's lex-least members, are
+        canonicalized here."""
         if not isinstance(parents, np.ndarray):
             parents = self.from_tuples(parents)
+        elif not self.one_word:
+            return self.keys(parents), masks
         per = self.block_rows()
         if not self.one_word:
             keys, held = [], []
@@ -903,9 +928,11 @@ def _advance(kit: _Rows, frontier, level: int, closed: bool, em_m, prev=None):
 
     closed asks for the closure test against frontier itself; em_m for the
     e_m != 0 test. The tuple step (see _on_tuples) returns a set, the array
-    step a sorted array. A step that tested either hands on its parents (a
-    tuple step's still tuples) and their extension masks, packed as the
-    array step's (see _Rows.step); any other hands on None.
+    step a sorted array. A step that tested either hands on its parents and
+    their extension masks, packed as the array step's (see _Rows.step); any
+    other hands on None. An array level goes on as its rows, its own
+    canonical forms; a tuple level, whichever step took it, as its tuples
+    (sorted, on the array step), which _Rows.table canonicalizes.
     """
     if _on_tuples(kit, len(frontier), level, em_m):
         parents = kit.to_tuples(frontier) if isinstance(frontier, np.ndarray) else frontier
@@ -914,8 +941,9 @@ def _advance(kit: _Rows, frontier, level: int, closed: bool, em_m, prev=None):
         masks = np.frombuffer(b"".join(x.to_bytes(size, "little") for x in masks), np.uint8)
         masks = masks.reshape(-1, size)
     else:
-        parents = kit.from_tuples(sorted(frontier)) if isinstance(frontier, set) else frontier
-        out, masks = kit.step(parents, em_m, prev)
+        parents = sorted(frontier) if isinstance(frontier, set) else frontier
+        rows = parents if isinstance(parents, np.ndarray) else kit.from_tuples(parents)
+        out, masks = kit.step(rows, em_m, prev)
     return out, ((parents, masks) if closed or em_m is not None else None)
 
 

@@ -1196,15 +1196,116 @@ def test_every_step_gives_masks_of_one_shape(moduli, monkeypatch, fresh_kits) ->
     _on(monkeypatch, True)
     frontier, prev = {zero}, None
     for level in range(3):
-        rows = kit.from_tuples(sorted(frontier))
+        members = sorted(frontier)  # lex-least, so handed on as tuples
+        rows = kit.from_tuples(members)
         assert kit.em_masks(rows, 1).shape == (len(rows), size)
         got, step_masks = kit.step(rows, 1, prev)
-        frontier, (parents, masks) = search._advance(kit, sorted(frontier), level, True, 1)
+        frontier, (parents, masks) = search._advance(kit, members, level, True, 1)
         assert masks.shape == step_masks.shape == (len(parents), size), level
         assert masks.dtype == step_masks.dtype == np.uint8
         assert _mask_ints(masks) == _mask_ints(step_masks)  # of the same sorted parents
         assert len(got) == len(frontier)
-        prev = rows, step_masks
+        prev = members, step_masks
+
+
+@pytest.mark.parametrize(
+    "kind, moduli, m, t, cap",
+    [
+        (KIND_DAV, (3, 3), 1, None, 6),
+        (KIND_DAV, (9,), 1, None, 9),
+        (KIND_DAV, (5, 5), 1, None, 9),
+        (KIND_DAV, (2,) * 5, 1, None, 6),
+        (KIND_EGZ, (3, 3), 2, 9, 15),  # untested seed levels, then closed ones
+    ],
+)
+def test_an_array_level_is_its_own_table(kind, moduli, m, t, cap, monkeypatch, fresh_kits) -> None:
+    # a canonical form is a function of the orbit, so every array level is
+    # its own canonical forms, and the wide table of an array level, its
+    # keys and masks as they are, is byte for byte the table of the same
+    # parents handed in as sorted tuples, which it canonicalizes. A tuple
+    # level that the array step takes goes on as its sorted tuples
+    import numpy as np
+
+    kit = search._kit(make_ring(moduli), m == 1)
+    assert not kit.one_word
+    _on(monkeypatch, False)
+    zero = (0,) * kit.card
+    _, handed = search._advance(kit, {zero}, 0, True, 1)
+    assert handed[0] == [zero]
+    tables = 0
+    for level, frontier, prev in search._frontier_max(kit, kind, m, t):
+        if isinstance(frontier, np.ndarray):
+            assert (kit.canonical(frontier)[0] == frontier).all(), level
+        if prev is None or not isinstance(prev[0], np.ndarray):
+            continue
+        rows, masks = prev
+        assert (kit.canonical(rows)[0] == rows).all(), level
+        members = sorted(kit.to_tuples(rows))
+        assert members == [tuple(x) for x in rows[:, : kit.card].tolist()]
+        keys, held = kit.table(rows, masks)
+        from_tuples = kit.table(members, masks)
+        assert keys.tobytes() == from_tuples[0].tobytes(), level
+        assert held.tobytes() == from_tuples[1].tobytes(), level
+        tables += 1
+        if level >= cap:
+            break
+    assert tables >= 3
+
+
+def _masks_one_removal_at_a_time(kit, rows, table, em_m) -> list[int]:
+    # the reference for the wide lookups: each removal X = R - i on its
+    # own, its canonical form h(X), the form's table entry, and bit g of
+    # X's mask read as bit j of the form's, where perm_h[j] = g, since
+    # h(X + g) = h(X) + j
+    forms, masks = table
+    entries = dict(zip(map(tuple, kit.from_keys(forms).tolist()), _mask_ints(masks)))
+    out = []
+    for row, mask in zip(rows.tolist(), _mask_ints(kit.em_masks(rows, em_m))):
+        for i in range(kit.card):
+            if not mask:
+                break
+            if not row[i]:
+                continue
+            x = list(row)
+            x[i] -= 1
+            form, h = kit.canonical(kit.from_tuples([x[: kit.card]]))
+            entry = entries[tuple(form[0].tolist())]
+            perm = kit.perm[int(h[0])].tolist()
+            mask &= sum((entry >> perm.index(g) & 1) << g for g in range(kit.card))
+        out.append(mask)
+    return out
+
+
+@pytest.mark.parametrize(
+    "kind, moduli, m, t, em_m, levels",
+    [
+        (KIND_DAV, (5, 5), 1, None, 1, range(3, 9)),  # |H| = 480
+        (KIND_EGZ, (3, 3), 2, 9, 2, range(10, 15)),  # e_m asked of EGZ levels: some empty
+    ],
+)
+def test_wide_lookups_match_one_removal_at_a_time(kind, moduli, m, t, em_m, levels, fresh_kits) -> None:
+    # the batched wide lookups (all (row, removal) pairs of a block in
+    # chunks, ANDed per row) against one removal at a time, on whole levels
+    # as one block, whose pairs span several chunks; on the EGZ levels the
+    # e_m test of degree 2 empties the masks of some rows, which look
+    # nothing up
+    import numpy as np
+
+    kit = search._kit(make_ring(moduli), m == 1)
+    assert not kit.one_word
+    per = search._PAIR_BYTES // (2 * len(kit.perm) + 8 * kit.width)
+    spans = empty = 0
+    for level, frontier, prev in search._frontier_max(kit, kind, m, t):
+        if level in levels:
+            assert isinstance(frontier, np.ndarray) and prev is not None, level
+            table = kit.table(*prev)
+            got = _mask_ints(kit.masks(frontier, table, em_m))
+            assert got == _masks_one_removal_at_a_time(kit, frontier, table, em_m), level
+            spans += int((frontier[:, : kit.card] > 0).sum()) > per
+            empty += int((~kit.em_masks(frontier, em_m).any(axis=1)).sum())
+        if level >= max(levels):
+            break
+    assert spans and (empty or kind == KIND_DAV)
 
 
 def test_a_table_missing_a_removal_raises(monkeypatch, fresh_kits) -> None:
