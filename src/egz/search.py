@@ -28,15 +28,18 @@ fixed element order. Two facts drive the algorithm:
     automorphisms; and for m = 1 the shears, additive automorphisms that
     fix the zero sum) keep counterexample status, so each level keeps one
     representative per H-orbit: the lex-least member on the tuple step, the
-    member of least canonical key on the array step (see _Rows).
+    lex-greatest on the array step on one word, and the member of least
+    canonical key on the array step on wider rows (see _Rows).
 
 The witness stays the lex-least counterexample of the final length, as if
 only units reduced: the counterexamples of one length are a union of
 H-orbits, so the least of them is the least member over all images of the
 stored classes. A tuple level keeps lex-least members, so its least tuple
-is it; for an array level _Rows.least finds it among the images. It is
-unit-canonical, because H contains the units, so witnesses and certificate
-bytes do not depend on H or on the representatives a level keeps.
+is it; the one-word array step finds it among the images it gathers for
+its canonical test, and for a wider array level _Rows.least finds it among
+the images. It is unit-canonical, because H contains the units, so
+witnesses and certificate bytes do not depend on H or on the
+representatives a level keeps.
 
 The frontier seeds at level t for the EGZ kind (every shorter multiset is
 vacuously a counterexample; level t keeps those with e_m != 0) and at level
@@ -107,21 +110,40 @@ tested closure or e_m hands its parents and their masks on (_advance), and
 the next closed step looks every removal R - i of its parents up in a table
 built from them. Each lookup must hit: a miss raises RuntimeError. A tuple
 step's masks are those it decided as it went; the first closed Davenport
-level follows an untested seed level and needs no lookups. Once every
-parent's mask is decided the table goes, and the step makes only the
-extensions the masks allow, as keys, dedupes them per block of parents and
-over the level, and maps each to the key of its canonical form. Every key
+level follows an untested seed level and needs no lookups. The step makes
+only the extensions the masks allow, as keys. On rows wider than one word,
+once every parent's mask is decided the table goes, and the step dedupes
+the extensions per block of parents and over the level and maps each to
+the key of its canonical form; on one word it is orderly, below. Every key
 is exact, so every level is the true one.
 
-The width changes only the keys. On rows of at most 8 elements a row is
-one uint64 word, its key, whose order is tuple order. The table holds the
-keys of all |H| images of the parents, each with its low byte (see
-_Rows.table) replaced by the image's mask (bit j is bit perm_h[j] of the
-parent's, since image h of R + perm_h[j] is h(R) + j), sorted. The removals
-of a block of parents are one np.searchsorted, column by column, in
-ascending runs. An extension's key is key(R) + w[g], w[g] = 256**(7 - g),
-which adds one to byte g and never carries below _ROW_MAX, one sorted run
-per g, and its canonical form is its image of least word, the lex-least.
+On rows of at most 8 elements a row is one uint64 word, its key, whose
+order is tuple order, and a class is stored as its lex-greatest image, the
+image of greatest word. The table holds the keys of all |H| images of the
+parents, each with its low byte (see _Rows.table) replaced by the image's
+mask (bit j is bit perm_h[j] of the parent's, since image h of R +
+perm_h[j] is h(R) + j), sorted. The removals of a block of parents are one
+np.searchsorted, column by column, in ascending runs. An extension's key is
+key(R) + w[g], w[g] = 256**(7 - g), which adds one to byte g and never
+carries below _ROW_MAX.
+
+The one-word step is orderly (R. C. Read, "Every one a winner", Ann.
+Discrete Math. 2, 1978; B. D. McKay, "Isomorph-free exhaustive
+generation", J. Algorithms 26, 1998). A parent R makes R + g only for g at
+or past last(R), the index of R's last nonzero multiplicity, with bit g of
+its mask set, and keeps R + g only when it is its own lex-greatest image.
+R + g then has g as its last element, so a class X of the next level can
+only be made from X - e_j, j = last(X), and is made once if that is a
+stored class. It is, by this lemma: if X is lex-greatest in its orbit and
+j = last(X), so is Y = X - e_j. Proof: let an image h(Y) beat Y, first at
+position p; h(X) = h(Y) + e_k for some k. Past j, Y is zero and h(Y) has
+Y's sum, so p <= j. If k < p, h(X) beats X at k. Otherwise h(X) agrees
+with X before p and h(X)[p] >= h(Y)[p] >= Y[p] + 1, which beats X unless
+p = j, k != j and h(X)[j] = X[j]; then h(X) equals X up to j, so like X
+it is zero past j (the sums agree), and k > j is impossible. So the survivors
+are distinct: one sort orders them, with no dedupe. Every extension the
+masks allow lies in the next level, so the least of the image words the
+canonical test gathers is the level's least class.
 
 Wider rows are keyed by their bytes as one void scalar, whose memcmp order
 is tuple order. The table holds the key of each parent's canonical form
@@ -166,6 +188,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
@@ -250,6 +273,13 @@ _MASK64 = (1 << 64) - 1
 # A one-word key but its low byte, which a closure table entry replaces by
 # an extension mask.
 _HIGH_BYTES = np.uint64(_MASK64 ^ 0xFF)
+# The least value of each byte of a one-word key, from the low end: a row's
+# last element is 7 - b when its key's lowest set bit lies in byte b, and
+# np.searchsorted (side right) puts that bit at 1 + b, the empty row at 0.
+_BYTE_STARTS = np.array([1 << 8 * b for b in range(8)], np.uint64)
+# By that index, the bits g at or past the row's last element: the
+# extensions R + g its orderly step makes (every one of the empty row's).
+_FROM_LAST = np.array([0xFF] + [0xFF & -(1 << 7 - b) for b in range(8)], np.uint8)
 # Kits _kit keeps; searches each kit caches; bytes of suspended frontiers
 # each kit keeps, so _BLOCK_BYTES over the cached kits (see _Search).
 _KITS = 32
@@ -310,9 +340,10 @@ class _Rows:
     one-word row's word as a uint64; the padding is the same in every row,
     so their order (memcmp) is tuple order. Image h of X is X.take(perm_h),
     and a key X' @ v of an image X' is X @ V[:, h] with V[perm_h[j], h] =
-    v[j] (image_weights). A canonical form is the image of least canonical
-    key: on one-word rows its word (canonical_keys), the lex-least image;
-    on wider ones its key under C, for one np.einsum (whose uint16 loop is
+    v[j] (image_weights). A canonical form is, on one-word rows, the image
+    of greatest word (canonical_keys), the lex-greatest image, which the
+    orderly step needs (_step_word); on wider ones the image of least
+    canonical key under C, for one np.einsum (whose uint16 loop is
     vectorized: about 7 times faster than a uint64 or int64 matrix product,
     which numpy runs without BLAS). It is a function of the orbit, so the
     rows of an array level, canonical forms, are their own forms.
@@ -323,12 +354,18 @@ class _Rows:
     extensions that reach the next level, from that and the previous
     level's table(), packed little-endian in width // 8 bytes on rows of
     every width; step() makes those extensions as keys (extension_keys).
+    On one word the step is orderly: a parent R makes R + g only for g at
+    or past its last element, and keeps R + g only when it is its own
+    form. A lex-greatest X less one copy of its last element is
+    lex-greatest too (proved in the module docstring), so each class of
+    the next level is made once, from that parent, and nothing is deduped.
     """
 
     __slots__ = (
         "ring", "card", "add_t", "mul_t", "one_idx", "width",
         "images", "perm", "inverse", "w", "C", "one_word", "eye", "full",
-        "_key_view", "_factors", "_em_bits", "_image_masks", "searches",
+        "_key_view", "_word_perm", "_factors", "_em_bits", "_image_masks",
+        "_made", "searches",
     )
 
     def __init__(self, ring: RingSpec, sym) -> None:
@@ -341,6 +378,9 @@ class _Rows:
         self.images = [operator.itemgetter(*p) for p in sym]  # img(mult) is an image
         pad = list(range(card, width))  # padding columns map to themselves
         self.perm = np.array([list(p) + pad for p in sym], dtype=np.intp)
+        # perm with each word's bytes in native order, so that a gather by it
+        # views as the image words in native uint64 (image_words)
+        self._word_perm = self.perm[:, ::-1] if sys.byteorder == "little" else self.perm
         # inverse[perm_h[j], h] = j: a gather by it is faster than a scatter by perm
         self.inverse = np.ascontiguousarray(self.perm[:, :card].argsort(axis=1).T)
         # w[g] = 256**(7 - g) adds one to byte g of a one-word key; wider
@@ -355,6 +395,7 @@ class _Rows:
         self.full = np.frombuffer(((1 << card) - 1).to_bytes(width // 8, "little"), np.uint8)
         self._factors: dict[tuple[int, int, int], tuple[int, ...]] = {}
         self._image_masks = None  # (256, |H|): a mask's image under each map, made by table()
+        self._made = None  # (a weak reference to the last one-word level step made, its least)
         # _em_bits[k][a, b]: bit g (of width // 8 bytes, little-endian) set when
         # a + b g != 0 in coordinate k, for residues a, b mod its modulus,
         # built as b g != -a for blocks of a of about _BLOCK_BYTES // 2 bools
@@ -394,17 +435,18 @@ class _Rows:
         """All len(rows) * card one-element extensions, parent-major."""
         return (rows[:, None, :] + self.eye).reshape(-1, self.width)
 
-    def extension_keys(self, rows: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    def extension_keys(self, rows: np.ndarray, masks: np.ndarray, keys=None) -> np.ndarray:
         """The keys of the extensions R + g of rows below _ROW_MAX with bit g
-        set in R's mask. On one word, one run per g: R's key plus w[g], which
-        adds one to byte g and never carries, so sorted rows give sorted
-        runs; on wider rows, the keys of the extension rows, parent-major."""
+        set in R's mask. On one word, one run per g: R's key (from keys, when
+        given) plus w[g], which adds one to byte g and never carries, so
+        sorted rows give sorted runs; on wider rows, the keys of the
+        extension rows, parent-major."""
         if not self.one_word:
             bits = np.unpackbits(masks, axis=1, count=self.card, bitorder="little")
             return self.keys(self.extend(rows)[bits.ravel() > 0])
-        grown = self.keys(rows) + self.w[:, None]  # (card, N), one row per g
-        if (masks == self.full).all():  # a seed level's: every extension
-            return grown.ravel()
+        if keys is None:
+            keys = self.keys(rows)
+        grown = keys + self.w[:, None]  # (card, N), one row per g
         return grown[(masks[:, 0] >> np.arange(self.card, dtype=np.uint8)[:, None] & 1).view(bool)]
 
     def image_weights(self, v: np.ndarray) -> np.ndarray:
@@ -455,27 +497,26 @@ class _Rows:
         return out, pick
 
     def image_words(self, rows: np.ndarray) -> np.ndarray:
-        """The words of all |H| images of one-word rows, (N, |H|) big-endian:
-        their keys, gathered."""
-        return rows.take(self.perm, axis=1).view(">u8")[:, :, 0]
+        """The words of all |H| images of one-word rows, (N, |H|) native
+        uint64: their keys, gathered."""
+        return rows.take(self._word_perm, axis=1).view(np.uint64)[:, :, 0]
 
     def canonical_keys(self, rows: np.ndarray) -> np.ndarray:
-        """keys() of the rows' canonical forms: on one word the least of the
-        words of their images (by argmin and a gather: a min over big-endian
-        words takes about twice as long), on wider rows those of canonical."""
+        """keys() of the rows' canonical forms: on one word the greatest of
+        the words of their images, on wider rows those of canonical."""
         if not self.one_word:
             return self.keys(self.canonical(rows)[0])
-        words = self.image_words(rows)
-        return words[np.arange(len(rows)), words.argmin(axis=1)].astype(np.uint64)
+        return self.image_words(rows).max(axis=1)
 
     def least(self, rows) -> tuple[int, ...]:
         """The lex-least member of the union of the rows' orbits. A tuple
-        level (a set) keeps lex-least members, and so do one-word rows: its
-        least tuple, or row 0 of a sorted level, is it. Wider rows read an
-        image as chunks
-        of digits consecutive elements, each chunk a number in base b (the
-        rows' largest multiplicity + 1) below 2**16, an exact uint16 (b is
-        at most 256, so digits is at least 2). One np.einsum gives the first
+        level (a set) keeps lex-least members: its least tuple is it. On one
+        word the level step found it (_step_word), and it answers only for
+        the level it made last; a weak reference names that level, which
+        it does not keep. Wider rows read an image as chunks of digits
+        consecutive elements, each chunk a number in base b (the rows'
+        largest multiplicity + 1) below 2**16, an exact uint16 (b is at
+        most 256, so digits is at least 2). One np.einsum gives the first
         chunk of every image of a block of rows; a mask keeps the (row,
         image) pairs at its least value, and each next chunk, one einsum
         over the rows still in play, narrows it. A running best spans the
@@ -484,7 +525,10 @@ class _Rows:
         if isinstance(rows, set):
             return min(rows)
         if self.one_word:
-            return tuple(rows[0, :card].tolist())
+            made, least = self._made or (None, None)
+            if made is None or made() is not rows:
+                raise ValueError("least of one-word rows: not the level step made last")
+            return least
         base = int(rows[:, :card].max()) + 1
         digits = 1
         while digits < card and base ** (digits + 1) <= 1 << 16:
@@ -583,16 +627,19 @@ class _Rows:
         return poly[m]
 
     def step(self, rows: np.ndarray, em_m: int | None, prev=None):
-        """The array level step: as _step_tuples, on sorted distinct rows.
-        em_m asks for the e_m test; prev, what _advance handed on from the
-        step before (its parents, their masks), for the closure test, None
-        on a seed level. Each parent's extension mask (masks), per block of
-        parents: the previous level's table lives only for these lookups,
-        before any extension is made. Then only the extensions the masks
-        allow, deduped as keys per block of parents and over the level, and
-        their canonical forms. Returns the next level, sorted, and the
-        rows' masks."""
+        """The array level step: as _step_tuples, on sorted distinct rows,
+        their canonical forms. em_m asks for the e_m test; prev, what
+        _advance handed on from the step before (its parents, their masks),
+        for the closure test, None on a seed level. Each parent's extension
+        mask (masks), per block of parents. On one word the step is orderly
+        (_step_word). On wider rows the previous level's table lives only
+        for the lookups, before any extension is made; then only the
+        extensions the masks allow, deduped as keys per block of parents and
+        over the level, and their canonical forms. Returns the next level,
+        sorted, and the rows' masks."""
         table = None if prev is None else self.table(*prev)
+        if self.one_word:
+            return self._step_word(rows, em_m, table)
         per = self.block_rows()
         parts = [slice(lo, lo + per) for lo in range(0, len(rows), per)]
         masks = np.concatenate([self.masks(rows[p], table, em_m) for p in parts])
@@ -606,21 +653,55 @@ class _Rows:
         ] or [cands]))
         return self.from_keys(out), masks
 
-    def masks(self, rows: np.ndarray, table, em_m) -> np.ndarray:
+    def _step_word(self, rows: np.ndarray, em_m, table):
+        """step on one-word rows, lex-greatest images, orderly (see the
+        module docstring): per block of parents, one read of their keys
+        serves the masks' lookups and the extensions. A parent R makes R + g
+        only for g at or past its last element (_FROM_LAST) with bit g of
+        its mask set, and keeps it only when it is the greatest of its image
+        words, in chunks of block_rows extensions. Each class of the next
+        level is made once, so the survivors are distinct and one sort
+        orders them. Every extension made lies in the next level, so the
+        least of the image words is the level's least class, which least()
+        then answers."""
+        per = self.block_rows()
+        masks = np.empty((len(rows), 1), np.uint8)
+        made, least = [], _MASK64
+        for lo in range(0, len(rows), per):
+            block = rows[lo : lo + per]
+            keys = self.keys(block)
+            mask = masks[lo : lo + per] = self.masks(block, table, em_m, keys)
+            low = keys & np.uint64(0) - keys  # the key's lowest set bit
+            orderly = _FROM_LAST[_BYTE_STARTS.searchsorted(low, side="right")]
+            cands = self.extension_keys(block, mask & orderly[:, None], keys)
+            for at in range(0, len(cands), per):
+                part = cands[at : at + per]
+                # (|H|, n): a max over rows of |H| words is several times slower
+                words = np.ascontiguousarray(self.image_words(self.from_keys(part)).T)
+                made.append(part[words.max(axis=0) == part])
+                least = min(least, int(words.min()))
+        out = np.concatenate(made) if made else np.empty(0, np.uint64)
+        out.sort()
+        level = self.from_keys(out)
+        least = tuple(least.to_bytes(8, "big")[: self.card]) if len(out) else None
+        self._made = weakref.ref(level), least
+        return level, masks
+
+    def masks(self, rows: np.ndarray, table, em_m, keys=None) -> np.ndarray:
         """Extension masks of the rows, packed as em_masks: bit g set when
         R + g is in the next level. That is the e_m mask (every bit when
         em_m is None), and with a table, the AND of the masks it holds for
         each removal R - i, since R + g - i = (R - i) + g must lie in R's own
         level. Each removal of a stored class lies in the previous level, so
         every lookup must hit; a miss raises RuntimeError. A row whose mask
-        is empty looks nothing up. On one word all removals of the rows are
-        one np.searchsorted, column by column, so sorted rows give ascending
-        runs. Wider rows take their (row, removal) pairs from the same held
-        grid, row by row, and in chunks of _PAIR_BYTES look up the canonical
-        form h(R - i) of each pair's removal; bit g is bit inverse[g, h] of
-        the form's mask, and np.bitwise_and.reduceat ANDs each row's. The
-        canonical keys of R - i's images are R's less C[i], so one product
-        serves every pair."""
+        is empty looks nothing up. On one word all removals of the rows
+        (from their keys, when given) are one np.searchsorted, column by
+        column, so sorted rows give ascending runs. Wider rows take their
+        (row, removal) pairs from the same held grid, row by row, and in
+        chunks of _PAIR_BYTES look up the canonical form h(R - i) of each
+        pair's removal; bit g is bit inverse[g, h] of the form's mask, and
+        np.bitwise_and.reduceat ANDs each row's. The canonical keys of R -
+        i's images are R's less C[i], so one product serves every pair."""
         card = self.card
         if em_m is None:
             out = np.full((len(rows), len(self.full)), self.full)
@@ -630,7 +711,9 @@ class _Rows:
             return out
         if self.one_word:
             held = (rows[:, :card] > 0).T & (out[:, 0] > 0)  # (card, N): the removals to look up
-            removals = (self.keys(rows) - self.w[:, None] & _HIGH_BYTES)[held]
+            if keys is None:
+                keys = self.keys(rows)
+            removals = (keys - self.w[:, None] & _HIGH_BYTES)[held]
             found = table[table.searchsorted(removals).clip(max=len(table) - 1)]
             if (found & _HIGH_BYTES != removals).any():
                 raise self._missing()
@@ -921,7 +1004,7 @@ def _on_tuples(kit: _Rows, n: int, level: int, em_m) -> bool:
     )
 
 
-def _advance(kit: _Rows, frontier, level: int, closed: bool, em_m, prev=None):
+def _advance(kit: _Rows, frontier, level: int, closed: bool, em_m, prev=None, lazy=False):
     """The level after frontier, a set of tuples or a sorted row array of
     multisets of length level, under the kit's group, and what the step
     after it needs of this one; prev is that of the step before.
@@ -930,21 +1013,36 @@ def _advance(kit: _Rows, frontier, level: int, closed: bool, em_m, prev=None):
     e_m != 0 test. The tuple step (see _on_tuples) returns a set, the array
     step a sorted array. A step that tested either hands on its parents and
     their extension masks, packed as the array step's (see _Rows.step); any
-    other hands on None. An array level goes on as its rows, its own
-    canonical forms; a tuple level, whichever step took it, as its tuples
-    (sorted, on the array step), which _Rows.table canonicalizes.
+    other hands on None. With lazy (as _frontier_max steps, where the next
+    step is closed and tests e_m when this one did and was closed), a step
+    whose next step takes tuples hands on None too: the tuple step reads
+    nothing of the level before, so a tuple step's masks are packed only
+    for an array step. An array level goes on as its rows, its own
+    canonical forms; a tuple level, as its tuples, which _Rows.table
+    canonicalizes, but an array step on one word takes it as sorted
+    lex-greatest rows, and hands those on.
     """
+    hand_on = closed or em_m is not None
     if _on_tuples(kit, len(frontier), level, em_m):
         parents = kit.to_tuples(frontier) if isinstance(frontier, np.ndarray) else frontier
         out, masks = _step_tuples(kit, parents, parents if closed else None, em_m)
+    else:
+        parents = frontier
+        if isinstance(frontier, set) and kit.one_word:
+            parents = kit.from_keys(np.sort(kit.canonical_keys(kit.from_tuples(frontier))))
+        elif isinstance(frontier, set):
+            parents = sorted(frontier)
+        rows = parents if isinstance(parents, np.ndarray) else kit.from_tuples(parents)
+        out, masks = kit.step(rows, em_m, prev)
+    if lazy and hand_on:
+        hand_on = not _on_tuples(kit, len(out), level + 1, em_m if closed else None)
+    if not hand_on:
+        return out, None
+    if isinstance(masks, list):  # the tuple step's, as ints
         size = kit.width // 8
         masks = np.frombuffer(b"".join(x.to_bytes(size, "little") for x in masks), np.uint8)
         masks = masks.reshape(-1, size)
-    else:
-        parents = sorted(frontier) if isinstance(frontier, set) else frontier
-        rows = parents if isinstance(parents, np.ndarray) else kit.from_tuples(parents)
-        out, masks = kit.step(rows, em_m, prev)
-    return out, ((parents, masks) if closed or em_m is not None else None)
+    return out, (parents, masks)
 
 
 def _frontier_max(kit: _Rows, kind: str, m: int, t: int | None):
@@ -959,14 +1057,12 @@ def _frontier_max(kit: _Rows, kind: str, m: int, t: int | None):
     frontier, prev = {(0,) * kit.card}, None
     for level in range(seed):
         seed_em = m if level + 1 == t else None
-        frontier, prev = _advance(kit, frontier, level, False, seed_em)
+        frontier, prev = _advance(kit, frontier, level, False, seed_em, None, True)  # lazy
     em_m = m if kind == KIND_DAV else None
     level = seed
     while len(frontier):
-        if _on_tuples(kit, len(frontier), level, em_m):
-            prev = None  # the tuple step needs nothing of the level before
         yield level, frontier, prev
-        frontier, prev = _advance(kit, frontier, level, True, em_m, prev)
+        frontier, prev = _advance(kit, frontier, level, True, em_m, prev, True)  # lazy
         level += 1
 
 

@@ -639,8 +639,88 @@ def test_array_step_matches_tuple_step(kind, moduli, m, t, cap, fresh_kits, monk
     _assert_steps_keep_the_same_orbits(search._kit(ring, m == 1), kind, m, t, cap, monkeypatch)
 
 
+@pytest.mark.parametrize(
+    "moduli", [(2,), (3,), (4,), (5,), (6,), (7,), (8,), (2, 2), (2, 4), (2, 2, 2)]
+)
+def test_a_lex_greatest_multiset_less_its_last_element_is_lex_greatest(moduli) -> None:
+    # the lemma behind the orderly one-word step: if X is the lex-greatest
+    # of its images and j its last element, so is X - e_j, under both groups
+    # of symmetry_index_perms (Z_2^3's additive one has 168 maps)
+    ring = make_ring(moduli)
+    card = ring.cardinality
+    for additive in (False, True):
+        perms = symmetry_index_perms(ring, additive)
+        checked = 0
+        for length in range(1, 7):
+            for x in _compositions(card, length):
+                if _greatest_image(x, perms) != x:
+                    continue
+                j = max(i for i, c in enumerate(x) if c)
+                parent = x[:j] + (x[j] - 1,) + x[j + 1 :]
+                assert _greatest_image(parent, perms) == parent, (additive, x)
+                checked += 1
+        assert checked
+
+
+@pytest.mark.parametrize(
+    "kind, moduli, m, t, cap",
+    [
+        (KIND_EGZ, (8,), 2, 8, 12),
+        (KIND_DAV, (8,), 2, None, 20),
+        (KIND_DAV, (2, 2, 2), 1, None, 5),  # |H| = 168
+        (KIND_EGZ, (2, 2, 2), 2, 8, 14),
+        (KIND_DAV, (2, 4), 2, None, 12),
+        (KIND_EGZ, (7,), 3, 14, 30),
+    ],
+)
+def test_a_one_word_step_makes_each_class_once(
+    kind, moduli, m, t, cap, fresh_kits, monkeypatch
+) -> None:
+    # every step on arrays, and no dedupe on one word: each level a step
+    # makes, the seed's too, is sorted by one np.sort and comes out strictly
+    # ascending, so no class was made twice (checked as each step returns,
+    # before a duplicate could multiply in the next). Each row is its own
+    # lex-greatest image, and every level's size and least class are the
+    # tuple step's
+    kit = search._kit(make_ring(moduli), m == 1)
+    assert kit.one_word
+    step = search._Rows.step
+    made = []
+
+    def checked_step(self, rows, *args):
+        out, masks = step(self, rows, *args)
+        keys = self.keys(out)
+        assert (keys[1:] > keys[:-1]).all(), len(made)
+        assert (self.canonical_keys(out) == keys).all(), len(made)
+        made.append(len(out))
+        return out, masks
+
+    def no_dedupe(keys):
+        raise AssertionError("a one-word step deduped")
+
+    _on(monkeypatch, False)
+    monkeypatch.setattr(search._Rows, "step", checked_step)
+    monkeypatch.setattr(search, "_distinct", no_dedupe)
+    levels = []
+    for level, frontier, _ in search._frontier_max(kit, kind, m, t):
+        levels.append((len(frontier), kit.least(frontier)))
+        if level >= cap:
+            break
+    assert len(levels) >= 3 and len(made) >= len(levels)
+    _on(monkeypatch, True)
+    tuples = search._Search(kind, m, t)
+    tuples.to(kit, cap, None)
+    assert levels == tuples.levels
+
+
 def _least_image(kit, mult) -> tuple[int, ...]:
     return min(img(mult) for img in kit.images)
+
+
+def _greatest_image(mult, perms) -> tuple[int, ...]:
+    # the lex-greatest of mult and its images under perms, a one-word row's
+    # form (as canonical_mult, the least, perms need not hold the identity)
+    return max([mult] + [tuple(map(mult.__getitem__, p)) for p in perms])
 
 
 def _on(monkeypatch, tuples: bool) -> None:
@@ -671,8 +751,8 @@ def _assert_steps_keep_the_same_orbits(kit, kind, m, t, cap, monkeypatch) -> Non
     # before, and from the tuple level before, each with what _advance
     # handed on, the parents and their masks. The array step's parents are
     # canonical rows, so its masks are the tuple step's read through the
-    # map from each lex-least tuple to its row (one-word rows are lex-least
-    # members too, and the map the identity)
+    # map from each lex-least tuple to its row (on one word, its
+    # lex-greatest image)
     seed = t if kind == KIND_EGZ else m - 1
     frontier, before = {(0,) * kit.card}, None
     rows, prev = kit.from_tuples(frontier), None
@@ -851,14 +931,14 @@ def test_row_keys_follow_tuple_order(moduli, cap) -> None:
     uniq = kit.from_keys(search._distinct(kit.keys(rows).copy()))  # wide keys view rows
     assert [tuple(r) for r in uniq[:, : kit.card].tolist()] == sorted(set(tuples))
     units = search._Rows(ring, unit_index_perms(ring))
-    if kit.one_word:  # one word: the canonical form is the lex-least image
+    if kit.one_word:  # one word: the canonical form is the lex-greatest image
         canon = units.from_keys(units.canonical_keys(rows))
         assert [tuple(r) for r in canon[:, : kit.card].tolist()] == [
-            canonical_mult(tp, orbit_perms(ring)) for tp in tuples
+            _greatest_image(tp, orbit_perms(ring)) for tp in tuples
         ]
         canon = kit.from_keys(kit.canonical_keys(rows))
         assert [tuple(r) for r in canon[:, : kit.card].tolist()] == [
-            canonical_mult(tp, symmetry_index_perms(ring, True)) for tp in tuples
+            _greatest_image(tp, symmetry_index_perms(ring, True)) for tp in tuples
         ]
         return
     # wider rows, of at most _ROW_MAX elements as in the search: the form
@@ -1169,13 +1249,16 @@ def test_table_masks_name_the_surviving_extensions(
     before = None
     if level - 2 in levels:
         before = search._advance(kit, levels[level - 2], level - 2, True, em_m)[1]
-    parent_rows = kit.from_tuples(sorted(parents))
-    got, masks = kit.step(parent_rows, em_m, before)
+    members = sorted(parents)
+    tuple_masks = dict(zip(handed[0], _mask_ints(handed[1])))
+    if kit.one_word:  # the orderly step takes lex-greatest rows: their masks
+        members = sorted(_greatest_image(x, kit.perm[:, :card].tolist()) for x in parents)
+        tuple_masks = _image_masks(kit, handed[0], handed[1])
+    got, masks = kit.step(kit.from_tuples(members), em_m, before)
     assert sorted(_least_image(kit, tuple(x)) for x in got[:, :card].tolist()) == sorted(grown)
     got = [tuple(x) for x in got.tolist()]
     assert got == sorted(set(got))  # sorted and distinct
-    tuple_masks = dict(zip(handed[0], _mask_ints(handed[1])))
-    assert _mask_ints(masks) == [tuple_masks[x] for x in sorted(parents)]
+    assert _mask_ints(masks) == [tuple_masks[x] for x in members]
     assert masks.shape == (len(parents), kit.width // 8)
 
 
@@ -1197,15 +1280,22 @@ def test_every_step_gives_masks_of_one_shape(moduli, monkeypatch, fresh_kits) ->
     frontier, prev = {zero}, None
     for level in range(3):
         members = sorted(frontier)  # lex-least, so handed on as tuples
-        rows = kit.from_tuples(members)
+        taken = members
+        if kit.one_word:  # the orderly step takes lex-greatest rows
+            taken = sorted(_greatest_image(x, kit.perm[:, : kit.card].tolist()) for x in members)
+        rows = kit.from_tuples(taken)
         assert kit.em_masks(rows, 1).shape == (len(rows), size)
         got, step_masks = kit.step(rows, 1, prev)
         frontier, (parents, masks) = search._advance(kit, members, level, True, 1)
         assert masks.shape == step_masks.shape == (len(parents), size), level
         assert masks.dtype == step_masks.dtype == np.uint8
-        assert _mask_ints(masks) == _mask_ints(step_masks)  # of the same sorted parents
+        if kit.one_word:  # the masks of the rows, images of the parents
+            image_masks = _image_masks(kit, parents, masks)
+            assert _mask_ints(step_masks) == [image_masks[x] for x in taken]
+        else:
+            assert _mask_ints(masks) == _mask_ints(step_masks)  # of the same sorted parents
         assert len(got) == len(frontier)
-        prev = members, step_masks
+        prev = taken, step_masks
 
 
 @pytest.mark.parametrize(
