@@ -36,8 +36,8 @@ only units reduced: the counterexamples of one length are a union of
 H-orbits, so the least of them is the least member over all images of the
 stored classes. A tuple level keeps lex-least members, so its least tuple
 is it; the one-word array step finds it among the images it gathers for
-its canonical test, and for a wider array level _Rows.least finds it among
-the images. It is unit-canonical, because H contains the units, so
+its canonical test and hands it on with the level, and for a wider array
+level _Rows.least finds it among the images. It is unit-canonical, because H contains the units, so
 witnesses and certificate bytes do not depend on H or on the
 representatives a level keeps.
 
@@ -188,7 +188,6 @@ from __future__ import annotations
 import math
 import operator
 import sys
-import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
@@ -364,8 +363,7 @@ class _Rows:
     __slots__ = (
         "ring", "card", "add_t", "mul_t", "one_idx", "width",
         "images", "perm", "inverse", "w", "C", "one_word", "eye", "full",
-        "_key_view", "_word_perm", "_factors", "_em_bits", "_image_masks",
-        "_made", "searches",
+        "_key_view", "_word_perm", "_factors", "_em_bits", "_image_masks", "searches",
     )
 
     def __init__(self, ring: RingSpec, sym) -> None:
@@ -395,7 +393,6 @@ class _Rows:
         self.full = np.frombuffer(((1 << card) - 1).to_bytes(width // 8, "little"), np.uint8)
         self._factors: dict[tuple[int, int, int], tuple[int, ...]] = {}
         self._image_masks = None  # (256, |H|): a mask's image under each map, made by table()
-        self._made = None  # (a weak reference to the last one-word level step made, its least)
         # _em_bits[k][a, b]: bit g (of width // 8 bytes, little-endian) set when
         # a + b g != 0 in coordinate k, for residues a, b mod its modulus,
         # built as b g != -a for blocks of a of about _BLOCK_BYTES // 2 bools
@@ -435,17 +432,15 @@ class _Rows:
         """All len(rows) * card one-element extensions, parent-major."""
         return (rows[:, None, :] + self.eye).reshape(-1, self.width)
 
-    def extension_keys(self, rows: np.ndarray, masks: np.ndarray, keys=None) -> np.ndarray:
-        """The keys of the extensions R + g of rows below _ROW_MAX with bit g
-        set in R's mask. On one word, one run per g: R's key (from keys, when
-        given) plus w[g], which adds one to byte g and never carries, so
-        sorted rows give sorted runs; on wider rows, the keys of the
-        extension rows, parent-major."""
+    def extension_keys(self, keys: np.ndarray, masks: np.ndarray) -> np.ndarray:
+        """The keys of the extensions R + g of rows below _ROW_MAX, given by
+        their keys, with bit g set in R's mask. On one word, one run per g:
+        R's key plus w[g], which adds one to byte g and never carries, so
+        sorted rows give sorted runs; on wider rows, whose keys view their
+        rows, the keys of the extension rows, parent-major."""
         if not self.one_word:
             bits = np.unpackbits(masks, axis=1, count=self.card, bitorder="little")
-            return self.keys(self.extend(rows)[bits.ravel() > 0])
-        if keys is None:
-            keys = self.keys(rows)
+            return self.keys(self.extend(self.from_keys(keys))[bits.ravel() > 0])
         grown = keys + self.w[:, None]  # (card, N), one row per g
         return grown[(masks[:, 0] >> np.arange(self.card, dtype=np.uint8)[:, None] & 1).view(bool)]
 
@@ -510,13 +505,12 @@ class _Rows:
 
     def least(self, rows) -> tuple[int, ...]:
         """The lex-least member of the union of the rows' orbits. A tuple
-        level (a set) keeps lex-least members: its least tuple is it. On one
-        word the level step found it (_step_word), and it answers only for
-        the level it made last; a weak reference names that level, which
-        it does not keep. Wider rows read an image as chunks of digits
-        consecutive elements, each chunk a number in base b (the rows'
-        largest multiplicity + 1) below 2**16, an exact uint16 (b is at
-        most 256, so digits is at least 2). One np.einsum gives the first
+        level (a set) keeps lex-least members: its least tuple is it. A
+        one-word array step finds its level's itself (_step_word). Here rows
+        read an image as chunks of digits consecutive elements, each chunk a
+        number in base b (the rows' largest multiplicity + 1) below 2**16,
+        an exact uint16 (b is at most 256, so digits is at least 2). One
+        np.einsum gives the first
         chunk of every image of a block of rows; a mask keeps the (row,
         image) pairs at its least value, and each next chunk, one einsum
         over the rows still in play, narrows it. A running best spans the
@@ -524,11 +518,6 @@ class _Rows:
         card, n_h = self.card, len(self.perm)
         if isinstance(rows, set):
             return min(rows)
-        if self.one_word:
-            made, least = self._made or (None, None)
-            if made is None or made() is not rows:
-                raise ValueError("least of one-word rows: not the level step made last")
-            return least
         base = int(rows[:, :card].max()) + 1
         digits = 1
         while digits < card and base ** (digits + 1) <= 1 << 16:
@@ -636,7 +625,8 @@ class _Rows:
         for the lookups, before any extension is made; then only the
         extensions the masks allow, deduped as keys per block of parents and
         over the level, and their canonical forms. Returns the next level,
-        sorted, and the rows' masks."""
+        sorted, the rows' masks, and the next level's least class on one
+        word (None on wider rows, whose least() finds it)."""
         table = None if prev is None else self.table(*prev)
         if self.one_word:
             return self._step_word(rows, em_m, table)
@@ -645,35 +635,49 @@ class _Rows:
         masks = np.concatenate([self.masks(rows[p], table, em_m) for p in parts])
         del table
         cands = _distinct(np.concatenate([
-            _distinct(self.extension_keys(rows[p], masks[p])) for p in parts
+            _distinct(self.extension_keys(self.keys(rows[p]), masks[p])) for p in parts
         ]))
         out = _distinct(np.concatenate([
             self.canonical_keys(self.from_keys(cands[lo : lo + per]))
             for lo in range(0, len(cands), per)
         ] or [cands]))
-        return self.from_keys(out), masks
+        return self.from_keys(out), masks, None
 
     def _step_word(self, rows: np.ndarray, em_m, table):
         """step on one-word rows, lex-greatest images, orderly (see the
         module docstring): per block of parents, one read of their keys
-        serves the masks' lookups and the extensions. A parent R makes R + g
-        only for g at or past its last element (_FROM_LAST) with bit g of
-        its mask set, and keeps it only when it is the greatest of its image
-        words, in chunks of block_rows extensions. Each class of the next
-        level is made once, so the survivors are distinct and one sort
-        orders them. Every extension made lies in the next level, so the
-        least of the image words is the level's least class, which least()
-        then answers."""
-        per = self.block_rows()
+        serves the masks' lookups and the extensions. Each parent's mask is
+        its e_m mask (masks) ANDed, with a table, with the masks the table
+        holds for its removals R - i, all of a block's one np.searchsorted,
+        column by column, so sorted rows give ascending runs; a row whose
+        mask is empty looks nothing up, and a miss raises RuntimeError. A
+        parent R makes R + g only for g at or past its last element
+        (_FROM_LAST) with bit g of its mask set, and keeps it only when it
+        is the greatest of its image words, in chunks of block_rows
+        extensions. Each class of the next level is made once, so the
+        survivors are distinct and one sort orders them. Every extension
+        made lies in the next level, so the least of the image words is the
+        level's least class."""
+        card, per = self.card, self.block_rows()
         masks = np.empty((len(rows), 1), np.uint8)
         made, least = [], _MASK64
         for lo in range(0, len(rows), per):
             block = rows[lo : lo + per]
             keys = self.keys(block)
-            mask = masks[lo : lo + per] = self.masks(block, table, em_m, keys)
+            mask = self.masks(block, None, em_m)
+            if table is not None:
+                held = (block[:, :card] > 0).T & (mask[:, 0] > 0)  # (card, n): the removals to look up
+                removals = (keys - self.w[:, None] & _HIGH_BYTES)[held]
+                found = table[table.searchsorted(removals).clip(max=len(table) - 1)]
+                if (found & _HIGH_BYTES != removals).any():
+                    raise self._missing()
+                got = np.full(held.shape, 0xFF, np.uint8)
+                got[held] = found.astype(np.uint8)  # the masks, in the low byte
+                mask[:, 0] &= np.bitwise_and.reduce(got, axis=0)
+            masks[lo : lo + per] = mask
             low = keys & np.uint64(0) - keys  # the key's lowest set bit
             orderly = _FROM_LAST[_BYTE_STARTS.searchsorted(low, side="right")]
-            cands = self.extension_keys(block, mask & orderly[:, None], keys)
+            cands = self.extension_keys(keys, mask & orderly[:, None])
             for at in range(0, len(cands), per):
                 part = cands[at : at + per]
                 # (|H|, n): a max over rows of |H| words is several times slower
@@ -682,24 +686,21 @@ class _Rows:
                 least = min(least, int(words.min()))
         out = np.concatenate(made) if made else np.empty(0, np.uint64)
         out.sort()
-        level = self.from_keys(out)
-        least = tuple(least.to_bytes(8, "big")[: self.card]) if len(out) else None
-        self._made = weakref.ref(level), least
-        return level, masks
+        least = tuple(least.to_bytes(8, "big")[:card]) if len(out) else None
+        return self.from_keys(out), masks, least
 
-    def masks(self, rows: np.ndarray, table, em_m, keys=None) -> np.ndarray:
+    def masks(self, rows: np.ndarray, table, em_m) -> np.ndarray:
         """Extension masks of the rows, packed as em_masks: bit g set when
         R + g is in the next level. That is the e_m mask (every bit when
         em_m is None), and with a table, the AND of the masks it holds for
         each removal R - i, since R + g - i = (R - i) + g must lie in R's own
         level. Each removal of a stored class lies in the previous level, so
         every lookup must hit; a miss raises RuntimeError. A row whose mask
-        is empty looks nothing up. On one word all removals of the rows
-        (from their keys, when given) are one np.searchsorted, column by
-        column, so sorted rows give ascending runs. Wider rows take their
-        (row, removal) pairs from the same held grid, row by row, and in
-        chunks of _PAIR_BYTES look up the canonical form h(R - i) of each
-        pair's removal; bit g is bit inverse[g, h] of the form's mask, and
+        is empty looks nothing up. The lookups here are on rows wider than
+        one word (one word's are _step_word's, which holds the rows' keys).
+        They take the (row, removal) pairs, row by row, and in chunks of
+        _PAIR_BYTES look up the canonical form h(R - i) of each pair's
+        removal; bit g is bit inverse[g, h] of the form's mask, and
         np.bitwise_and.reduceat ANDs each row's. The canonical keys of R -
         i's images are R's less C[i], so one product serves every pair."""
         card = self.card
@@ -708,18 +709,6 @@ class _Rows:
         else:
             out = self.em_masks(rows, em_m)
         if table is None:
-            return out
-        if self.one_word:
-            held = (rows[:, :card] > 0).T & (out[:, 0] > 0)  # (card, N): the removals to look up
-            if keys is None:
-                keys = self.keys(rows)
-            removals = (keys - self.w[:, None] & _HIGH_BYTES)[held]
-            found = table[table.searchsorted(removals).clip(max=len(table) - 1)]
-            if (found & _HIGH_BYTES != removals).any():
-                raise self._missing()
-            got = np.full(held.shape, 0xFF, np.uint8)
-            got[held] = found.astype(np.uint8)  # the masks, in the low byte
-            out[:, 0] &= np.bitwise_and.reduce(got, axis=0)
             return out
         forms, masks = table
         held = (rows[:, :card] > 0) & out.any(axis=1)[:, None]
@@ -1004,28 +993,29 @@ def _on_tuples(kit: _Rows, n: int, level: int, em_m) -> bool:
     )
 
 
-def _advance(kit: _Rows, frontier, level: int, closed: bool, em_m, prev=None, lazy=False):
+def _advance(kit: _Rows, frontier, level: int, closed: bool, em_m, prev=None):
     """The level after frontier, a set of tuples or a sorted row array of
-    multisets of length level, under the kit's group, and what the step
-    after it needs of this one; prev is that of the step before.
+    multisets of length level, under the kit's group, what the step after
+    it needs of this one, and the level's least class when the step found
+    it (a one-word array step's), else None; prev is what the step before
+    handed on.
 
     closed asks for the closure test against frontier itself; em_m for the
     e_m != 0 test. The tuple step (see _on_tuples) returns a set, the array
     step a sorted array. A step that tested either hands on its parents and
     their extension masks, packed as the array step's (see _Rows.step); any
-    other hands on None. With lazy (as _frontier_max steps, where the next
-    step is closed and tests e_m when this one did and was closed), a step
-    whose next step takes tuples hands on None too: the tuple step reads
-    nothing of the level before, so a tuple step's masks are packed only
-    for an array step. An array level goes on as its rows, its own
+    other hands on None. An array level goes on as its rows, its own
     canonical forms; a tuple level, as its tuples, which _Rows.table
     canonicalizes, but an array step on one word takes it as sorted
     lex-greatest rows, and hands those on.
     """
-    hand_on = closed or em_m is not None
+    least = None
     if _on_tuples(kit, len(frontier), level, em_m):
         parents = kit.to_tuples(frontier) if isinstance(frontier, np.ndarray) else frontier
         out, masks = _step_tuples(kit, parents, parents if closed else None, em_m)
+        size = kit.width // 8
+        masks = np.frombuffer(b"".join(x.to_bytes(size, "little") for x in masks), np.uint8)
+        masks = masks.reshape(-1, size)
     else:
         parents = frontier
         if isinstance(frontier, set) and kit.one_word:
@@ -1033,36 +1023,32 @@ def _advance(kit: _Rows, frontier, level: int, closed: bool, em_m, prev=None, la
         elif isinstance(frontier, set):
             parents = sorted(frontier)
         rows = parents if isinstance(parents, np.ndarray) else kit.from_tuples(parents)
-        out, masks = kit.step(rows, em_m, prev)
-    if lazy and hand_on:
-        hand_on = not _on_tuples(kit, len(out), level + 1, em_m if closed else None)
-    if not hand_on:
-        return out, None
-    if isinstance(masks, list):  # the tuple step's, as ints
-        size = kit.width // 8
-        masks = np.frombuffer(b"".join(x.to_bytes(size, "little") for x in masks), np.uint8)
-        masks = masks.reshape(-1, size)
-    return out, (parents, masks)
+        out, masks, least = kit.step(rows, em_m, prev)
+    return out, ((parents, masks) if closed or em_m is not None else None), least
 
 
 def _frontier_max(kit: _Rows, kind: str, m: int, t: int | None):
-    """The frontier BFS as a generator of (level, frontier): the seed level,
-    then each later nonempty level. It stops at the first empty level: the
-    search closed there.
+    """The frontier BFS as a generator of (level, frontier, prev, least):
+    the seed level, then each later nonempty level, with what the step that
+    makes the next level reads of the one before, and the level's least
+    class when its step found it, else None (see _advance). It stops at the
+    first empty level: the search closed there.
 
     Seed levels skip the closure test: every multiset of length below the
     seed is a counterexample, and at the EGZ seed level t exactly those with
     e_m != 0 are."""
     seed = t if kind == KIND_EGZ else m - 1
-    frontier, prev = {(0,) * kit.card}, None
+    frontier, prev, least = {(0,) * kit.card}, None, None
     for level in range(seed):
         seed_em = m if level + 1 == t else None
-        frontier, prev = _advance(kit, frontier, level, False, seed_em, None, True)  # lazy
+        frontier, prev, least = _advance(kit, frontier, level, False, seed_em)
     em_m = m if kind == KIND_DAV else None
     level = seed
     while len(frontier):
-        yield level, frontier, prev
-        frontier, prev = _advance(kit, frontier, level, True, em_m, prev, True)  # lazy
+        if _on_tuples(kit, len(frontier), level, em_m):
+            prev = None  # the tuple step needs nothing of the level before
+        yield level, frontier, prev, least
+        frontier, prev, least = _advance(kit, frontier, level, True, em_m, prev)
         level += 1
 
 
@@ -1127,8 +1113,10 @@ class _Search:
                 self.done = True
                 self.close()
                 break
-            level, frontier, prev = step
-            self.levels.append((len(frontier), kit.least(frontier)))
+            level, frontier, prev, least = step
+            if least is None:
+                least = kit.least(frontier)
+            self.levels.append((len(frontier), least))
             self.nbytes = _nbytes(frontier, level, prev)
             if progress:
                 progress(level, len(frontier))

@@ -680,20 +680,20 @@ def test_a_one_word_step_makes_each_class_once(
     # makes, the seed's too, is sorted by one np.sort and comes out strictly
     # ascending, so no class was made twice (checked as each step returns,
     # before a duplicate could multiply in the next). Each row is its own
-    # lex-greatest image, and every level's size and least class are the
-    # tuple step's
+    # lex-greatest image, and every level's size and least class (the one
+    # the step found) are the tuple step's
     kit = search._kit(make_ring(moduli), m == 1)
     assert kit.one_word
     step = search._Rows.step
     made = []
 
     def checked_step(self, rows, *args):
-        out, masks = step(self, rows, *args)
+        out, masks, least = step(self, rows, *args)
         keys = self.keys(out)
         assert (keys[1:] > keys[:-1]).all(), len(made)
         assert (self.canonical_keys(out) == keys).all(), len(made)
         made.append(len(out))
-        return out, masks
+        return out, masks, least
 
     def no_dedupe(keys):
         raise AssertionError("a one-word step deduped")
@@ -701,16 +701,13 @@ def test_a_one_word_step_makes_each_class_once(
     _on(monkeypatch, False)
     monkeypatch.setattr(search._Rows, "step", checked_step)
     monkeypatch.setattr(search, "_distinct", no_dedupe)
-    levels = []
-    for level, frontier, _ in search._frontier_max(kit, kind, m, t):
-        levels.append((len(frontier), kit.least(frontier)))
-        if level >= cap:
-            break
-    assert len(levels) >= 3 and len(made) >= len(levels)
+    arrays = search._Search(kind, m, t)
+    arrays.to(kit, cap, None)
+    assert len(arrays.levels) >= 3 and len(made) >= len(arrays.levels)
     _on(monkeypatch, True)
     tuples = search._Search(kind, m, t)
     tuples.to(kit, cap, None)
-    assert levels == tuples.levels
+    assert arrays.levels == tuples.levels
 
 
 def _least_image(kit, mult) -> tuple[int, ...]:
@@ -760,10 +757,10 @@ def _assert_steps_keep_the_same_orbits(kit, kind, m, t, cap, monkeypatch) -> Non
         closed = level > seed
         em_m = m if (kind == KIND_DAV and closed) or level == t else None
         _on(monkeypatch, True)
-        expect, handed = search._advance(kit, frontier, level - 1, closed, em_m)
+        expect, handed, _ = search._advance(kit, frontier, level - 1, closed, em_m)
         _on(monkeypatch, False)
-        scratch, _ = search._advance(kit, frontier, level - 1, closed, em_m, before)
-        rows, prev = search._advance(kit, rows, level - 1, closed, em_m, prev)
+        scratch, _, _ = search._advance(kit, frontier, level - 1, closed, em_m, before)
+        rows, prev, _ = search._advance(kit, rows, level - 1, closed, em_m, prev)
         assert (prev is not None) == bool(closed or em_m)
         assert (handed is None) == (prev is None)
         if prev is not None:
@@ -894,13 +891,13 @@ def test_canonical_pass_and_least_stay_within_blocks(fresh_kits) -> None:
     ring = make_ring((5, 5))
     kit = search._kit(ring, True)
     assert len(kit.perm) == 480
-    for level, frontier, _ in search._frontier_max(kit, KIND_DAV, 1, None):
+    for level, frontier, _, _ in search._frontier_max(kit, KIND_DAV, 1, None):
         if level == 6:
             break
     rows = frontier if not isinstance(frontier, set) else kit.from_tuples(frontier)
     assert len(rows) == 107
     every = kit.masks(rows, None, None)  # an untested level's: every extension
-    cands = kit.from_keys(search._distinct(kit.extension_keys(rows, every)))
+    cands = kit.from_keys(search._distinct(kit.extension_keys(kit.keys(rows), every)))
     assert len(cands) * len(kit.perm) * 8 > 4 * search._BLOCK_BYTES
     per = kit.block_rows()
     tracemalloc.start()
@@ -983,11 +980,11 @@ def test_extension_keys_are_the_extensions_keys(moduli) -> None:
     assert masks.shape == (len(rows), kit.width // 8) and (masks[0] == kit.full).all()
     keys = kit.keys(ext).reshape(len(rows), card)
     expect = keys.T[allowed.T] if kit.one_word else keys[allowed]  # g-major, or parent-major
-    assert (kit.extension_keys(rows, masks) == expect).all()
+    assert (kit.extension_keys(kit.keys(rows), masks) == expect).all()
     every = kit.masks(rows, None, None)
     assert (every == kit.full).all()
     expect = keys.T.ravel() if kit.one_word else keys.ravel()
-    assert (kit.extension_keys(rows, every) == expect).all()
+    assert (kit.extension_keys(kit.keys(rows), every) == expect).all()
 
 
 @pytest.mark.parametrize("moduli", [(8,), (2, 2, 2), (3, 3), (5, 5), (2, 2, 2, 2), (2, 6)])
@@ -1213,13 +1210,13 @@ def test_table_masks_name_the_surviving_extensions(
     card = kit.card
     levels = {}
     _on(monkeypatch, True)
-    for at, frontier, _ in search._frontier_max(kit, kind, m, t):
+    for at, frontier, _, _ in search._frontier_max(kit, kind, m, t):
         levels[at] = frontier
         if at == level:
             break
     parents, grown = levels[level - 1], levels[level]
     em_m = m if kind == KIND_DAV else None
-    out, handed = search._advance(kit, parents, level - 1, True, em_m)
+    out, handed, _ = search._advance(kit, parents, level - 1, True, em_m)
     assert out == grown and handed[0] is parents
     orbits = {img(x) for x in grown for img in kit.images}
     table = kit.table(*handed)
@@ -1254,7 +1251,7 @@ def test_table_masks_name_the_surviving_extensions(
     if kit.one_word:  # the orderly step takes lex-greatest rows: their masks
         members = sorted(_greatest_image(x, kit.perm[:, :card].tolist()) for x in parents)
         tuple_masks = _image_masks(kit, handed[0], handed[1])
-    got, masks = kit.step(kit.from_tuples(members), em_m, before)
+    got, masks, _ = kit.step(kit.from_tuples(members), em_m, before)
     assert sorted(_least_image(kit, tuple(x)) for x in got[:, :card].tolist()) == sorted(grown)
     got = [tuple(x) for x in got.tolist()]
     assert got == sorted(set(got))  # sorted and distinct
@@ -1274,7 +1271,7 @@ def test_every_step_gives_masks_of_one_shape(moduli, monkeypatch, fresh_kits) ->
     assert size == {8: 1, 9: 2, 25: 4}[kit.card]
     zero = (0,) * kit.card
     rows = kit.from_tuples([zero])
-    _, masks = kit.step(rows, None)
+    _, masks, _ = kit.step(rows, None)
     assert masks.shape == (1, size) and (masks == kit.full).all()
     _on(monkeypatch, True)
     frontier, prev = {zero}, None
@@ -1285,8 +1282,8 @@ def test_every_step_gives_masks_of_one_shape(moduli, monkeypatch, fresh_kits) ->
             taken = sorted(_greatest_image(x, kit.perm[:, : kit.card].tolist()) for x in members)
         rows = kit.from_tuples(taken)
         assert kit.em_masks(rows, 1).shape == (len(rows), size)
-        got, step_masks = kit.step(rows, 1, prev)
-        frontier, (parents, masks) = search._advance(kit, members, level, True, 1)
+        got, step_masks, _ = kit.step(rows, 1, prev)
+        frontier, (parents, masks), _ = search._advance(kit, members, level, True, 1)
         assert masks.shape == step_masks.shape == (len(parents), size), level
         assert masks.dtype == step_masks.dtype == np.uint8
         if kit.one_word:  # the masks of the rows, images of the parents
@@ -1320,10 +1317,10 @@ def test_an_array_level_is_its_own_table(kind, moduli, m, t, cap, monkeypatch, f
     assert not kit.one_word
     _on(monkeypatch, False)
     zero = (0,) * kit.card
-    _, handed = search._advance(kit, {zero}, 0, True, 1)
+    _, handed, _ = search._advance(kit, {zero}, 0, True, 1)
     assert handed[0] == [zero]
     tables = 0
-    for level, frontier, prev in search._frontier_max(kit, kind, m, t):
+    for level, frontier, prev, _ in search._frontier_max(kit, kind, m, t):
         if isinstance(frontier, np.ndarray):
             assert (kit.canonical(frontier)[0] == frontier).all(), level
         if prev is None or not isinstance(prev[0], np.ndarray):
@@ -1385,7 +1382,7 @@ def test_wide_lookups_match_one_removal_at_a_time(kind, moduli, m, t, em_m, leve
     assert not kit.one_word
     per = search._PAIR_BYTES // (2 * len(kit.perm) + 8 * kit.width)
     spans = empty = 0
-    for level, frontier, prev in search._frontier_max(kit, kind, m, t):
+    for level, frontier, prev, _ in search._frontier_max(kit, kind, m, t):
         if level in levels:
             assert isinstance(frontier, np.ndarray) and prev is not None, level
             table = kit.table(*prev)
@@ -1721,7 +1718,7 @@ def test_suspended_frontiers_stay_within_the_budget(monkeypatch, fresh_kits) -> 
     assert any(s.gen is not None for s in kit.searches.values())
     assert any(s.gen is None and not s.done for s in kit.searches.values())
     held = kit.searches[(KIND_DAV, 4, None)]
-    for level, frontier, prev in search._frontier_max(kit, KIND_DAV, 4, None):
+    for level, frontier, prev, _ in search._frontier_max(kit, KIND_DAV, 4, None):
         if level == 7:
             break
     parents, masks = prev
@@ -1741,7 +1738,7 @@ def test_suspended_frontiers_stay_within_the_budget(monkeypatch, fresh_kits) -> 
         (held,) = kit.searches.values()
         assert held.gen is not None and held.nbytes <= 4096
         last = held.seed + len(held.levels) - 1
-        for level, frontier, prev in search._frontier_max(kit, KIND_DAV, 2, None):
+        for level, frontier, prev, _ in search._frontier_max(kit, KIND_DAV, 2, None):
             if level == last:
                 break
         assert held.nbytes == search._nbytes(frontier, level, prev)
