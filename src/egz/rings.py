@@ -12,7 +12,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import itemgetter
 from typing import Iterable, Sequence
 
 from . import numtheory
@@ -206,21 +205,27 @@ def _general_linear_order(ring: RingSpec) -> int | None:
 
 
 def _closure(ident: tuple[int, ...], gens: list[tuple[int, ...]], limit: int):
-    """The group generated by gens, breadth-first; None once it exceeds limit.
+    """The group generated by gens, breadth-first, sorted; None once it
+    exceeds limit. Indices must be below 256.
 
-    itemgetter(*s)(g) is the composition h[i] = g[s[i]] in one C call."""
-    seen = {ident}
-    queue = [ident]
-    compose = [itemgetter(*s) for s in gens] if len(ident) > 1 else []
+    Each perm is kept as its bytes, and g.translate(table_s), with s's
+    table padded to 256 bytes, is the composition h[i] = s[g[i]] in one C
+    call. Composing on the left or on the right by the generators reaches
+    the same group from the identity."""
+    tail = bytes(range(len(ident), 256))
+    tables = [bytes(s) + tail for s in gens]
+    start = bytes(ident)
+    seen = {start}
+    queue = [start]
     for g in queue:
-        for c in compose:
-            h = c(g)
+        for table in tables:
+            h = g.translate(table)
             if h not in seen:
                 if len(seen) == limit:
                     return None
                 seen.add(h)
                 queue.append(h)
-    return tuple(sorted(seen))
+    return tuple(map(tuple, sorted(seen)))
 
 
 @lru_cache(maxsize=CACHED_RINGS)
@@ -233,8 +238,11 @@ def symmetry_index_perms(ring: RingSpec, additive: bool) -> tuple[tuple[int, ...
     when additive (m = 1, where e_1 is the sum), the shears
     x_j += (n_j / gcd(n_i, n_j)) x_i, which are additive automorphisms. A
     group past SYMMETRY_BUDGET is retried without shears, then with units
-    alone, so H always contains the units.
+    alone, so H always contains the units. Raises ValueError on a ring of
+    more than 256 elements, whose indices do not fit _closure's bytes.
     """
+    if ring.cardinality > 256:
+        raise ValueError(f"{ring} has {ring.cardinality} elements; a symmetry group takes at most 256")
     units_h = tuple(sorted(unit_index_perms(ring)))
     mods = ring.moduli
     pairs = [(i, j) for i in range(ring.rank) for j in range(ring.rank) if i != j]

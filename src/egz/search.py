@@ -36,10 +36,11 @@ only units reduced: the counterexamples of one length are a union of
 H-orbits, so the least of them is the least member over all images of the
 stored classes. A tuple level keeps lex-least members, so its least tuple
 is it; the one-word array step finds it among the images it gathers for
-its canonical test and hands it on with the level, and for a wider array
-level _Rows.least finds it among the images. It is unit-canonical, because H contains the units, so
-witnesses and certificate bytes do not depend on H or on the
-representatives a level keeps.
+its canonical test and hands it on with the level. On a wider array level
+_Rows.least finds it among the images, but only for a level a query
+returns or a search settles (see _Search). It is unit-canonical, because
+H contains the units, so witnesses and certificate bytes do not depend on
+H or on the representatives a level keeps.
 
 The frontier seeds at level t for the EGZ kind (every shorter multiset is
 vacuously a counterexample; level t keeps those with e_m != 0) and at level
@@ -57,16 +58,21 @@ The levels do not depend on the cap, so one BFS answers every cap of one
 caches up to _SEARCHES of them as _Search: the size and least class of
 every level made so far, and the generator that makes the next one,
 suspended (before an array step it also holds the previous level and its
-extension masks, for the next closure table). A query sends the recorded
-levels up to its cap through progress and resumes the generator only for
-levels past the last one; its answer, witness, certificate bytes and
-progress calls are those of a search from the seed, whatever was asked
-before. A suspended frontier stays only while the kit's sum of them is at
-most _SUSPEND_BYTES (64 KiB, so 2 MiB over the 32 kits); past that the
-generator is closed, and a larger cap runs again from the seed. A
-recorded level costs about 8 |G| + 150 bytes. A search that raised
-(MemoryError, KeyboardInterrupt) leaves the cache, and
-verify_certificate's re-check runs a new search outside it.
+extension masks, for the next closure table). A wide array level that no
+query has returned is held as its rows, its least class not yet taken.
+A query sends the recorded levels up to its cap through progress,
+resumes the generator only for levels past the last one, and takes the
+least class of the level it returns if that level is held; its answer,
+witness, certificate bytes and progress calls are those of a search from
+the seed, whatever was asked before. Suspended frontiers and held rows
+stay only while the kit's sum of them is at most _SUSPEND_BYTES (64 KiB,
+so 2 MiB over the 32 kits): a search whose own bytes pass it settles
+its oldest held levels (takes their least classes and drops their rows),
+and one that takes the kit past it settles every level it holds and
+closes its generator. A larger cap then runs again from the seed, but no
+query re-runs a search for a least class. A recorded level costs about 8 |G| + 150
+bytes. A search that raised (MemoryError, KeyboardInterrupt) leaves the
+cache, and verify_certificate's re-check runs a new search outside it.
 
 A level step has two implementations with the same output. Each keeps the
 one-element extensions of the stored representatives whose one-element
@@ -280,7 +286,8 @@ _BYTE_STARTS = np.array([1 << 8 * b for b in range(8)], np.uint64)
 # extensions R + g its orderly step makes (every one of the empty row's).
 _FROM_LAST = np.array([0xFF] + [0xFF & -(1 << 7 - b) for b in range(8)], np.uint8)
 # Kits _kit keeps; searches each kit caches; bytes of suspended frontiers
-# each kit keeps, so _BLOCK_BYTES over the cached kits (see _Search).
+# and held rows each kit keeps, so _BLOCK_BYTES over the cached kits (see
+# _Search).
 _KITS = 32
 _SEARCHES = 32
 _SUSPEND_BYTES = _BLOCK_BYTES // _KITS
@@ -374,8 +381,9 @@ class _Rows:
         self.one_word = width == 8
         self._key_view = np.dtype(">u8" if self.one_word else f"V{width}")
         self.images = [operator.itemgetter(*p) for p in sym]  # img(mult) is an image
-        pad = list(range(card, width))  # padding columns map to themselves
-        self.perm = np.array([list(p) + pad for p in sym], dtype=np.intp)
+        self.perm = np.empty((len(sym), width), np.intp)
+        self.perm[:, :card] = np.frombuffer(b"".join(map(bytes, sym)), np.uint8).reshape(-1, card)
+        self.perm[:, card:] = np.arange(card, width)  # padding columns map to themselves
         # perm with each word's bytes in native order, so that a gather by it
         # views as the image words in native uint64 (image_words)
         self._word_perm = self.perm[:, ::-1] if sys.byteorder == "little" else self.perm
@@ -503,21 +511,18 @@ class _Rows:
             return self.keys(self.canonical(rows)[0])
         return self.image_words(rows).max(axis=1)
 
-    def least(self, rows) -> tuple[int, ...]:
-        """The lex-least member of the union of the rows' orbits. A tuple
-        level (a set) keeps lex-least members: its least tuple is it. A
-        one-word array step finds its level's itself (_step_word). Here rows
-        read an image as chunks of digits consecutive elements, each chunk a
-        number in base b (the rows' largest multiplicity + 1) below 2**16,
-        an exact uint16 (b is at most 256, so digits is at least 2). One
-        np.einsum gives the first
-        chunk of every image of a block of rows; a mask keeps the (row,
-        image) pairs at its least value, and each next chunk, one einsum
-        over the rows still in play, narrows it. A running best spans the
-        blocks."""
+    def least(self, rows: np.ndarray) -> tuple[int, ...]:
+        """The lex-least member of the union of the rows' orbits, for a wide
+        array level that a query returns or a search settles (_Search); a
+        tuple level's is its least tuple, and a one-word step's is found by
+        _step_word. The rows read an image as chunks of digits consecutive
+        elements, each chunk a number in base b (the rows' largest
+        multiplicity + 1) below 2**16, an exact uint16 (b is at most 256,
+        so digits is at least 2). One np.einsum gives the first chunk of
+        every image of a block of rows; a mask keeps the (row, image) pairs
+        at its least value, and each next chunk, one einsum over the rows
+        still in play, narrows it. A running best spans the blocks."""
         card, n_h = self.card, len(self.perm)
-        if isinstance(rows, set):
-            return min(rows)
         base = int(rows[:, :card].max()) + 1
         digits = 1
         while digits < card and base ** (digits + 1) <= 1 << 16:
@@ -626,7 +631,7 @@ class _Rows:
         extensions the masks allow, deduped as keys per block of parents and
         over the level, and their canonical forms. Returns the next level,
         sorted, the rows' masks, and the next level's least class on one
-        word (None on wider rows, whose least() finds it)."""
+        word (None on wider rows, whose least() _Search takes on demand)."""
         table = None if prev is None else self.table(*prev)
         if self.one_word:
             return self._step_word(rows, em_m, table)
@@ -1071,29 +1076,48 @@ class _Search:
 
     The levels do not depend on the cap, so a search to one cap is a prefix
     of the search to any larger one. levels[i] is (size, least class) of
-    level seed + i; gen is the suspended _frontier_max that makes the next
-    level, or None, and nbytes the size of the frontier it holds (with the
-    previous level and its masks before an array step, see _nbytes); done
-    says the level after the last one is empty. A closed gen with done false
-    is re-run from the seed when a larger cap needs more levels, and makes
-    the same levels again. The kit is passed to each call, not kept, so a
-    kit and the searches it caches form no reference cycle unless a
-    generator is suspended."""
+    level seed + i. The least class of a tuple level is its least tuple,
+    and a one-word array step finds its own; a wide array level's least
+    (_Rows.least) is taken only when a query returns it or when the
+    search settles it, and until then the level is held: held[i] is its
+    rows, and levels[i] is (size, None). gen is the suspended _frontier_max
+    that makes the next level, or None, and live the bytes of the frontier
+    it holds (with the previous level and its masks before an array step,
+    see _nbytes); nbytes counts those and the held rows. While nbytes is
+    past _SUSPEND_BYTES the search settles its oldest held level: it takes
+    that level's least and drops its rows. done says the level after the
+    last one is empty. A closed gen with done false is re-run from the seed
+    when a larger cap needs more levels, and makes the same levels again.
+    The kit is passed to each call, not kept, so a kit and the searches it
+    caches form no reference cycle unless a generator is suspended."""
 
-    __slots__ = ("kind", "m", "t", "seed", "levels", "gen", "nbytes", "done")
+    __slots__ = ("kind", "m", "t", "seed", "levels", "held", "gen", "live", "done")
 
     def __init__(self, kind: str, m: int, t: int | None):
         self.kind, self.m, self.t = kind, m, t
         self.seed = t if kind == KIND_EGZ else m - 1
-        self.levels: list[tuple[int, tuple[int, ...]]] = []
+        self.levels: list[tuple[int, tuple[int, ...] | None]] = []
+        self.held: dict[int, np.ndarray] = {}  # oldest first
         self.gen = None
-        self.nbytes = 0
+        self.live = 0
         self.done = False
 
-    def close(self) -> None:
+    @property
+    def nbytes(self) -> int:
+        return self.live + sum(rows.nbytes for rows in self.held.values())
+
+    def settle(self, kit: _Rows, i: int) -> None:
+        """Record held level i's least class and drop its rows."""
+        self.levels[i] = self.levels[i][0], kit.least(self.held[i])
+        del self.held[i]
+
+    def close(self, kit: _Rows | None = None) -> None:
+        """Close the generator; with kit, settle every held level first."""
+        while kit is not None and self.held:
+            self.settle(kit, next(iter(self.held)))
         if self.gen is not None:
             self.gen.close()
-        self.gen, self.nbytes = None, 0
+        self.gen, self.live = None, 0
 
     def to(self, kit: _Rows, cap: int, progress):
         """The search on kit to cap, at least the seed level: the last
@@ -1114,15 +1138,21 @@ class _Search:
                 self.close()
                 break
             level, frontier, prev, least = step
-            if least is None:
-                least = kit.least(frontier)
+            if isinstance(frontier, set):
+                least = min(frontier)
+            elif least is None:
+                self.held[len(self.levels)] = frontier
             self.levels.append((len(frontier), least))
-            self.nbytes = _nbytes(frontier, level, prev)
+            self.live = _nbytes(frontier, level, prev)
+            while self.nbytes > _SUSPEND_BYTES and self.held:
+                self.settle(kit, next(iter(self.held)))
             if progress:
                 progress(level, len(frontier))
         if not self.levels:  # the EGZ seed level is empty
             return seed - 1, _vacuous_witness(kit.ring, seed - 1).mult
         i = min(cap - seed, len(self.levels) - 1)
+        if i in self.held:
+            self.settle(kit, i)
         return seed + i, self.levels[i][1]
 
 
@@ -1130,8 +1160,9 @@ def _cached_search(kit: _Rows, kind: str, m: int, t: int | None, cap: int, progr
     """_Search.to on the kit's cached search of (kind, m, t). An exception
     (a MemoryError, a KeyboardInterrupt) leaves the search out of the
     cache, since a generator that raised reads as closed. Past _SEARCHES
-    the least recently used search goes, and a suspended frontier that
-    would take the kit past _SUSPEND_BYTES is dropped."""
+    the least recently used search goes, and a search that would take the
+    kit past _SUSPEND_BYTES settles every level it holds and drops its
+    suspended frontier."""
     key = (kind, m, t)
     searches = kit.searches
     found = searches.pop(key, None) or _Search(kind, m, t)
@@ -1140,7 +1171,7 @@ def _cached_search(kit: _Rows, kind: str, m: int, t: int | None, cap: int, progr
     if len(searches) > _SEARCHES:
         searches.pop(next(iter(searches))).close()
     if sum(s.nbytes for s in searches.values()) > _SUSPEND_BYTES:
-        found.close()
+        found.close(kit)
     return answer
 
 

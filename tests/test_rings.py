@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import itertools
+from operator import itemgetter
 
 import pytest
 
+from egz import rings
 from egz.rings import (
     RingSpec,
     add,
@@ -112,27 +114,74 @@ def test_units_and_perms() -> None:
     assert len(ulist) == 2
 
 
-@pytest.mark.parametrize(
-    "moduli, additive, order",
-    [
-        ((5, 5), True, 480),  # GL_2(F_5)
-        ((5, 5), False, 32),  # units and the coordinate swap
-        ((7, 7), True, 2016),  # GL_2(F_7)
-        ((2, 2, 2), True, 168),  # GL_3(F_2)
-        ((2, 2, 2, 2), True, 24),  # GL_4(F_2) is past the budget: S_4
-        ((2,) * 6, False, 720),  # S_6
-        ((3, 9), True, 108),  # Aut(Z_3 x Z_9)
-        ((2, 4), True, 8),
-        ((8,), True, 4),  # cyclic rings keep their units
-        ((2, 3), True, 2),
-    ],
-)
+GROUP_ORDERS = [
+    ((5, 5), True, 480),  # GL_2(F_5)
+    ((5, 5), False, 32),  # units and the coordinate swap
+    ((7, 7), True, 2016),  # GL_2(F_7)
+    ((2, 2, 2), True, 168),  # GL_3(F_2)
+    ((2, 2, 2, 2), True, 24),  # GL_4(F_2) is past the budget: S_4
+    ((2,) * 6, False, 720),  # S_6
+    ((3, 9), True, 108),  # Aut(Z_3 x Z_9)
+    ((2, 4), True, 8),
+    ((8,), True, 4),  # cyclic rings keep their units
+    ((2, 3), True, 2),
+]
+
+
+@pytest.mark.parametrize("moduli, additive, order", GROUP_ORDERS)
 def test_symmetry_group_orders(moduli, additive, order) -> None:
     ring = make_ring(moduli)
     group = symmetry_index_perms(ring, additive)
     assert len(group) == len(set(group)) == order
     assert group[0] == tuple(range(ring.cardinality))
     assert set(unit_index_perms(ring)) <= set(group)
+
+
+def _closure_by_itemgetter(ident, gens, limit):
+    # the reference closure: breadth-first on tuples, composing h[i] = g[s[i]]
+    # by itemgetter(*s)(g); None once the group exceeds limit
+    seen = {ident}
+    queue = [ident]
+    compose = [itemgetter(*s) for s in gens]
+    for g in queue:
+        for c in compose:
+            h = c(g)
+            if h not in seen:
+                if len(seen) == limit:
+                    return None
+                seen.add(h)
+                queue.append(h)
+    return tuple(sorted(seen))
+
+
+@pytest.mark.parametrize("budget", ["default", "low"])
+@pytest.mark.parametrize("moduli, additive, order", GROUP_ORDERS)
+def test_closure_matches_the_itemgetter_reference(moduli, additive, order, budget, monkeypatch) -> None:
+    # every closure symmetry_index_perms asks for, the shortcut past the
+    # budget off, is the reference's, the same sorted tuples; under a budget
+    # of 4 maps per ring, the closures past it are None in both
+    ring = make_ring(moduli)
+    calls = []
+    closure = rings._closure
+
+    def pinned(ident, gens, limit):
+        got = closure(ident, gens, limit)
+        assert got == _closure_by_itemgetter(ident, gens, limit), (gens, limit)
+        calls.append(got)
+        return got
+
+    monkeypatch.setattr(rings, "_closure", pinned)
+    monkeypatch.setattr(rings, "_general_linear_order", lambda ring: None)
+    if budget == "low":
+        monkeypatch.setattr(rings, "SYMMETRY_BUDGET", 4 * ring.cardinality)
+    group = rings.symmetry_index_perms.__wrapped__(ring, additive)
+    if len(ring.moduli) > 1:
+        assert calls
+    if budget == "low" and order > 4:
+        assert None in calls
+        assert len(group) == len(unit_index_perms(ring))
+    elif budget == "default":
+        assert len(group) == order
 
 
 @pytest.mark.parametrize(
@@ -221,3 +270,9 @@ def test_ring_spec_hashable_and_frozen() -> None:
     assert hash(ring) == hash(RingSpec((3, 3)))
     with pytest.raises(AttributeError):
         ring.moduli = (2,)  # type: ignore[misc]
+
+
+def test_symmetry_groups_refuse_rings_past_256_elements() -> None:
+    # the closure keeps each map as bytes, one per element index
+    with pytest.raises(ValueError, match="at most 256"):
+        symmetry_index_perms(make_ring((17, 17)), True)

@@ -818,7 +818,9 @@ def test_array_levels_record_the_tuple_steps_least_classes(
     moduli, cap, fresh_kits, monkeypatch
 ) -> None:
     # the least class of every level, read from the array levels by
-    # _Rows.least, is the one the tuple step records
+    # _Rows.least once the search settles them, is the one the tuple step
+    # records; until then an array level below the cap is held, its least
+    # not taken
     steps = []
     step = search._Rows.step
 
@@ -831,6 +833,9 @@ def test_array_levels_record_the_tuple_steps_least_classes(
     arrays = search._Search(KIND_DAV, 1, None)
     arrays.to(kit, cap, None)
     assert steps  # some level took the array step
+    assert arrays.held and all(arrays.levels[i][1] is None for i in arrays.held)
+    arrays.close(kit)
+    assert not arrays.held
     _on(monkeypatch, True)
     tuples = search._Search(KIND_DAV, 1, None)
     tuples.to(kit, cap, None)
@@ -1589,6 +1594,68 @@ def test_cap_sweeps_match_uncached_searches(kind, moduli, m, t, caps, fresh_kits
             assert _answer(kind, ring, m, t, cap) == want[cap], (order, cap)
 
 
+def _length_and_calls(kind, ring, m, t, cap, cached: bool):
+    seen = []
+
+    def progress(level, size):
+        seen.append((level, size))
+
+    level, witness = search._max_length(kind, ring, m, cap, t, "frontier", progress, cached)
+    return level, witness.mult, seen
+
+
+@pytest.mark.parametrize("budget", ["default", 0])
+@pytest.mark.parametrize(
+    "kind, moduli, m, t, caps",
+    [
+        (KIND_DAV, (3, 3), 1, None, range(1, 7)),
+        (KIND_DAV, (5, 5), 1, None, range(1, 11)),
+        (KIND_EGZ, (3, 3), 2, 9, range(8, 17)),
+    ],
+    ids=["D1-Z3xZ3", "D1-Z5xZ5", "E9-Z3xZ3-2"],
+)
+def test_cap_order_does_not_matter(kind, moduli, m, t, caps, budget, monkeypatch, fresh_kits) -> None:
+    # every cap on one kit, in descending, ascending and shuffled order:
+    # length, witness and progress calls are those of a new search, and a
+    # query at or below a cap already answered never starts the BFS again.
+    # Wide array levels are held until a query returns them; with a budget
+    # of 0 every level is settled as it is made, and every search closed.
+    # D_1(Z_3 x Z_3) takes the tuple step on every level, so it settles none
+    ring = make_ring(moduli)
+    want = {cap: _length_and_calls(kind, ring, m, t, cap, False) for cap in caps}
+    if budget == 0:
+        monkeypatch.setattr(search, "_SUSPEND_BYTES", 0)
+    starts, settled = [], []
+    frontier_max, settle = search._frontier_max, search._Search.settle
+
+    def counted(*args):
+        starts.append(None)
+        return frontier_max(*args)
+
+    def spy(self, kit, i):
+        settled.append(i)
+        return settle(self, kit, i)
+
+    monkeypatch.setattr(search, "_frontier_max", counted)
+    monkeypatch.setattr(search._Search, "settle", spy)
+    shuffled = list(caps)
+    random.Random(len(shuffled)).shuffle(shuffled)
+    for order in (sorted(caps, reverse=True), sorted(caps), shuffled):
+        search._kit.cache_clear()
+        top = None
+        for cap in order:
+            before = len(starts)
+            got = _length_and_calls(kind, ring, m, t, cap, True)
+            assert got == want[cap], (order, cap)
+            if top is not None and cap <= top:
+                assert len(starts) == before, (order, cap)
+            top = cap if top is None else max(top, cap)
+    assert bool(settled) == ((kind, moduli) != (KIND_DAV, (3, 3)))
+    (found,) = search._kit(ring, m == 1).searches.values()
+    if budget == 0:
+        assert found.gen is None and not found.held
+
+
 def test_a_capped_search_resumes(monkeypatch, fresh_kits) -> None:
     # D_3(Z_7): a larger cap advances from the last recorded level, and a
     # smaller one advances nothing
@@ -1698,33 +1765,44 @@ def test_the_wide_table_is_gone_before_any_extension_is_made(fresh_kits) -> None
 
 def test_suspended_frontiers_stay_within_the_budget(monkeypatch, fresh_kits) -> None:
     # D_m(Z_9) for m = 2..9 at three caps each, on one kit: at most
-    # _SEARCHES are cached, and their suspended frontiers never sum past
-    # _SUSPEND_BYTES. The budget is 8192 bytes: a wide search whose next
-    # step is an array step holds the previous level and its masks too
-    # (D_4(Z_9) at cap 7 2850 bytes, 960 for its frontier alone)
+    # _SEARCHES are cached, and their suspended frontiers and held rows
+    # never sum past _SUSPEND_BYTES; a search closed for the budget holds
+    # no rows. The budget is 10240 bytes: a wide search whose next step is
+    # an array step holds the previous level and its masks too (D_4(Z_9) at
+    # cap 7 2850 bytes, 960 for its frontier alone), and the wide array
+    # levels no query returned, the seed level 3 and level 6 (528 and 1680
+    # bytes), count as well
     import numpy as np
 
     monkeypatch.setattr(search, "_SEARCHES", 6)
-    monkeypatch.setattr(search, "_SUSPEND_BYTES", 8192)
+    monkeypatch.setattr(search, "_SUSPEND_BYTES", 10240)
     ring = make_ring((9,))
     kit = search._kit(ring, False)
     for m in range(2, 10):
         for cap in (m, m + 1, m + 3):
             davenport_m(ring, m, cap)
             assert len(kit.searches) <= 6
-            assert sum(s.nbytes for s in kit.searches.values()) <= 8192
-            assert all((s.gen is None) == (s.nbytes == 0) for s in kit.searches.values())
+            assert sum(s.nbytes for s in kit.searches.values()) <= 10240
+            for s in kit.searches.values():
+                assert (s.gen is None) == (s.live == 0)
+                assert s.gen is not None or s.done or not s.held
+                assert all(s.levels[i][1] is None for i in s.held)
     assert [key[1] for key in kit.searches] == [4, 5, 6, 7, 8, 9]
     assert any(s.gen is not None for s in kit.searches.values())
     assert any(s.gen is None and not s.done for s in kit.searches.values())
     held = kit.searches[(KIND_DAV, 4, None)]
+    rows = {}
     for level, frontier, prev, _ in search._frontier_max(kit, KIND_DAV, 4, None):
+        rows[level] = frontier
         if level == 7:
             break
     parents, masks = prev
     assert isinstance(parents, np.ndarray) and masks.shape == (len(parents), 2)
-    assert held.nbytes == search._nbytes(frontier, level, prev) == 2850
+    assert held.live == search._nbytes(frontier, level, prev) == 2850
     assert search._nbytes(frontier, level) == 960
+    assert sorted(held.held) == [0, 3]
+    assert all((held.held[i] == rows[3 + i]).all() for i in held.held)
+    assert held.nbytes == 2850 + rows[3].nbytes + rows[6].nbytes == 2850 + 528 + 1680
     # D_2(Z_2 x Z_4): a one-word search whose next step is an array step
     # also holds the previous level and its extension masks for the next
     # closure test, and counts them: at level 2 (14 classes, made by a
@@ -1736,7 +1814,7 @@ def test_suspended_frontiers_stay_within_the_budget(monkeypatch, fresh_kits) -> 
     for cap in (2, 4, 5, 6, 7, 8, 9):
         davenport_m(ring, 2, cap)
         (held,) = kit.searches.values()
-        assert held.gen is not None and held.nbytes <= 4096
+        assert held.gen is not None and held.nbytes <= 4096 and not held.held
         last = held.seed + len(held.levels) - 1
         for level, frontier, prev, _ in search._frontier_max(kit, KIND_DAV, 2, None):
             if level == last:
